@@ -15,11 +15,11 @@ window and sparse pairs share a denominator with the hidden-state term, so
 every output is a convex combination of stored values.
 
 Selection details, fixed for determinism:
-  * eligible pairs are scored once per step, against the state before this
-    step's absorptions; the retained residents are then re-scored against
-    the post-absorption state so reported scores are always current;
-  * equal scores keep the older pair cached;
-  * absorption happens in ascending arrival order.
+  * an eviction scores the evicted pair and the residents in one call,
+    against the state before its absorption; under a dynamic rule
+    ``sparse_scores`` is computed against the current state when read;
+  * at most one pair is absorbed per eviction, the lowest-scoring one;
+  * equal scores keep the older pair cached.
 """
 
 from __future__ import annotations
@@ -184,14 +184,17 @@ class LolaCache:
         self._wphi = np.zeros((eta, fdim))
         self._widx = np.zeros(eta, dtype=np.int64)
         self._wacc = np.zeros(eta)
+        self._wbufs = (self._wk, self._wv, self._wphi, self._widx, self._wacc)
         self._wlen = 0
         self._wnext = 0
-        # sparse cache, kept sorted by arrival index
-        self._sk = np.zeros((lam, d))
-        self._sv = np.zeros((lam, d))
-        self._sphi = np.zeros((lam, fdim))
-        self._sidx = np.zeros(lam, dtype=np.int64)
-        self._sscore = np.zeros(lam)
+        # sparse cache, kept sorted by arrival index; row _slen stages the
+        # pair being evicted from the window
+        self._sk = np.zeros((lam + 1, d))
+        self._sv = np.zeros((lam + 1, d))
+        self._sphi = np.zeros((lam + 1, fdim))
+        self._sidx = np.zeros(lam + 1, dtype=np.int64)
+        self._sscore = np.zeros(lam + 1)
+        self._sbufs = (self._sk, self._sv, self._sphi, self._sidx, self._sscore)
         self._slen = 0
 
     # -- views ------------------------------------------------------------
@@ -214,7 +217,11 @@ class LolaCache:
 
     @property
     def sparse_scores(self) -> np.ndarray:
-        return self._sscore[: self._slen].copy()
+        """Residents' scores; a dynamic rule computes them when read."""
+        ns = self._slen
+        if self.scoring.dynamic and ns:
+            return _self_recall_scores(self._sphi[:ns], self._sv[:ns], self.linear)
+        return self._sscore[:ns].copy()
 
     def window_pairs(self) -> list[KVPair]:
         order = np.argsort(self._widx[: self._wlen])
@@ -233,7 +240,7 @@ class LolaCache:
 
     def update(self, key, value, index: int | None = None) -> None:
         """Admit the next pair: window in; on overflow the oldest pair is
-        scored against the sparse residents and the losers are absorbed."""
+        scored against the sparse residents and at most one is absorbed."""
         idx = self.t + 1
         if index is not None and index != idx:
             raise ValueError(f"index discontinuity: expected {idx}, got {index}")
@@ -241,19 +248,13 @@ class LolaCache:
         value = as_vector(value, self.config.head_dim)
         phi_k = feature_map_apply(self.params, key, self.max_logit)
 
-        evicted = None
+        evicted = self._wlen == self.window_capacity  # always, with no window
         if self.window_capacity == 0:
-            evicted = (key, value, phi_k, idx, 0.0)
+            self._stage(key, value, phi_k, idx, 0.0)
         else:
             slot = self._wnext
-            if self._wlen == self.window_capacity:
-                evicted = (
-                    self._wk[slot].copy(),
-                    self._wv[slot].copy(),
-                    self._wphi[slot].copy(),
-                    int(self._widx[slot]),
-                    float(self._wacc[slot]),
-                )
+            if evicted:
+                self._stage(*(buf[slot] for buf in self._wbufs))
             else:
                 self._wlen += 1
             self._wk[slot] = key
@@ -264,53 +265,44 @@ class LolaCache:
             self._wnext = (slot + 1) % self.window_capacity
 
         self.t = idx
-        if evicted is None:
-            self.last_event = StepEvent(idx, None)
+        if evicted:
+            self._settle(idx)
         else:
-            self._settle(evicted, idx)
+            self.last_event = StepEvent(idx, None)
         self._assert_conserved()
 
-    def _settle(self, evicted, step_index: int) -> None:
-        ek, ev, ephi, eidx, eacc = evicted
+    def _stage(self, *row) -> None:
+        for buf, x in zip(self._sbufs, row):
+            buf[self._slen] = x
+
+    def _settle(self, step_index: int) -> None:
+        """Rank the staged pair with the residents in one scoring call; on
+        overflow absorb the lowest score and close the gap it leaves."""
         ns = self._slen
-        lam = self.sparse_capacity
-        elig_k = np.concatenate([self._sk[:ns], ek[None]], axis=0)
-        elig_v = np.concatenate([self._sv[:ns], ev[None]], axis=0)
-        elig_phi = np.concatenate([self._sphi[:ns], ephi[None]], axis=0)
-        elig_idx = np.append(self._sidx[:ns], eidx)
+        elig_idx = self._sidx[: ns + 1].copy()
         if self.scoring.dynamic:
-            scores = _self_recall_scores(elig_phi, elig_v, self.linear)
+            scores = _self_recall_scores(self._sphi[: ns + 1], self._sv[: ns + 1], self.linear)
         else:
-            scores = np.append(self._sscore[:ns], eacc)
-
-        # top-lam by score; ties keep the older pair
-        order = np.lexsort((elig_idx, -scores))
-        kept = order[:lam]
-        dropped = order[lam:]
-        dropped = dropped[np.argsort(elig_idx[dropped])]
-        for row in dropped:
-            self.linear.update(elig_phi[row], elig_v[row])
-
-        kept = kept[np.argsort(elig_idx[kept])]
-        nk = kept.shape[0]
-        self._sk[:nk] = elig_k[kept]
-        self._sv[:nk] = elig_v[kept]
-        self._sphi[:nk] = elig_phi[kept]
-        self._sidx[:nk] = elig_idx[kept]
-        self._slen = nk
-        if self.scoring.dynamic and nk:
-            self._sscore[:nk] = _self_recall_scores(self._sphi[:nk], self._sv[:nk], self.linear)
+            scores = self._sscore[: ns + 1].copy()
+        dropped = _EMPTY_IDX
+        if ns < self.sparse_capacity:
+            self._slen = ns + 1
         else:
-            self._sscore[:nk] = scores[kept]
+            # rows ascend by arrival, so the last minimum is the newer of a tie
+            drop = ns - int(np.argmin(scores[::-1]))
+            dropped = np.array([drop])
+            self.linear.update(self._sphi[drop], self._sv[drop])
+            for buf in self._sbufs:
+                buf[drop:ns] = buf[drop + 1 : ns + 1]
 
         self.last_event = StepEvent(
             index=step_index,
-            evicted_index=eidx,
+            evicted_index=int(elig_idx[ns]),
             eligible_indices=elig_idx,
             eligible_scores=scores,
-            kept_indices=elig_idx[kept].copy(),
-            absorbed_indices=elig_idx[dropped].copy(),
-            absorbed_scores=scores[dropped].copy(),
+            kept_indices=self._sidx[: self._slen].copy(),
+            absorbed_indices=elig_idx[dropped],
+            absorbed_scores=scores[dropped],
         )
 
     def accumulate_window_scores(self, query) -> None:
@@ -328,7 +320,10 @@ class LolaCache:
         phi_q = feature_map_apply(self.params, q, self.max_logit)
         e = np.exp((self._wk[:nw] @ q) * self.config.scale)
         p = self._wphi[:nw] @ phi_q
-        self._wacc[:nw] += self.scoring.term(e, p)
+        term = self.scoring.term(e, p)
+        if not np.isfinite(term).all():
+            raise ValueError("static score term is not finite: the window logits overflow exp")
+        self._wacc[:nw] += term
 
     # -- reads ------------------------------------------------------------
 
@@ -343,16 +338,14 @@ class LolaCache:
         nw, ns = self._wlen, self._slen
         logit_w = (self._wk[:nw] @ q) * scale
         logit_s = (self._sk[:ns] @ q) * scale
-        shift = 0.0
-        if nw:
-            shift = max(shift, float(logit_w.max()))
-        if ns:
-            shift = max(shift, float(logit_s.max()))
+        shift = float(max(logit_w.max(initial=0.0), logit_s.max(initial=0.0)))
         ew = np.exp(logit_w - shift)
         es = np.exp(logit_s - shift)
         damp = np.exp(-shift)
         num = ew @ self._wv[:nw] + es @ self._sv[:ns] + damp * (phi_q @ self.linear.hidden)
         den = float(ew.sum() + es.sum()) + damp * float(phi_q @ self.linear.normalizer)
+        if not den > 0.0:
+            raise ValueError(f"shared denominator {den:g} is not positive")
         return num / den
 
     def decode_step(self, query, key, value) -> np.ndarray:
@@ -412,9 +405,9 @@ class LolaCache:
                     "index": int(self._sidx[i]),
                     "key": self._sk[i].tolist(),
                     "value": self._sv[i].tolist(),
-                    "score": float(self._sscore[i]),
+                    "score": float(score),
                 }
-                for i in range(self._slen)
+                for i, score in enumerate(self.sparse_scores)
             ],
         }
 
@@ -423,10 +416,9 @@ class LolaCache:
         if snap.get("format") != "lola-cache-snapshot-v1":
             raise ValueError("unrecognized snapshot format")
         cfg = snap["config"]
-        config = AttentionConfig(cfg["head_dim"], cfg["feature_dim"], cfg["scale"])
-        weights = np.asarray(snap["weights"], dtype=np.float64).reshape(
-            cfg["feature_dim"] // 2, cfg["head_dim"]
-        )
+        fdim, d, t = cfg["feature_dim"], cfg["head_dim"], snap["t"]
+        config = AttentionConfig(d, fdim, cfg["scale"])
+        weights = np.asarray(snap["weights"], dtype=np.float64).reshape(fdim // 2, d)
         params = FeatureMapParams(weights)
         if scoring is None:
             if cfg["scoring"] != SelfRecallScoring.name:
@@ -442,33 +434,41 @@ class LolaCache:
             scoring=scoring,
             max_logit=cfg["max_logit"],
         )
-        cache.t = snap["t"]
-        cache.linear.hidden = np.asarray(snap["hidden"], dtype=np.float64).reshape(
-            cfg["feature_dim"], cfg["head_dim"]
-        )
-        cache.linear.normalizer = np.asarray(snap["normalizer"], dtype=np.float64)
+        hidden = np.asarray(snap["hidden"], dtype=np.float64)
+        normalizer = np.asarray(snap["normalizer"], dtype=np.float64)
+        for name, arr, n in (("hidden", hidden, fdim * d), ("normalizer", normalizer, fdim)):
+            if arr.shape != (n,):
+                raise ValueError(f"snapshot {name!r} has shape {arr.shape}, expected ({n},)")
+        for name, cap in (("window", cache.window_capacity), ("sparse", cache.sparse_capacity)):
+            if len(snap[name]) > cap:
+                raise ValueError(f"snapshot {name!r}: {len(snap[name])} pairs > capacity {cap}")
+        widx = [entry["index"] for entry in snap["window"]]
+        sidx = [entry["index"] for entry in snap["sparse"]]
+        nw, ns = len(widx), len(sidx)
+        if widx != list(range(t - nw + 1, t + 1)):
+            raise ValueError(f"snapshot 'window' indices {widx} are not the run ending at t={t}")
+        bounds = [0, *sidx, t - nw + 1]
+        if any(b <= a for a, b in zip(bounds, bounds[1:])):
+            raise ValueError(f"snapshot 'sparse' indices {sidx} must ascend and precede the window")
+        cache.t = t
+        cache.linear.hidden = hidden.reshape(fdim, d)
+        cache.linear.normalizer = normalizer
         cache.linear.count = snap["absorbed_count"]
         for i, entry in enumerate(snap["window"]):
             cache._wk[i] = entry["key"]
             cache._wv[i] = entry["value"]
             cache._widx[i] = entry["index"]
             cache._wacc[i] = entry["acc"]
-        cache._wlen = len(snap["window"])
-        if cache._wlen:
-            cache._wphi[: cache._wlen] = feature_map_batch(
-                params, cache._wk[: cache._wlen], cfg["max_logit"]
-            )
-        cache._wnext = cache._wlen % cache.window_capacity if cache.window_capacity else 0
+        cache._wlen = nw
+        cache._wphi[:nw] = feature_map_batch(params, cache._wk[:nw], cfg["max_logit"])
+        cache._wnext = nw % cache.window_capacity if cache.window_capacity else 0
         for i, entry in enumerate(snap["sparse"]):
             cache._sk[i] = entry["key"]
             cache._sv[i] = entry["value"]
             cache._sidx[i] = entry["index"]
             cache._sscore[i] = entry["score"]
-        cache._slen = len(snap["sparse"])
-        if cache._slen:
-            cache._sphi[: cache._slen] = feature_map_batch(
-                params, cache._sk[: cache._slen], cfg["max_logit"]
-            )
+        cache._slen = ns
+        cache._sphi[:ns] = feature_map_batch(params, cache._sk[:ns], cfg["max_logit"])
         cache._assert_conserved()
         return cache
 

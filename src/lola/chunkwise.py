@@ -129,7 +129,6 @@ def prefill(
     sv = np.zeros((lam, attn.head_dim))
     sphi = np.zeros((lam, attn.feature_dim))
     sidx = np.zeros(lam, dtype=np.int64)
-    sscore = np.zeros(lam)
     slen = 0
 
     out = np.empty_like(vs)
@@ -186,8 +185,6 @@ def prefill(
             sphi[:nk] = elig_phi[kept]
             sidx[:nk] = elig_idx[kept]
             slen = nk
-            if nk:
-                sscore[:nk] = _self_recall_scores(sphi[:nk], sv[:nk], linear)
             events.append(
                 ChunkEvent(
                     chunk=m - 2,
@@ -198,13 +195,15 @@ def prefill(
                 )
             )
 
+    # only the final residents' scores are reported, so they are scored once, here
+    sscore = _self_recall_scores(sphi[:slen], sv[:slen], linear)
     r0 = max(0, (n_chunks - 2) * c)
     state = PrefillState(
         linear=linear,
         sparse_keys=sk[:slen].copy(),
         sparse_values=sv[:slen].copy(),
         sparse_indices=sidx[:slen].copy(),
-        sparse_scores=sscore[:slen].copy(),
+        sparse_scores=sscore,
         recent_keys=ks[r0:].copy(),
         recent_values=vs[r0:].copy(),
         recent_indices=np.arange(r0 + 1, n + 1, dtype=np.int64),

@@ -18,6 +18,7 @@ from lola import (
     self_recall_score,
     softmax_attention_oracle,
 )
+from lola.analysis import SCORING_STRATEGIES
 from lola.cache import StaticScoring
 
 
@@ -337,3 +338,76 @@ def test_snapshot_roundtrip_preserves_behavior(tmp_path, setup):
     b = restored.decode_step(q, k, v)
     np.testing.assert_allclose(a, b, rtol=1e-12)
     assert restored.window_indices.tolist() == eng.window_indices.tolist()
+
+
+def snapshot_after(setup, eta, lam, n, seed=20):
+    eng = make_engine(setup, eta=eta, lam=lam)
+    gen = SeededRng(seed).generator()
+    for _ in range(n):
+        eng.update(gen.normal(size=4), gen.normal(size=4))
+    return eng.to_snapshot()
+
+
+@pytest.mark.parametrize("tier", ["window", "sparse"])
+def test_snapshot_over_capacity_rejected(setup, tier):
+    snap = snapshot_after(setup, eta=3, lam=2, n=20)
+    snap[tier].append(dict(snap[tier][0]))
+    with pytest.raises(ValueError, match=tier):
+        LolaCache.from_snapshot(snap)
+
+
+def test_snapshot_window_not_ending_at_t_rejected(setup):
+    snap = snapshot_after(setup, eta=2, lam=1, n=5)
+    assert [e["index"] for e in snap["window"]] == [4, 5]
+    snap["t"] = 99
+    with pytest.raises(ValueError, match="window"):
+        LolaCache.from_snapshot(snap)
+
+
+@pytest.mark.parametrize("fault", ["descending", "inside-window"])
+def test_snapshot_sparse_order_rejected(setup, fault):
+    snap = snapshot_after(setup, eta=3, lam=2, n=20)
+    if fault == "descending":
+        snap["sparse"].reverse()
+    else:
+        snap["sparse"][-1]["index"] = snap["window"][0]["index"]
+    with pytest.raises(ValueError, match="sparse"):
+        LolaCache.from_snapshot(snap)
+
+
+@pytest.mark.parametrize("field", ["hidden", "normalizer"])
+def test_snapshot_state_shape_rejected(setup, field):
+    snap = snapshot_after(setup, eta=3, lam=2, n=20)
+    snap[field] = snap[field][:-1]
+    with pytest.raises(ValueError, match=field):
+        LolaCache.from_snapshot(snap)
+
+
+def test_snapshot_scores_are_current_after_restore(setup):
+    snap = snapshot_after(setup, eta=3, lam=2, n=20)
+    restored = LolaCache.from_snapshot(snap)
+    assert restored.sparse_scores.tolist() == [e["score"] for e in snap["sparse"]]
+
+
+# -- numeric guards -----------------------------------------------------------
+
+
+def test_attend_rejects_non_positive_denominator(setup):
+    eng = make_engine(setup, eta=0, lam=0)
+    eng.update(np.ones(4), np.ones(4))
+    eng.linear.normalizer[:] = 0.0
+    with pytest.raises(ValueError, match="denominator"):
+        eng.attend(np.ones(4))
+
+
+@pytest.mark.parametrize("name, sign", [("attnerr-sq", 1.0), ("overestimate", -1.0)])
+def test_static_score_overflow_rejected(name, sign):
+    cfg = AttentionConfig(head_dim=4, feature_dim=8, scale=1e3)
+    params = init_feature_map(SeededRng(0), cfg)
+    eng = LolaCache(cfg, params, 2, 1, scoring=SCORING_STRATEGIES[name]())
+    eng.update(np.ones(4), np.ones(4))
+    before = eng.to_snapshot()["window"]
+    # logits of +-4000 overflow or underflow exp
+    with np.errstate(over="ignore", divide="ignore"), pytest.raises(ValueError, match="finite"):
+        eng.accumulate_window_scores(sign * np.ones(4))
+    assert eng.to_snapshot()["window"] == before
