@@ -111,12 +111,29 @@ def _guard(z: np.ndarray, max_logit: float) -> None:
         )
 
 
-def feature_map_apply(params: FeatureMapParams, x, max_logit: float = DEFAULT_MAX_LOGIT) -> np.ndarray:
-    """Map one vector to its strictly positive feature vector."""
-    x = as_vector(x, dim=params.head_dim)
+def _feature_row(params: FeatureMapParams, x: np.ndarray, max_logit: float) -> np.ndarray:
+    """``feature_map_apply`` on an already validated vector."""
     z = params.weights @ x
     _guard(z, max_logit)
     return np.concatenate([np.exp(z), np.exp(-z)])
+
+
+def _feature_rows(params: FeatureMapParams, xs: np.ndarray, max_logit: float) -> np.ndarray:
+    """``_feature_row`` of every row of an already validated matrix, bit for bit.
+
+    A stacked matrix-vector product gives each row the bits of ``W @ x``; the
+    single GEMM of ``feature_map_batch`` differs from it in the last bit, and
+    that is enough to flip which pair a cache keeps. The guard covers every
+    row before any is returned.
+    """
+    z = np.matmul(params.weights, xs[:, :, None])[:, :, 0]
+    _guard(z, max_logit)
+    return np.concatenate([np.exp(z), np.exp(-z)], axis=1)
+
+
+def feature_map_apply(params: FeatureMapParams, x, max_logit: float = DEFAULT_MAX_LOGIT) -> np.ndarray:
+    """Map one vector to its strictly positive feature vector."""
+    return _feature_row(params, as_vector(x, dim=params.head_dim), max_logit)
 
 
 def feature_map_batch(params: FeatureMapParams, xs, max_logit: float = DEFAULT_MAX_LOGIT) -> np.ndarray:

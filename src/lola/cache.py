@@ -14,6 +14,12 @@ Outputs combine all three tiers in one ratio: exponential terms for the
 window and sparse pairs share a denominator with the hidden-state term, so
 every output is a convex combination of stored values.
 
+A whole stream can be admitted at once with ``ingest(keys, values)``: it
+validates and feature-maps every row before it changes any state, then runs
+the same per-pair step as ``update``, so the tiers end bit-identical to a
+loop of ``update`` calls (plus ``accumulate_window_scores`` on the stream's
+queries under a static rule).
+
 Selection details, fixed for determinism:
   * an eviction scores the evicted pair and the residents in one call,
     against the state before its absorption; under a dynamic rule
@@ -35,10 +41,10 @@ from .attention import (
     AttentionConfig,
     FeatureMapParams,
     LinearState,
-    feature_map_apply,
-    feature_map_batch,
+    _feature_row,
+    _feature_rows,
 )
-from .numerics import as_vector
+from .numerics import as_matrix, as_vector
 
 __all__ = [
     "KVPair",
@@ -145,9 +151,9 @@ class LolaCache:
     """Decode-path engine holding the three memory tiers for one stream.
 
     Single-owner mutable state: feed tokens in arrival order through
-    ``decode_step`` (or ``update`` plus ``attend``). ``window_capacity`` = 0
-    degenerates to pure linear attention, ``sparse_capacity`` = 0 to the
-    window + hidden-state baseline.
+    ``decode_step`` (or ``update`` plus ``attend``), or a whole stream through
+    ``ingest``. ``window_capacity`` = 0 degenerates to pure linear attention,
+    ``sparse_capacity`` = 0 to the window + hidden-state baseline.
     """
 
     def __init__(
@@ -176,6 +182,9 @@ class LolaCache:
         self.linear = LinearState.zeros(config.feature_dim, config.head_dim)
         self.t = 0
         self.last_event: StepEvent | None = None
+        # scores of the pairs this engine absorbed, summed in absorption order
+        # (a restored cache starts from zero)
+        self.absorbed_score_sum = 0.0
         d, fdim = config.head_dim, config.feature_dim
         eta, lam = window_capacity, sparse_capacity
         # window ring buffer; once full, slot _wnext always holds the oldest pair
@@ -246,8 +255,37 @@ class LolaCache:
             raise ValueError(f"index discontinuity: expected {idx}, got {index}")
         key = as_vector(key, self.config.head_dim)
         value = as_vector(value, self.config.head_dim)
-        phi_k = feature_map_apply(self.params, key, self.max_logit)
+        self._admit(key, value, _feature_row(self.params, key, self.max_logit))
 
+    def ingest(self, keys, values, queries=None) -> None:
+        """Admit a stream of pairs in order, as ``update`` does one by one.
+
+        Under a static rule ``queries`` is required and row ``t`` is scored
+        after pair ``t`` is admitted, as ``accumulate_window_scores`` does;
+        a dynamic rule ignores it. Every row is validated and feature-mapped
+        before any state changes, so bad input raises a ``ValueError`` and
+        leaves the cache as it was. The one check left to the loop is the
+        static rule's non-finite score term, which depends on the window: it
+        raises mid-stream, with the earlier pairs admitted.
+        """
+        d = self.config.head_dim
+        keys = as_matrix(keys, cols=d)
+        values = as_matrix(values, rows=keys.shape[0], cols=d)
+        static = not self.scoring.dynamic
+        if static:
+            if queries is None:
+                raise ValueError(f"scoring rule {self.scoring.name!r} needs the stream's queries")
+            queries = as_matrix(queries, rows=keys.shape[0], cols=d)
+            phi_q = _feature_rows(self.params, queries, self.max_logit)
+        phi_k = _feature_rows(self.params, keys, self.max_logit)
+        for t in range(keys.shape[0]):
+            self._admit(keys[t], values[t], phi_k[t])
+            if static:
+                self._accumulate(queries[t], phi_q[t])
+
+    def _admit(self, key: np.ndarray, value: np.ndarray, phi_k: np.ndarray) -> None:
+        """One validated pair in: window ring, then settle on eviction."""
+        idx = self.t + 1
         evicted = self._wlen == self.window_capacity  # always, with no window
         if self.window_capacity == 0:
             self._stage(key, value, phi_k, idx, 0.0)
@@ -292,6 +330,7 @@ class LolaCache:
             drop = ns - int(np.argmin(scores[::-1]))
             dropped = np.array([drop])
             self.linear.update(self._sphi[drop], self._sv[drop])
+            self.absorbed_score_sum += float(scores[drop])
             for buf in self._sbufs:
                 buf[drop:ns] = buf[drop + 1 : ns + 1]
 
@@ -311,13 +350,15 @@ class LolaCache:
         Only meaningful for static strategies; the self-recall rule ignores
         queries entirely.
         """
-        if self.scoring.dynamic:
+        if self.scoring.dynamic or self._wlen == 0:
             return
+        q = as_vector(query, self.config.head_dim)
+        self._accumulate(q, _feature_row(self.params, q, self.max_logit))
+
+    def _accumulate(self, q: np.ndarray, phi_q: np.ndarray) -> None:
         nw = self._wlen
         if nw == 0:
             return
-        q = as_vector(query, self.config.head_dim)
-        phi_q = feature_map_apply(self.params, q, self.max_logit)
         e = np.exp((self._wk[:nw] @ q) * self.config.scale)
         p = self._wphi[:nw] @ phi_q
         term = self.scoring.term(e, p)
@@ -333,7 +374,7 @@ class LolaCache:
         if self.t < 1:
             raise ValueError("attend called before any pair was admitted")
         q = as_vector(query, self.config.head_dim)
-        phi_q = feature_map_apply(self.params, q, self.max_logit)
+        phi_q = _feature_row(self.params, q, self.max_logit)
         scale = self.config.scale
         nw, ns = self._wlen, self._slen
         logit_w = (self._wk[:nw] @ q) * scale
@@ -454,21 +495,24 @@ class LolaCache:
         cache.linear.hidden = hidden.reshape(fdim, d)
         cache.linear.normalizer = normalizer
         cache.linear.count = snap["absorbed_count"]
-        for i, entry in enumerate(snap["window"]):
+        # pair i sits in ring slot (i - 1) % capacity, as in the saved engine,
+        # so window sums run in the same order and keep the same bits
+        for entry in snap["window"]:
+            i = (entry["index"] - 1) % cache.window_capacity
             cache._wk[i] = entry["key"]
             cache._wv[i] = entry["value"]
             cache._widx[i] = entry["index"]
             cache._wacc[i] = entry["acc"]
         cache._wlen = nw
-        cache._wphi[:nw] = feature_map_batch(params, cache._wk[:nw], cfg["max_logit"])
-        cache._wnext = nw % cache.window_capacity if cache.window_capacity else 0
+        cache._wphi[:nw] = _feature_rows(params, as_matrix(cache._wk[:nw]), cfg["max_logit"])
+        cache._wnext = t % cache.window_capacity if cache.window_capacity else 0
         for i, entry in enumerate(snap["sparse"]):
             cache._sk[i] = entry["key"]
             cache._sv[i] = entry["value"]
             cache._sidx[i] = entry["index"]
             cache._sscore[i] = entry["score"]
         cache._slen = ns
-        cache._sphi[:ns] = feature_map_batch(params, cache._sk[:ns], cfg["max_logit"])
+        cache._sphi[:ns] = _feature_rows(params, as_matrix(cache._sk[:ns]), cfg["max_logit"])
         cache._assert_conserved()
         return cache
 

@@ -190,17 +190,10 @@ def run_trial(
         engine = engine_for_policy(
             exp.policy, attn, params, exp.window_capacity, exp.sparse_capacity
         )
-        static = not engine.scoring.dynamic
-        score_sum, absorbed = 0.0, 0
-        for t in range(inst.keys.shape[0]):
-            engine.update(inst.keys[t], inst.values[t])
-            if static:
-                engine.accumulate_window_scores(inst.keys[t])
-            event = engine.last_event
-            if event is not None and event.absorbed_indices.size:
-                score_sum += float(event.absorbed_scores.sum())
-                absorbed += int(event.absorbed_indices.size)
+        # queries equal keys here too; a dynamic rule ignores them
+        engine.ingest(inst.keys, inst.values, inst.keys)
         answer = engine.attend(inst.probe)
+        score_sum, absorbed = engine.absorbed_score_sum, engine.linear.count
     hit = decode_answer(answer, inst.codebook) == inst.target_value_id
     return hit, score_sum, absorbed
 
