@@ -43,6 +43,7 @@ __all__ = [
     "overestimate_ratio",
     "rank_study",
     "relative_collision_matrix",
+    "relative_to_absorption",
     "truncated_errors",
     "write_collision_csv",
     "write_gram_csv",
@@ -211,12 +212,18 @@ def relative_collision_matrix(
     params: FeatureMapParams,
     max_logit: float = DEFAULT_MAX_LOGIT,
 ) -> CollisionMatrix:
-    """Collision matrix with each absorbed pair's error measured relative to
-    its error at absorption time; entries can go negative when a pair becomes
-    easier to recall after later updates."""
-    cm = collision_matrix(
-        keys, values, policy, window_capacity, sparse_capacity, attn, params, max_logit
+    """``relative_to_absorption`` of a fresh ``collision_matrix`` replay."""
+    return relative_to_absorption(
+        collision_matrix(
+            keys, values, policy, window_capacity, sparse_capacity, attn, params, max_logit
+        )
     )
+
+
+def relative_to_absorption(cm: CollisionMatrix) -> CollisionMatrix:
+    """``cm`` with each absorbed pair's error measured relative to its error
+    at absorption time; entries can go negative when a pair becomes easier
+    to recall after later updates."""
     rel = cm.errors.copy()
     for j in range(rel.shape[1]):
         ta = int(cm.absorbed_at[j])

@@ -182,7 +182,7 @@ class LinearState:
                 f"dimension mismatch: state is {self.hidden.shape}, "
                 f"got phi_k {phi_k.shape} and v {v.shape}"
             )
-        self.hidden += np.outer(phi_k, v)
+        self.hidden += phi_k[:, None] * v
         self.normalizer += phi_k
         self.count += 1
 

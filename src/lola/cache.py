@@ -21,11 +21,15 @@ loop of ``update`` calls (plus ``accumulate_window_scores`` on the stream's
 queries under a static rule).
 
 Selection details, fixed for determinism:
-  * an eviction scores the evicted pair and the residents in one call,
-    against the state before its absorption; under a dynamic rule
-    ``sparse_scores`` is computed against the current state when read;
+  * an eviction into a full sparse cache scores the evicted pair and the
+    residents in one call, against the state before its absorption; under
+    a dynamic rule ``sparse_scores`` is computed against the current state
+    when read;
   * at most one pair is absorbed per eviction, the lowest-scoring one;
-  * equal scores keep the older pair cached.
+  * equal scores keep the older pair cached;
+  * ``last_event`` describes the latest step only and is built when read.
+    An eviction into a sparse cache with room absorbs nothing, so its
+    scores are computed then, with the same call on the same rows.
 """
 
 from __future__ import annotations
@@ -124,10 +128,12 @@ def self_recall_score(phi_k: np.ndarray, value: np.ndarray, state: LinearState) 
 def _self_recall_scores(phi: np.ndarray, values: np.ndarray, state: LinearState) -> np.ndarray:
     """Row-wise ``self_recall_score`` with the same empty-state convention."""
     if state.count == 0:
-        return np.linalg.norm(values, axis=1)
-    den = phi @ state.normalizer
-    pred = (phi @ state.hidden) / den[:, None]
-    return np.linalg.norm(pred - values, axis=1)
+        r = values
+    else:
+        den = phi @ state.normalizer
+        r = (phi @ state.hidden) / den[:, None] - values
+    # the operations of ``np.linalg.norm(r, axis=1)`` without its wrapper
+    return np.sqrt(np.add.reduce(r * r, axis=1))
 
 
 _EMPTY_IDX = np.empty(0, dtype=np.int64)
@@ -181,7 +187,9 @@ class LolaCache:
         self.max_logit = max_logit
         self.linear = LinearState.zeros(config.feature_dim, config.head_dim)
         self.t = 0
-        self.last_event: StepEvent | None = None
+        # the latest step: a StepEvent, or the arguments of ``_event_of``
+        # that ``last_event`` builds one from when read
+        self._step: StepEvent | tuple | None = None
         # scores of the pairs this engine absorbed, summed in absorption order
         # (a restored cache starts from zero)
         self.absorbed_score_sum = 0.0
@@ -193,7 +201,6 @@ class LolaCache:
         self._wphi = np.zeros((eta, fdim))
         self._widx = np.zeros(eta, dtype=np.int64)
         self._wacc = np.zeros(eta)
-        self._wbufs = (self._wk, self._wv, self._wphi, self._widx, self._wacc)
         self._wlen = 0
         self._wnext = 0
         # sparse cache, kept sorted by arrival index; row _slen stages the
@@ -292,7 +299,9 @@ class LolaCache:
         else:
             slot = self._wnext
             if evicted:
-                self._stage(*(buf[slot] for buf in self._wbufs))
+                self._stage(
+                    self._wk[slot], self._wv[slot], self._wphi[slot], self._widx[slot], self._wacc[slot]
+                )
             else:
                 self._wlen += 1
             self._wk[slot] = key
@@ -306,42 +315,77 @@ class LolaCache:
         if evicted:
             self._settle(idx)
         else:
-            self.last_event = StepEvent(idx, None)
+            self._step = StepEvent(idx, None)
         self._assert_conserved()
 
-    def _stage(self, *row) -> None:
-        for buf, x in zip(self._sbufs, row):
-            buf[self._slen] = x
+    def _stage(self, key, value, phi_k, index, score) -> None:
+        ns = self._slen
+        self._sk[ns] = key
+        self._sv[ns] = value
+        self._sphi[ns] = phi_k
+        self._sidx[ns] = index
+        self._sscore[ns] = score
 
     def _settle(self, step_index: int) -> None:
         """Rank the staged pair with the residents in one scoring call; on
-        overflow absorb the lowest score and close the gap it leaves."""
+        overflow absorb the lowest score and close the gap it leaves. With
+        room, nothing is absorbed and nothing needs scoring."""
         ns = self._slen
-        elig_idx = self._sidx[: ns + 1].copy()
+        if ns < self.sparse_capacity:
+            self._slen = ns + 1
+            self._step = (step_index,)
+            return
         if self.scoring.dynamic:
             scores = _self_recall_scores(self._sphi[: ns + 1], self._sv[: ns + 1], self.linear)
         else:
             scores = self._sscore[: ns + 1].copy()
-        dropped = _EMPTY_IDX
-        if ns < self.sparse_capacity:
-            self._slen = ns + 1
-        else:
-            # rows ascend by arrival, so the last minimum is the newer of a tie
-            drop = ns - int(np.argmin(scores[::-1]))
-            dropped = np.array([drop])
-            self.linear.update(self._sphi[drop], self._sv[drop])
-            self.absorbed_score_sum += float(scores[drop])
+        # rows ascend by arrival, so the last minimum is the newer of a tie
+        drop = ns - int(scores[::-1].argmin())
+        self.linear.update(self._sphi[drop], self._sv[drop])
+        self.absorbed_score_sum += float(scores[drop])
+        self._step = (step_index, scores, drop, int(self._sidx[drop]))
+        if drop < ns:
             for buf in self._sbufs:
                 buf[drop:ns] = buf[drop + 1 : ns + 1]
 
-        self.last_event = StepEvent(
-            index=step_index,
-            evicted_index=int(elig_idx[ns]),
-            eligible_indices=elig_idx,
+    @property
+    def last_event(self) -> StepEvent | None:
+        """What the latest step did, built when read."""
+        step = self._step
+        if type(step) is tuple:
+            step = self._step = self._event_of(*step)
+        return step
+
+    @last_event.setter
+    def last_event(self, event: StepEvent | None) -> None:
+        self._step = event
+
+    def _event_of(self, index: int, scores=None, drop: int = 0, absorbed_index: int = 0) -> StepEvent:
+        """Rebuild an eviction's event from the residents it left behind;
+        without ``scores`` the evicted pair joined them and none was absorbed."""
+        kept = self._sidx[: self._slen].copy()
+        if scores is None:
+            # nothing was absorbed since, so scoring the same rows now gives
+            # the bits an eviction-time call would have
+            return StepEvent(
+                index=index,
+                evicted_index=int(kept[-1]),
+                eligible_indices=kept.copy(),
+                eligible_scores=self.sparse_scores,
+                kept_indices=kept,
+            )
+        elig = np.empty(kept.size + 1, dtype=np.int64)
+        elig[:drop] = kept[:drop]
+        elig[drop] = absorbed_index
+        elig[drop + 1 :] = kept[drop:]
+        return StepEvent(
+            index=index,
+            evicted_index=int(elig[-1]),
+            eligible_indices=elig,
             eligible_scores=scores,
-            kept_indices=self._sidx[: self._slen].copy(),
-            absorbed_indices=elig_idx[dropped],
-            absorbed_scores=scores[dropped],
+            kept_indices=kept,
+            absorbed_indices=elig[drop : drop + 1].copy(),
+            absorbed_scores=scores[drop : drop + 1].copy(),
         )
 
     def accumulate_window_scores(self, query) -> None:

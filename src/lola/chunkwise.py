@@ -137,6 +137,9 @@ def prefill(
     absorbed_count = 0
     absorbed_score_sum = 0.0
     n_chunks = -(-n // c)
+    # queries may not look ahead inside their own chunk; a short last chunk
+    # takes the top-left corner
+    ahead = np.triu(np.ones((c, c), dtype=bool), k=1)
 
     for m in range(n_chunks):
         c0 = m * c
@@ -151,8 +154,7 @@ def prefill(
         logits = (qs[c0:c1] @ kb.T) * attn.scale
         width = c1 - c0
         col0 = slen + (c0 - lb0)
-        # queries may not look ahead inside their own chunk
-        logits[:, col0:][np.triu(np.ones((width, width), dtype=bool), k=1)] = -np.inf
+        logits[:, col0:][ahead[:width, :width]] = -np.inf
         shift = np.maximum(logits.max(axis=1), 0.0)
         e = np.exp(logits - shift[:, None])
         damp = np.exp(-shift)
@@ -240,6 +242,6 @@ def attend_after_prefill(
         phi_q @ state.linear.hidden
     )
     den = float(es.sum() + er.sum()) + damp * float(phi_q @ state.linear.normalizer)
-    if den <= 0.0:
-        raise ValueError("empty prefill state")
+    if not den > 0.0:
+        raise ValueError(f"shared denominator {den:g} is not positive")
     return num / den

@@ -19,7 +19,7 @@ from ..analysis import (
     collision_matrix,
     mean_absorbed_error,
     rank_study,
-    relative_collision_matrix,
+    relative_to_absorption,
     write_collision_csv,
     write_gram_csv,
 )
@@ -200,9 +200,7 @@ def main(argv=None) -> int:
             files.append(path)
             print(f"{policy:>12}: mean absorbed error {mean_absorbed_error(cm):.4f}; wrote {path}")
             if args.relative:
-                rel = relative_collision_matrix(
-                    inst.keys, inst.values, policy, args.eta, args.lam, attn, params
-                )
+                rel = relative_to_absorption(cm)
                 rpath = out_dir / f"collisions-{policy}-relative.csv"
                 write_collision_csv(rel, rpath)
                 files.append(rpath)

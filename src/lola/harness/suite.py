@@ -24,7 +24,7 @@ from ..analysis import (
     collision_matrix,
     mean_absorbed_error,
     rank_study,
-    relative_collision_matrix,
+    relative_to_absorption,
     write_collision_csv,
     write_gram_csv,
 )
@@ -291,7 +291,7 @@ def _run_collisions(exp: dict, seed: int, out: Path, fmt: str, checks_out: list)
         write_collision_csv(cm, path)
         files[path.name] = sha256_file(path)
         if exp.get("relative"):
-            rel = relative_collision_matrix(inst.keys, inst.values, policy, eta, lam, attn, params)
+            rel = relative_to_absorption(cm)
             rpath = out / f"{exp['name']}-{policy}-relative.csv"
             write_collision_csv(rel, rpath)
             files[rpath.name] = sha256_file(rpath)

@@ -19,6 +19,7 @@ from lola.analysis import (
     overestimate_ratio,
     rank_study,
     relative_collision_matrix,
+    relative_to_absorption,
     truncated_errors,
     write_collision_csv,
 )
@@ -170,6 +171,17 @@ def test_relative_zero_at_absorption_row(collision_setup):
         ta = int(rel.absorbed_at[j])
         if ta > 0:
             assert rel.errors[ta - 1, j] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_relative_of_an_existing_matrix_matches_a_fresh_replay(collision_setup):
+    cfg, params, inst = collision_setup
+    cm = collision_matrix(inst.keys[:64], inst.values[:64], "lola", 8, 4, cfg, params)
+    before = cm.errors.copy()
+    rel = relative_to_absorption(cm)
+    np.testing.assert_array_equal(cm.errors, before)
+    fresh = relative_collision_matrix(inst.keys[:64], inst.values[:64], "lola", 8, 4, cfg, params)
+    assert rel.errors.tobytes() == fresh.errors.tobytes()
+    assert rel.absorbed_at.tobytes() == fresh.absorbed_at.tobytes()
 
 
 def test_relative_linear_only_early_pairs_drift_up(collision_setup):

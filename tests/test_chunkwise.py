@@ -208,3 +208,13 @@ def test_boundary_scores_respect_empty_state_convention(setup):
     np.testing.assert_allclose(
         first.eligible_scores, np.linalg.norm(vs[:c], axis=1), rtol=1e-12
     )
+
+
+def test_attend_after_prefill_rejects_a_non_finite_denominator(setup):
+    cfg, params = setup
+    gen = SeededRng(10).generator()
+    qs, ks, vs = gen.normal(size=(3, 40, 4))
+    _, state = prefill(qs, ks, vs, ChunkConfig(8, 4), cfg, params)
+    state.linear.normalizer[:] = np.nan
+    with pytest.raises(ValueError, match="shared denominator nan"):
+        attend_after_prefill(state, qs[0], cfg, params)

@@ -351,3 +351,31 @@ def test_suite_record_csv_deterministic(tmp_path):
         (out,) = list(d.iterdir())
         outputs.append((out / "det.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_suite_replays_each_collision_policy_once(tmp_path, monkeypatch):
+    import lola.analysis
+    import lola.harness.suite as suite_mod
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[2])
+        return lola.analysis.collision_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(suite_mod, "collision_matrix", spy)
+    exp = {
+        "kind": "collisions",
+        "name": "c",
+        "n": 24,
+        "d": 8,
+        "codebook": 4,
+        "window": 4,
+        "sparse": 4,
+        "feature_map": "random",
+        "relative": True,
+    }
+    assert run_suite({"seed": 0, "experiments": [exp]}, out_dir=tmp_path) == 0
+    assert calls == ["linear-only", "window-only", "lola"]
+    (out,) = list(tmp_path.iterdir())
+    assert len(list(out.glob("c-*-relative.csv"))) == 3
