@@ -192,13 +192,16 @@ def collision_matrix(
     absorbed_at = np.zeros(t_total, dtype=np.int64)
     for t in range(1, t_total + 1):
         engine.update(keys[t - 1], values[t - 1])
-        event = engine.last_event
-        if event is not None and event.absorbed_indices.size:
-            absorbed_at[event.absorbed_indices - 1] = t
         scores = _self_recall_scores(phi[:t], values[:t], engine.linear)
         resident = np.concatenate([engine.window_indices, engine.sparse_indices])
-        scores[resident.astype(np.int64) - 1] = 0.0
+        resident = resident.astype(np.int64) - 1
+        scores[resident] = 0.0
         errors[t - 1, :t] = scores
+        # an arrived pair outside both full-rank tiers sits in the hidden
+        # state, and it never leaves: the first such step is its absorption
+        unabsorbed = absorbed_at[:t] == 0
+        unabsorbed[resident] = False
+        absorbed_at[:t][unabsorbed] = t
     return CollisionMatrix(policy, errors, absorbed_at)
 
 
@@ -312,11 +315,10 @@ def write_collision_csv(cm: CollisionMatrix, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["time"] + [f"pair_{j}" for j in range(1, t_total + 1)])
         for i in range(t_total):
-            row = [str(i + 1)]
-            for j in range(t_total):
-                x = cm.errors[i, j]
-                row.append("" if np.isnan(x) else repr(float(x)))
-            writer.writerow(row)
+            # per row, not per cell (a numpy scalar each) nor per matrix (a
+            # second full copy of the matrix as Python floats)
+            cells = cm.errors[i, :t_total].tolist()
+            writer.writerow([str(i + 1)] + ["" if x != x else repr(x) for x in cells])
 
 
 def write_gram_csv(results: list[GramStudyResult], path) -> None:
@@ -326,6 +328,6 @@ def write_gram_csv(results: list[GramStudyResult], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["n", "d", "rank", "singular_value", "truncated_error"])
         for res in results:
-            for r in range(res.truncated_errors.shape[0]):
-                sv = repr(float(res.singular_values[r - 1])) if r >= 1 else ""
-                writer.writerow([res.n, res.d, r, sv, repr(float(res.truncated_errors[r]))])
+            svs = [""] + [repr(x) for x in res.singular_values.tolist()]
+            for r, err in enumerate(res.truncated_errors.tolist()):
+                writer.writerow([res.n, res.d, r, svs[r], repr(err)])

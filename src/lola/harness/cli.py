@@ -15,14 +15,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .. import __version__
-from ..analysis import (
-    collision_matrix,
-    mean_absorbed_error,
-    rank_study,
-    relative_to_absorption,
-    write_collision_csv,
-    write_gram_csv,
-)
+from ..analysis import rank_study, write_gram_csv
 from ..attention import AttentionConfig, distill_feature_map, save_feature_map
 from ..numerics import SeededRng
 from .experiments import (
@@ -30,12 +23,11 @@ from .experiments import (
     ExperimentConfig,
     _distill_corpus,
     eval_recall,
-    resolve_feature_map,
     run_ablation,
 )
 from .io import sha256_file, write_manifest, write_rows_csv, write_rows_json
-from .suite import ConfigError, load_config, run_suite
-from .synthetic import SyntheticTaskSpec, gen_niah
+from .suite import ConfigError, load_config, run_suite, write_collisions
+from .synthetic import SyntheticTaskSpec
 
 __all__ = ["main"]
 
@@ -185,25 +177,19 @@ def main(argv=None) -> int:
         return _finish(out_dir, args, [path])
 
     if args.command == "collisions":
-        inst = gen_niah(task, seed=args.seed)
-        attn = AttentionConfig(task.head_dim, args.feature_dim)
-        params = resolve_feature_map(
-            ExperimentConfig(feature_map=args.feature_map, seed=args.seed), task, attn
+        files, means = write_collisions(
+            task,
+            out_dir,
+            "collisions",
+            window=args.eta,
+            sparse=args.lam,
+            feature_map=args.feature_map,
+            feature_dim=args.feature_dim,
+            relative=args.relative,
         )
-        files = []
-        for policy in ("linear-only", "window-only", "lola"):
-            cm = collision_matrix(
-                inst.keys, inst.values, policy, args.eta, args.lam, attn, params
-            )
+        for policy, mean in means.items():
             path = out_dir / f"collisions-{policy}.csv"
-            write_collision_csv(cm, path)
-            files.append(path)
-            print(f"{policy:>12}: mean absorbed error {mean_absorbed_error(cm):.4f}; wrote {path}")
-            if args.relative:
-                rel = relative_to_absorption(cm)
-                rpath = out_dir / f"collisions-{policy}-relative.csv"
-                write_collision_csv(rel, rpath)
-                files.append(rpath)
+            print(f"{policy:>12}: mean absorbed error {mean:.4f}; wrote {path}")
         return _finish(out_dir, args, files)
 
     if args.command == "distill":

@@ -21,6 +21,7 @@ import numpy as np
 
 from .. import __version__
 from ..analysis import (
+    POLICIES,
     collision_matrix,
     mean_absorbed_error,
     rank_study,
@@ -41,7 +42,14 @@ from .experiments import (
 from .io import sha256_file, write_manifest, write_rows_csv, write_rows_json
 from .synthetic import SyntheticTaskSpec, gen_niah
 
-__all__ = ["DEFAULT_SUITE", "ConfigError", "load_config", "run_suite", "validate_config"]
+__all__ = [
+    "DEFAULT_SUITE",
+    "ConfigError",
+    "load_config",
+    "run_suite",
+    "validate_config",
+    "write_collisions",
+]
 
 
 class ConfigError(ValueError):
@@ -58,6 +66,10 @@ _ALLOWED = {
     "gram-study": {"kind", "name", "n_list", "d_list", "check_dominance", "seed"},
 }
 _VARIANT_KEYS = {"name", "policy", "window", "sparse", "chunk"}
+# integer fields, wherever they appear; a null chunk means the decode path
+_INT_KEYS = (
+    "n", "d", "codebook", "needles", "window", "sparse", "trials", "budget", "chunk", "seed"
+)
 _CHECK_KEYS = {"type", "variant", "a", "b", "value", "variants"}
 
 
@@ -150,6 +162,7 @@ def validate_config(config, source: str = "<config>") -> None:
     experiments = config.get("experiments")
     if not isinstance(experiments, list):
         raise ConfigError(f"{source}: 'experiments' must be a list")
+    seen: dict[str, int] = {}
     for i, exp in enumerate(experiments):
         where = f"{source}: experiments[{i}]"
         if not isinstance(exp, dict):
@@ -157,19 +170,36 @@ def validate_config(config, source: str = "<config>") -> None:
         kind = exp.get("kind")
         if kind not in _ALLOWED:
             raise ConfigError(f"{where}: unknown kind {kind!r}; have {sorted(_ALLOWED)}")
-        if not isinstance(exp.get("name"), str):
+        name = exp.get("name")
+        if not isinstance(name, str):
             raise ConfigError(f"{where}: 'name' (string) is required")
+        # artifact file names start with the experiment name
+        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+            raise ConfigError(f"{where}: 'name' {name!r} is not a plain file name")
+        if name in seen:
+            raise ConfigError(f"{where}: 'name' {name!r} repeats experiments[{seen[name]}]")
+        seen[name] = i
+        where = f"{where} ({name!r})"
         unknown = set(exp) - _ALLOWED[kind]
         if unknown:
             raise ConfigError(f"{where}: unknown keys {sorted(unknown)} for kind {kind!r}")
+        _check_ints(where, exp)
         for j, var in enumerate(exp.get("variants", [])):
             bad = set(var) - _VARIANT_KEYS
             if bad:
                 raise ConfigError(f"{where}.variants[{j}]: unknown keys {sorted(bad)}")
+            _check_ints(f"{where}.variants[{j}]", var)
         for j, chk in enumerate(exp.get("checks", [])):
             bad = set(chk) - _CHECK_KEYS
             if bad:
                 raise ConfigError(f"{where}.checks[{j}]: unknown keys {sorted(bad)}")
+
+
+def _check_ints(where: str, entry: dict) -> None:
+    for key in _INT_KEYS:
+        value = entry.get(key, 0)
+        if type(value) is not int and not (key == "chunk" and value is None):
+            raise ConfigError(f"{where}: {key!r} must be an integer, got {value!r}")
 
 
 def _task_from(exp: dict, seed: int) -> SyntheticTaskSpec:
@@ -273,28 +303,50 @@ def _run_ablation(exp: dict, seed: int, out: Path, fmt: str, checks_out: list) -
     return {path.name: sha256_file(path)}
 
 
-def _run_collisions(exp: dict, seed: int, out: Path, fmt: str, checks_out: list) -> dict:
-    seed = exp.get("seed", seed)
-    task = _task_from(exp, seed)
-    inst = gen_niah(task, seed=seed)
-    attn = AttentionConfig(task.head_dim, exp.get("feature_dim"))
+def write_collisions(
+    task: SyntheticTaskSpec,
+    out: Path,
+    prefix: str,
+    *,
+    window: int,
+    sparse: int,
+    feature_map: str = "distill",
+    feature_dim: int | None = None,
+    relative: bool = False,
+) -> tuple[list[Path], dict[str, float]]:
+    """Replay the task's stream once under each policy and write
+    ``<prefix>-<policy>.csv``, plus ``<prefix>-<policy>-relative.csv`` when
+    ``relative``. Returns the paths in write order and each policy's mean
+    absorbed error."""
+    inst = gen_niah(task)
+    attn = AttentionConfig(task.head_dim, feature_dim)
     params = resolve_feature_map(
-        ExperimentConfig(feature_map=exp.get("feature_map", "distill"), seed=seed), task, attn
+        ExperimentConfig(feature_map=feature_map, seed=task.seed), task, attn
     )
-    eta, lam = exp.get("window", 32), exp.get("sparse", 32)
-    files = {}
+    paths = []
     means = {}
-    for policy in ("linear-only", "window-only", "lola"):
-        cm = collision_matrix(inst.keys, inst.values, policy, eta, lam, attn, params)
+    for policy in POLICIES:
+        cm = collision_matrix(inst.keys, inst.values, policy, window, sparse, attn, params)
         means[policy] = mean_absorbed_error(cm)
-        path = out / f"{exp['name']}-{policy}.csv"
-        write_collision_csv(cm, path)
-        files[path.name] = sha256_file(path)
-        if exp.get("relative"):
-            rel = relative_to_absorption(cm)
-            rpath = out / f"{exp['name']}-{policy}-relative.csv"
-            write_collision_csv(rel, rpath)
-            files[rpath.name] = sha256_file(rpath)
+        paths.append(out / f"{prefix}-{policy}.csv")
+        write_collision_csv(cm, paths[-1])
+        if relative:
+            paths.append(out / f"{prefix}-{policy}-relative.csv")
+            write_collision_csv(relative_to_absorption(cm), paths[-1])
+    return paths, means
+
+
+def _run_collisions(exp: dict, seed: int, out: Path, fmt: str, checks_out: list) -> dict:
+    paths, means = write_collisions(
+        _task_from(exp, seed),
+        out,
+        exp["name"],
+        window=exp.get("window", 32),
+        sparse=exp.get("sparse", 32),
+        feature_map=exp.get("feature_map", "distill"),
+        feature_dim=exp.get("feature_dim"),
+        relative=bool(exp.get("relative")),
+    )
     if exp.get("check_ordering"):
         ok = means["lola"] <= means["window-only"] <= means["linear-only"]
         checks_out.append(
@@ -306,7 +358,7 @@ def _run_collisions(exp: dict, seed: int, out: Path, fmt: str, checks_out: list)
                 + " / ".join(f"{p}={means[p]:.4f}" for p in ("lola", "window-only", "linear-only")),
             }
         )
-    return files
+    return {p.name: sha256_file(p) for p in paths}
 
 
 def _run_gram(exp: dict, seed: int, out: Path, fmt: str, checks_out: list) -> dict:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lola import (
     AttentionConfig,
@@ -48,6 +50,25 @@ def test_full_coverage_matches_oracle(setup):
     out, state = prefill(qs, ks, vs, ChunkConfig(8, 4), cfg, params)
     np.testing.assert_allclose(out, oracle, rtol=1e-9, atol=1e-12)
     assert state.linear.count == 0  # nothing ever left the lookback
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.sampled_from([1, 2, 4, 16]),
+    chunk=st.integers(1, 8),
+    lam=st.integers(0, 4),
+    data=st.data(),
+    seed=st.integers(0, 2**16),
+)
+def test_prefill_matches_oracle_while_the_lookback_covers_the_stream(d, chunk, lam, data, seed):
+    # with n <= 3 chunks every query sees its whole prefix in full rank
+    n = data.draw(st.integers(1, 3 * chunk), label="n")
+    cfg = AttentionConfig(head_dim=d)
+    params = init_feature_map(SeededRng(seed), cfg)
+    qs, ks, vs = SeededRng(seed + 1).generator().normal(size=(3, n, d))
+    oracle = softmax_attention_oracle(qs, ks, vs, cfg.scale)
+    out, _ = prefill(qs, ks, vs, ChunkConfig(chunk, lam), cfg, params)
+    assert np.max(np.abs(out - oracle)) <= 1e-12
 
 
 def slow_reference(qs, ks, vs, chunk, cfg, params):

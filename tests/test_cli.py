@@ -91,6 +91,54 @@ def test_collisions_subcommand(tmp_path):
         assert (tmp_path / f"collisions-{policy}-relative.csv").exists()
 
 
+def test_collisions_subcommand_matches_a_one_entry_suite(tmp_path, capsys):
+    n, d, eta, lam, seed = 40, 8, 6, 5, 4
+    status = main(
+        [
+            "collisions",
+            "--n", str(n), "--d", str(d), "--codebook", "4",
+            "--eta", str(eta), "--lam", str(lam), "--relative",
+            "--feature-map", "random", "--seed", str(seed),
+            "--out-dir", str(tmp_path / "cli"),
+        ]
+    )
+    assert status == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0].strip() for line in lines] == ["linear-only", "window-only", "lola"]
+    assert lines[2].endswith(f"wrote {tmp_path / 'cli' / 'collisions-lola.csv'}")
+    exp = {
+        "kind": "collisions",
+        "name": "collisions",
+        "n": n,
+        "d": d,
+        "codebook": 4,
+        "window": eta,
+        "sparse": lam,
+        "feature_map": "random",
+        "relative": True,
+    }
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps({"seed": seed, "experiments": [exp]}))
+    assert main(["suite", "--config", str(cfg_path), "--out-dir", str(tmp_path / "suite")]) == 0
+    (suite_dir,) = list((tmp_path / "suite").iterdir())
+    cli_csvs = sorted(p.name for p in (tmp_path / "cli").glob("*.csv"))
+    assert len(cli_csvs) == 6
+    assert sorted(p.name for p in suite_dir.glob("*.csv")) == cli_csvs
+    for name in cli_csvs:
+        assert (tmp_path / "cli" / name).read_bytes() == (suite_dir / name).read_bytes(), name
+
+
+def test_suite_config_errors_exit_2_naming_experiment_and_field(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.json"
+    exp = {"kind": "recall", "name": "r", "n": "12"}
+    cfg_path.write_text(json.dumps({"seed": 0, "experiments": [exp]}))
+    status = main(["suite", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert "'r'" in err and "'n' must be an integer" in err
+    assert list(tmp_path.glob("suite-*")) == []
+
+
 def test_gram_study_subcommand(tmp_path):
     status = main(
         ["gram-study", "--n-list", "8,16", "--d-list", "4", "--out-dir", str(tmp_path)]

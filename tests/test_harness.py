@@ -211,6 +211,56 @@ def test_validate_rejects_unknown_keys():
         validate_config({"seed": 0, "experiments": [{"kind": "warp", "name": "w"}]})
 
 
+def _recall(name, **fields):
+    return {"kind": "recall", "name": name, **fields}
+
+
+def test_validate_rejects_duplicate_names():
+    # a recall entry and a gram-study entry named alike would both write r.csv
+    config = {
+        "seed": 0,
+        "experiments": [_recall("r"), {"kind": "gram-study", "name": "r"}],
+    }
+    with pytest.raises(ConfigError, match=r"experiments\[1\]: 'name' 'r' repeats experiments\[0\]"):
+        validate_config(config)
+
+
+@pytest.mark.parametrize("name", ["a/b", "../up", "a\\b", "", ".", "..", "nul\0"])
+def test_validate_rejects_names_that_are_not_plain_file_names(name):
+    with pytest.raises(ConfigError, match=r"experiments\[0\]: 'name' .* is not a plain file name"):
+        validate_config({"seed": 0, "experiments": [_recall(name)]})
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [("n", "12"), ("d", 12.0), ("codebook", True), ("needles", None), ("trials", [12]), ("seed", "3")],
+)
+def test_validate_rejects_non_integer_task_fields(field, bad):
+    config = {"seed": 0, "experiments": [_recall("r", **{field: bad})]}
+    with pytest.raises(ConfigError, match=rf"experiments\[0\] \('r'\): '{field}' must be an integer"):
+        validate_config(config)
+
+
+@pytest.mark.parametrize(
+    "exp, field",
+    [
+        ({"kind": "ablation", "name": "x", "budget": "64"}, "budget"),
+        ({"kind": "collisions", "name": "x", "window": 4.0}, "window"),
+        ({"kind": "collisions", "name": "x", "sparse": "4"}, "sparse"),
+        (_recall("x", variants=[{"name": "v", "window": "8"}]), "window"),
+        (_recall("x", variants=[{"name": "v", "sparse": 8.5}]), "sparse"),
+        (_recall("x", variants=[{"name": "v", "chunk": "32"}]), "chunk"),
+    ],
+)
+def test_validate_rejects_non_integer_budget_fields(exp, field):
+    with pytest.raises(ConfigError, match=rf"experiments\[0\] \('x'\).*'{field}' must be an integer"):
+        validate_config({"seed": 0, "experiments": [exp]})
+
+
+def test_validate_accepts_a_null_chunk():
+    validate_config({"seed": 0, "experiments": [_recall("x", variants=[{"name": "v", "chunk": None}])]})
+
+
 def test_validate_accepts_full_documented_schema():
     validate_config(
         {
