@@ -14,7 +14,7 @@ error with backtracking (the loss never increases between accepted steps).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -171,19 +171,35 @@ class LinearState:
     hidden: np.ndarray      # (feature_dim, head_dim)
     normalizer: np.ndarray  # (feature_dim,)
     count: int = 0
+    # the arrays the latest ``update`` replaced; the next one writes into them
+    _spare: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def zeros(cls, feature_dim: int, head_dim: int) -> "LinearState":
         return cls(np.zeros((feature_dim, head_dim)), np.zeros(feature_dim), 0)
 
     def update(self, phi_k: np.ndarray, v: np.ndarray) -> None:
-        if phi_k.shape != (self.hidden.shape[0],) or v.shape != (self.hidden.shape[1],):
+        """Absorb one pair.
+
+        The new ``hidden`` and ``normalizer`` are written into the arrays the
+        previous update replaced, so no temporary is allocated, and the
+        arrays this update replaces keep the state before it, unchanged until
+        the next update.
+        """
+        hidden, normalizer = self.hidden, self.normalizer
+        if phi_k.shape != (hidden.shape[0],) or v.shape != (hidden.shape[1],):
             raise ValueError(
-                f"dimension mismatch: state is {self.hidden.shape}, "
+                f"dimension mismatch: state is {hidden.shape}, "
                 f"got phi_k {phi_k.shape} and v {v.shape}"
             )
-        self.hidden += phi_k[:, None] * v
-        self.normalizer += phi_k
+        if self._spare is None:
+            self._spare = (np.empty_like(hidden), np.empty_like(normalizer))
+        self.hidden, self.normalizer = new_hidden, new_normalizer = self._spare
+        self._spare = (hidden, normalizer)
+        # addition commutes in IEEE arithmetic: the bits of hidden + phi_k v^T
+        np.multiply(phi_k[:, None], v, out=new_hidden)
+        new_hidden += hidden
+        np.add(normalizer, phi_k, out=new_normalizer)
         self.count += 1
 
     def absorb(self, phi_rows: np.ndarray, v_rows: np.ndarray) -> None:

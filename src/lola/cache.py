@@ -25,11 +25,19 @@ Selection details, fixed for determinism:
     residents in one call, against the state before its absorption; under
     a dynamic rule ``sparse_scores`` is computed against the current state
     when read;
+  * at large shapes ((λ+1)·F·d of at least ``_BOUNDED_MIN_WORK``) the
+    self-recall rule keeps a lower and an upper bound on each resident's
+    score and scores exactly only the evicted pair and the residents whose
+    lower bound does not exceed the least upper bound. No other row can be
+    the minimum, and every row it scores gets the bits the one call would
+    give it, so both paths absorb the same pair with the same score;
   * at most one pair is absorbed per eviction, the lowest-scoring one;
   * equal scores keep the older pair cached;
   * ``last_event`` describes the latest step only and is built when read.
     An eviction into a sparse cache with room absorbs nothing, so its
-    scores are computed then, with the same call on the same rows.
+    scores are computed then, with the same call on the same rows. After a
+    bounded eviction the read makes the one call on all λ+1 rows, against
+    the state before the absorption, which the step keeps.
 """
 
 from __future__ import annotations
@@ -127,15 +135,43 @@ def self_recall_score(phi_k: np.ndarray, value: np.ndarray, state: LinearState) 
 
 def _self_recall_scores(phi: np.ndarray, values: np.ndarray, state: LinearState) -> np.ndarray:
     """Row-wise ``self_recall_score`` with the same empty-state convention."""
+    return _recall_rows(phi, values, state, phi @ state.normalizer)
+
+
+def _recall_rows(
+    phi: np.ndarray, values: np.ndarray, state: LinearState, den: np.ndarray
+) -> np.ndarray:
+    """``_self_recall_scores`` of rows whose denominators ``phi @ normalizer``
+    are given.
+
+    A row's bits do not depend on which other rows are passed, as long as
+    there are at least two: the numerators come from one GEMM, while a
+    single-row product goes to a matrix-vector kernel with other bits.
+    """
     if state.count == 0:
         r = values
     else:
-        den = phi @ state.normalizer
         r = (phi @ state.hidden) / den[:, None] - values
     # the operations of ``np.linalg.norm(r, axis=1)`` without its wrapper
     return np.sqrt(np.add.reduce(r * r, axis=1))
 
 
+def _norm(v: np.ndarray) -> float:
+    return float(np.sqrt(v @ v))
+
+
+# (λ+1)·F·d at and above which an eviction into a full sparse cache scores
+# only the rows that can still be the minimum; below it the bookkeeping costs
+# more than the rows it saves, and one call over all λ+1 rows is faster
+_BOUNDED_MIN_WORK = 750_000
+# slack on every score bound, relative to the value norms, far above the
+# rounding of one step; the absolute floor covers squares that underflow
+_BOUND_SLACK = 1e-9
+_BOUND_FLOOR = 1e-150
+
+
+_SNAPSHOT_V1 = "lola-cache-snapshot-v1"
+_SNAPSHOT_V2 = "lola-cache-snapshot-v2"  # v1 plus absorbed_score_sum
 _EMPTY_IDX = np.empty(0, dtype=np.int64)
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
 
@@ -191,7 +227,7 @@ class LolaCache:
         # that ``last_event`` builds one from when read
         self._step: StepEvent | tuple | None = None
         # scores of the pairs this engine absorbed, summed in absorption order
-        # (a restored cache starts from zero)
+        # (a cache restored from a v1 snapshot starts from zero)
         self.absorbed_score_sum = 0.0
         d, fdim = config.head_dim, config.feature_dim
         eta, lam = window_capacity, sparse_capacity
@@ -212,6 +248,19 @@ class LolaCache:
         self._sscore = np.zeros(lam + 1)
         self._sbufs = (self._sk, self._sv, self._sphi, self._sidx, self._sscore)
         self._slen = 0
+        # bounded settle, taken from the shape alone: each resident carries a
+        # lower and an upper bound on its self-recall score and its value's
+        # norm, and _rmax bounds the norm of every absorbed value, so of every
+        # prediction (a convex combination of them)
+        self._bounded = (
+            self.scoring.dynamic and lam >= 1 and (lam + 1) * fdim * d >= _BOUNDED_MIN_WORK
+        )
+        self._slo = np.full(lam + 1, -np.inf)
+        self._shi = np.full(lam + 1, np.inf)
+        self._svnorm = np.zeros(lam + 1)
+        self._rmax = 0.0
+        if self._bounded:
+            self._sbufs += (self._slo, self._shi, self._svnorm)
 
     # -- views ------------------------------------------------------------
 
@@ -332,8 +381,14 @@ class LolaCache:
         room, nothing is absorbed and nothing needs scoring."""
         ns = self._slen
         if ns < self.sparse_capacity:
+            if self._bounded:
+                self._slo[ns], self._shi[ns] = -np.inf, np.inf
+                self._svnorm[ns] = _norm(self._sv[ns])
             self._slen = ns + 1
             self._step = (step_index,)
+            return
+        if self._bounded:
+            self._settle_bounded(step_index)
             return
         if self.scoring.dynamic:
             scores = _self_recall_scores(self._sphi[: ns + 1], self._sv[: ns + 1], self.linear)
@@ -344,6 +399,52 @@ class LolaCache:
         self.linear.update(self._sphi[drop], self._sv[drop])
         self.absorbed_score_sum += float(scores[drop])
         self._step = (step_index, scores, drop, int(self._sidx[drop]))
+        if drop < ns:
+            for buf in self._sbufs:
+                buf[drop:ns] = buf[drop + 1 : ns + 1]
+
+    def _settle_bounded(self, step_index: int) -> None:
+        """``_settle`` under the self-recall rule, scoring exactly only the
+        staged row and the residents whose lower bound does not exceed the
+        least upper bound; no other row can be the minimum, so the same pair
+        is absorbed with the same score bits."""
+        ns = self._slen
+        phi, vals = self._sphi[: ns + 1], self._sv[: ns + 1]
+        lo, hi, vnorm = self._slo[: ns + 1], self._shi[: ns + 1], self._svnorm[: ns + 1]
+        lin, rmax = self.linear, self._rmax
+        # the staged row is always scored; its prediction is within rmax of
+        # zero, so its score is at most |v| + rmax
+        vnorm[ns] = _norm(vals[ns])
+        lo[ns], hi[ns] = -np.inf, (vnorm[ns] + rmax) * (1.0 + _BOUND_SLACK) + _BOUND_FLOOR
+        rows = np.flatnonzero(lo <= hi.min())
+        if rows.size == 1:
+            rows = np.array([ns, ns])  # two rows keep the GEMM's bits
+        # the denominators come from the (λ+1)-row product of the one-call
+        # path, whose bits depend on the row count
+        den = phi @ lin.normalizer
+        scores = _recall_rows(phi[rows], vals[rows], lin, den[rows])
+        k = rows.size - 1 - int(scores[::-1].argmin())
+        drop = int(rows[k])
+        lo[rows] = hi[rows] = scores
+        if not scores.max() < np.inf:
+            # an overflowing score bounds nothing: leave its row open
+            unbounded = rows[~(scores < np.inf)]
+            lo[unbounded], hi[unbounded] = -np.inf, np.inf
+        # absorbing (phi_a, v_a) moves each prediction p_i to
+        # p_i + a_i (v_a - p_i), with a_i = u_i / (s_i + u_i), u_i = phi_i.phi_a
+        # and s_i = phi_i.z, so the score moves by at most a_i |v_a - p_i|
+        phi_a, v_a, norm_a = phi[drop].copy(), vals[drop].copy(), vnorm[drop]
+        u = phi @ phi_a
+        reach = np.minimum(vnorm + hi, rmax)  # bounds |p_i|
+        self._rmax = max(rmax, norm_a)
+        slack = _BOUND_SLACK * (self._rmax + vnorm) + _BOUND_FLOOR
+        width = u / (den + u) * (norm_a + reach) + slack
+        lo -= width
+        hi += width
+        before = (lin.hidden, lin.normalizer, lin.count)
+        lin.update(phi_a, v_a)
+        self.absorbed_score_sum += float(scores[k])
+        self._step = (step_index, (phi_a, v_a, before), drop, int(self._sidx[drop]))
         if drop < ns:
             for buf in self._sbufs:
                 buf[drop:ns] = buf[drop + 1 : ns + 1]
@@ -362,8 +463,12 @@ class LolaCache:
 
     def _event_of(self, index: int, scores=None, drop: int = 0, absorbed_index: int = 0) -> StepEvent:
         """Rebuild an eviction's event from the residents it left behind;
-        without ``scores`` the evicted pair joined them and none was absorbed."""
+        without ``scores`` the evicted pair joined them and none was absorbed.
+        A bounded settle leaves, in place of the scores, the absorbed row and
+        the state before its absorption, to score all λ+1 rows from."""
         kept = self._sidx[: self._slen].copy()
+        if type(scores) is tuple:
+            scores = self._rescore(drop, *scores)
         if scores is None:
             # nothing was absorbed since, so scoring the same rows now gives
             # the bits an eviction-time call would have
@@ -387,6 +492,14 @@ class LolaCache:
             absorbed_indices=elig[drop : drop + 1].copy(),
             absorbed_scores=scores[drop : drop + 1].copy(),
         )
+
+    def _rescore(self, drop: int, phi_a, v_a, before) -> np.ndarray:
+        """The one-call scores of a bounded settle: the absorbed row back at
+        ``drop`` among the residents, against the state before absorption."""
+        ns = self._slen
+        phi = np.insert(self._sphi[:ns], drop, phi_a, axis=0)
+        vals = np.insert(self._sv[:ns], drop, v_a, axis=0)
+        return _self_recall_scores(phi, vals, LinearState(*before))
 
     def accumulate_window_scores(self, query) -> None:
         """Add one query's contribution to every window resident's static score.
@@ -461,7 +574,7 @@ class LolaCache:
         sparse pairs with their scores."""
         worder = np.argsort(self._widx[: self._wlen])
         return {
-            "format": "lola-cache-snapshot-v1",
+            "format": _SNAPSHOT_V2,
             "config": {
                 "head_dim": self.config.head_dim,
                 "feature_dim": self.config.feature_dim,
@@ -476,6 +589,7 @@ class LolaCache:
             "hidden": self.linear.hidden.reshape(-1).tolist(),
             "normalizer": self.linear.normalizer.tolist(),
             "absorbed_count": self.linear.count,
+            "absorbed_score_sum": self.absorbed_score_sum,
             "window": [
                 {
                     "index": int(self._widx[i]),
@@ -498,7 +612,8 @@ class LolaCache:
 
     @classmethod
     def from_snapshot(cls, snap: dict, scoring: ScoringStrategy | None = None) -> "LolaCache":
-        if snap.get("format") != "lola-cache-snapshot-v1":
+        version = snap.get("format")
+        if version not in (_SNAPSHOT_V1, _SNAPSHOT_V2):
             raise ValueError("unrecognized snapshot format")
         cfg = snap["config"]
         fdim, d, t = cfg["feature_dim"], cfg["head_dim"], snap["t"]
@@ -535,10 +650,24 @@ class LolaCache:
         bounds = [0, *sidx, t - nw + 1]
         if any(b <= a for a, b in zip(bounds, bounds[1:])):
             raise ValueError(f"snapshot 'sparse' indices {sidx} must ascend and precede the window")
+        count = snap["absorbed_count"]
+        if not count and (hidden.any() or normalizer.any()):
+            raise ValueError("snapshot absorbed nothing, yet its 'hidden' or 'normalizer' is not zero")
+        finite = np.isfinite(hidden).all() and np.isfinite(normalizer).all()
+        if count and not (finite and (normalizer > 0.0).all()):
+            raise ValueError("snapshot 'hidden' must be finite and 'normalizer' positive and finite")
         cache.t = t
         cache.linear.hidden = hidden.reshape(fdim, d)
         cache.linear.normalizer = normalizer
-        cache.linear.count = snap["absorbed_count"]
+        cache.linear.count = count
+        # a v1 snapshot does not carry the sum, so it restarts from zero
+        if version == _SNAPSHOT_V2:
+            cache.absorbed_score_sum = float(snap["absorbed_score_sum"])
+        if count:
+            # |sum_k phi_k H_k| / sum_k phi_k z_k <= max_k |H_k| / z_k bounds
+            # every prediction, without knowing the absorbed values
+            row_norms = np.sqrt(np.add.reduce(cache.linear.hidden**2, axis=1))
+            cache._rmax = float((row_norms / normalizer).max())
         # pair i sits in ring slot (i - 1) % capacity, as in the saved engine,
         # so window sums run in the same order and keep the same bits
         for entry in snap["window"]:
@@ -557,6 +686,8 @@ class LolaCache:
             cache._sscore[i] = entry["score"]
         cache._slen = ns
         cache._sphi[:ns] = _feature_rows(params, as_matrix(cache._sk[:ns]), cfg["max_logit"])
+        # restored residents' scores are not tracked: their bounds start open
+        cache._svnorm[:ns] = np.sqrt(np.add.reduce(cache._sv[:ns] ** 2, axis=1))
         cache._assert_conserved()
         return cache
 

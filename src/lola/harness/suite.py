@@ -70,6 +70,11 @@ _VARIANT_KEYS = {"name", "policy", "window", "sparse", "chunk"}
 _INT_KEYS = (
     "n", "d", "codebook", "needles", "window", "sparse", "trials", "budget", "chunk", "seed"
 )
+# the least value of each integer field that a run can use
+_INT_MIN = {
+    "n": 1, "d": 1, "codebook": 2, "needles": 1, "window": 0, "sparse": 0,
+    "trials": 1, "budget": 0, "chunk": 1,
+}
 _CHECK_KEYS = {"type", "variant", "a", "b", "value", "variants"}
 
 
@@ -163,6 +168,8 @@ def validate_config(config, source: str = "<config>") -> None:
     if not isinstance(experiments, list):
         raise ConfigError(f"{source}: 'experiments' must be a list")
     seen: dict[str, int] = {}
+    # artifact file name -> the experiment that writes it, under either format
+    written: dict[str, int] = {"manifest.json": -1}
     for i, exp in enumerate(experiments):
         where = f"{source}: experiments[{i}]"
         if not isinstance(exp, dict):
@@ -184,22 +191,51 @@ def validate_config(config, source: str = "<config>") -> None:
         if unknown:
             raise ConfigError(f"{where}: unknown keys {sorted(unknown)} for kind {kind!r}")
         _check_ints(where, exp)
-        for j, var in enumerate(exp.get("variants", [])):
-            bad = set(var) - _VARIANT_KEYS
-            if bad:
-                raise ConfigError(f"{where}.variants[{j}]: unknown keys {sorted(bad)}")
-            _check_ints(f"{where}.variants[{j}]", var)
-        for j, chk in enumerate(exp.get("checks", [])):
-            bad = set(chk) - _CHECK_KEYS
-            if bad:
-                raise ConfigError(f"{where}.checks[{j}]: unknown keys {sorted(bad)}")
+        if exp.get("needles", 1) > exp.get("n", 256):
+            raise ConfigError(f"{where}: 'needles' {exp['needles']} exceeds 'n' {exp.get('n', 256)}")
+        for field, allowed in (("variants", _VARIANT_KEYS), ("checks", _CHECK_KEYS)):
+            entries = exp.get(field, [])
+            if not isinstance(entries, list):
+                raise ConfigError(f"{where}: {field!r} must be a list")
+            for j, entry in enumerate(entries):
+                at = f"{where}.{field}[{j}]"
+                if not isinstance(entry, dict):
+                    raise ConfigError(f"{at}: must be an object, got {entry!r}")
+                bad = set(entry) - allowed
+                if bad:
+                    raise ConfigError(f"{at}: unknown keys {sorted(bad)}")
+                if field == "variants":
+                    _check_ints(at, entry)
+        for artifact in _artifacts(exp):
+            if artifact in written:
+                owner = written[artifact]
+                by = "the manifest" if owner < 0 else f"experiments[{owner}]"
+                raise ConfigError(f"{where}: artifact {artifact!r} is also written by {by}")
+            written[artifact] = i
+
+
+def _artifacts(exp: dict) -> list[str]:
+    """Every file name an experiment may write, under either record format."""
+    name = exp["name"]
+    if exp["kind"] == "gram-study":
+        return [f"{name}.csv"]
+    if exp["kind"] != "collisions":
+        return [f"{name}.csv", f"{name}.json"]
+    tails = [f"-{p}" for p in POLICIES]
+    if exp.get("relative"):
+        tails += [f"-{p}-relative" for p in POLICIES]
+    return [f"{name}{tail}.csv" for tail in tails]
 
 
 def _check_ints(where: str, entry: dict) -> None:
     for key in _INT_KEYS:
-        value = entry.get(key, 0)
-        if type(value) is not int and not (key == "chunk" and value is None):
+        value = entry.get(key)
+        if value is None and (key == "chunk" or key not in entry):
+            continue
+        if type(value) is not int:
             raise ConfigError(f"{where}: {key!r} must be an integer, got {value!r}")
+        if key in _INT_MIN and value < _INT_MIN[key]:
+            raise ConfigError(f"{where}: {key!r} must be >= {_INT_MIN[key]}, got {value}")
 
 
 def _task_from(exp: dict, seed: int) -> SyntheticTaskSpec:

@@ -1,5 +1,7 @@
 """Feature map, exact oracle, and linear state contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,6 +177,45 @@ def test_linear_state_recurrent_equals_batch():
         state.update(phis[i], vs[i])
     np.testing.assert_allclose(state.hidden, phis.T @ vs, rtol=1e-9)
     np.testing.assert_allclose(state.normalizer, phis.sum(axis=0), rtol=1e-9)
+
+
+def test_linear_state_update_keeps_the_bits_and_the_replaced_state():
+    gen = SeededRng(14).generator()
+    phis = np.exp(gen.normal(size=(6, 16)))
+    vals = gen.normal(size=(6, 8))
+    state = LinearState.zeros(16, 8)
+    hidden, normalizer = state.hidden.copy(), state.normalizer.copy()
+    for phi, v in zip(phis, vals):
+        before = (state.hidden, state.normalizer)
+        expected_before = (hidden.tobytes(), normalizer.tobytes())
+        state.update(phi, v)
+        hidden = hidden + phi[:, None] * v
+        normalizer = normalizer + phi
+        assert state.hidden.tobytes() == hidden.tobytes()
+        assert state.normalizer.tobytes() == normalizer.tobytes()
+        # the arrays the update replaced still hold the state before it
+        assert (before[0].tobytes(), before[1].tobytes()) == expected_before
+    assert state.count == 6
+
+
+def test_linear_state_update_allocates_no_outer_product():
+    # large enough that one f x d temporary outweighs numpy's own loop buffers
+    f, d = 1024, 64
+    gen = SeededRng(15).generator()
+    phis = np.exp(gen.normal(size=(8, f)))
+    vals = gen.normal(size=(8, d))
+    state = LinearState.zeros(f, d)
+    state.update(phis[0], vals[0])
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        for phi, v in zip(phis[1:], vals[1:]):
+            state.update(phi, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < f * d * 8 // 2
 
 
 def test_linear_state_absorb_matches_loop():

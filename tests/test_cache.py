@@ -383,6 +383,43 @@ def test_snapshot_state_shape_rejected(setup, field):
         LolaCache.from_snapshot(snap)
 
 
+def test_snapshot_carries_the_absorbed_score_sum(setup):
+    snap = snapshot_after(setup, eta=3, lam=2, n=20)
+    assert snap["format"] == "lola-cache-snapshot-v2"
+    assert snap["absorbed_score_sum"] > 0.0
+    restored = LolaCache.from_snapshot(snap)
+    assert restored.absorbed_score_sum.hex() == float(snap["absorbed_score_sum"]).hex()
+
+
+def test_snapshot_v1_is_still_read(setup):
+    snap = snapshot_after(setup, eta=3, lam=2, n=20)
+    v1 = {k: v for k, v in snap.items() if k != "absorbed_score_sum"}
+    v1["format"] = "lola-cache-snapshot-v1"
+    restored = LolaCache.from_snapshot(v1)
+    # v1 does not carry the sum, so it restarts from zero; the tiers do not
+    assert restored.absorbed_score_sum == 0.0
+    assert restored.to_snapshot()["sparse"] == snap["sparse"]
+    assert restored.to_snapshot()["hidden"] == snap["hidden"]
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+def test_snapshot_non_positive_normalizer_rejected(setup, value):
+    snap = snapshot_after(setup, eta=3, lam=2, n=20)
+    assert snap["absorbed_count"] > 0
+    snap["normalizer"][0] = value
+    with pytest.raises(ValueError, match="normalizer"):
+        LolaCache.from_snapshot(snap)
+
+
+def test_snapshot_state_without_absorptions_must_be_zero(setup):
+    snap = snapshot_after(setup, eta=3, lam=2, n=4)
+    assert snap["absorbed_count"] == 0
+    LolaCache.from_snapshot(snap)
+    snap["normalizer"][0] = 1.0
+    with pytest.raises(ValueError, match="absorbed nothing"):
+        LolaCache.from_snapshot(snap)
+
+
 def test_snapshot_scores_are_current_after_restore(setup):
     snap = snapshot_after(setup, eta=3, lam=2, n=20)
     restored = LolaCache.from_snapshot(snap)

@@ -139,6 +139,26 @@ def test_suite_config_errors_exit_2_naming_experiment_and_field(tmp_path, capsys
     assert list(tmp_path.glob("suite-*")) == []
 
 
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        ({"kind": "recall", "name": "a-lola"}, "'a-lola.csv' is also written by experiments[0]"),
+        ({"kind": "recall", "name": "r", "variants": [5]}, "variants[0]: must be an object"),
+        ({"kind": "recall", "name": "r", "trials": 0}, "'trials' must be >= 1"),
+        ({"kind": "recall", "name": "r", "n": -5}, "'n' must be >= 1"),
+    ],
+)
+def test_suite_config_errors_exit_2_before_any_file_is_written(tmp_path, capsys, second, message):
+    first = {"kind": "collisions", "name": "a", "n": 16, "d": 4, "window": 2, "sparse": 2,
+             "feature_map": "random"}
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"seed": 0, "experiments": [first, second]}))
+    status = main(["suite", "--config", str(cfg_path), "--out-dir", str(tmp_path / "runs")])
+    assert status == 2
+    assert message in capsys.readouterr().err
+    assert list((tmp_path / "runs").rglob("*")) == []
+
+
 def test_gram_study_subcommand(tmp_path):
     status = main(
         ["gram-study", "--n-list", "8,16", "--d-list", "4", "--out-dir", str(tmp_path)]

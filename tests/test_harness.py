@@ -257,6 +257,82 @@ def test_validate_rejects_non_integer_budget_fields(exp, field):
         validate_config({"seed": 0, "experiments": [exp]})
 
 
+@pytest.mark.parametrize(
+    "first, second, artifact",
+    [
+        ({"kind": "collisions", "name": "a"}, _recall("a-lola"), "a-lola.csv"),
+        ({"kind": "collisions", "name": "a", "relative": True}, _recall("a-window-only-relative"),
+         "a-window-only-relative.csv"),
+        (_recall("a-linear-only"), {"kind": "collisions", "name": "a"}, "a-linear-only.csv"),
+        ({"kind": "gram-study", "name": "a-lola"}, {"kind": "collisions", "name": "a"}, "a-lola.csv"),
+    ],
+)
+def test_validate_rejects_colliding_artifact_names(first, second, artifact):
+    config = {"seed": 0, "experiments": [first, second]}
+    with pytest.raises(ConfigError, match=rf"experiments\[1\].*'{artifact}' is also written by experiments\[0\]"):
+        validate_config(config)
+
+
+def test_validate_rejects_an_experiment_that_writes_the_manifest():
+    with pytest.raises(ConfigError, match="'manifest.json' is also written by the manifest"):
+        validate_config({"seed": 0, "experiments": [_recall("manifest")]})
+
+
+@pytest.mark.parametrize(
+    "exp, match",
+    [
+        (_recall("x", variants=[5]), r"variants\[0\]: must be an object, got 5"),
+        (_recall("x", variants=[{"name": "v"}, "w"]), r"variants\[1\]: must be an object"),
+        (_recall("x", checks=[["min-accuracy"]]), r"checks\[0\]: must be an object"),
+        (_recall("x", variants={"name": "v"}), "'variants' must be a list"),
+        (_recall("x", checks="min-gap"), "'checks' must be a list"),
+    ],
+)
+def test_validate_rejects_entries_that_are_not_objects(exp, match):
+    with pytest.raises(ConfigError, match=match):
+        validate_config({"seed": 0, "experiments": [exp]})
+
+
+@pytest.mark.parametrize(
+    "exp, field",
+    [
+        (_recall("x", n=-5), "n"),
+        (_recall("x", n=0), "n"),
+        (_recall("x", trials=0), "trials"),
+        (_recall("x", d=0), "d"),
+        (_recall("x", codebook=1), "codebook"),
+        (_recall("x", needles=0), "needles"),
+        (_recall("x", variants=[{"name": "v", "window": -1}]), "window"),
+        (_recall("x", variants=[{"name": "v", "sparse": -3}]), "sparse"),
+        (_recall("x", variants=[{"name": "v", "chunk": 0}]), "chunk"),
+        ({"kind": "ablation", "name": "x", "budget": -2}, "budget"),
+        ({"kind": "collisions", "name": "x", "window": -1}, "window"),
+        ({"kind": "collisions", "name": "x", "sparse": -1}, "sparse"),
+    ],
+)
+def test_validate_rejects_out_of_range_sizes(exp, field):
+    with pytest.raises(ConfigError, match=rf"experiments\[0\] \('x'\).*'{field}' must be >= "):
+        validate_config({"seed": 0, "experiments": [exp]})
+
+
+def test_validate_rejects_more_needles_than_tokens():
+    with pytest.raises(ConfigError, match="'needles' 9 exceeds 'n' 8"):
+        validate_config({"seed": 0, "experiments": [_recall("x", n=8, needles=9)]})
+
+
+def test_validate_accepts_the_least_sizes():
+    validate_config(
+        {
+            "seed": 0,
+            "experiments": [
+                _recall("x", n=1, d=1, codebook=2, needles=1, trials=1,
+                        variants=[{"name": "v", "window": 0, "sparse": 0, "chunk": 1}]),
+                {"kind": "ablation", "name": "y", "budget": 0},
+            ],
+        }
+    )
+
+
 def test_validate_accepts_a_null_chunk():
     validate_config({"seed": 0, "experiments": [_recall("x", variants=[{"name": "v", "chunk": None}])]})
 

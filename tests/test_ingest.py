@@ -125,25 +125,33 @@ def test_ingest_in_two_halves_equals_one_call(eta, lam, policy, n, cut, seed):
     n=st.integers(1, 60),
     cut=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**16),
+    bounded=st.booleans(),
 )
 # restoring this window in arrival order flipped a static score's last bit
-@example(eta=3, lam=1, policy="overestimate", n=26, cut=0.5, seed=1)
-def test_snapshot_at_a_cut_continues_bit_for_bit(eta, lam, policy, n, cut, seed):
+@example(eta=3, lam=1, policy="overestimate", n=26, cut=0.5, seed=1, bounded=False)
+@example(eta=2, lam=6, policy="self-recall", n=60, cut=0.5, seed=3, bounded=True)
+def test_snapshot_at_a_cut_continues_bit_for_bit(eta, lam, policy, n, cut, seed, bounded):
     # a restored cache recomputes its feature rows and refills its window
     # ring; both must match the running cache's bits and row order, or later
-    # scores, absorptions and outputs drift from it
+    # scores, absorptions and outputs drift from it. ``bounded`` lowers the
+    # size from which a full eviction takes the bounded settle to zero.
     cfg = AttentionConfig(head_dim=4)
     params = init_feature_map(SeededRng(seed), cfg)
     qs, ks, vs = pooled_stream(seed, 4, 5, n)
     m = max(1, int(cut * n))
-    whole = LolaCache(cfg, params, eta, lam, scoring=scoring_for(policy))
-    whole.ingest(ks, vs, qs)
-    first = LolaCache(cfg, params, eta, lam, scoring=scoring_for(policy))
-    first.ingest(ks[:m], vs[:m], qs[:m])
-    restored = LolaCache.from_snapshot(first.to_snapshot(), scoring=scoring_for(policy))
+    with pytest.MonkeyPatch.context() as mp:
+        if bounded:
+            mp.setattr(cache_mod, "_BOUNDED_MIN_WORK", 0)
+        whole = LolaCache(cfg, params, eta, lam, scoring=scoring_for(policy))
+        whole.ingest(ks, vs, qs)
+        first = LolaCache(cfg, params, eta, lam, scoring=scoring_for(policy))
+        first.ingest(ks[:m], vs[:m], qs[:m])
+        restored = LolaCache.from_snapshot(first.to_snapshot(), scoring=scoring_for(policy))
+    assert restored._bounded == whole._bounded == (bounded and policy == "self-recall" and lam > 0)
     restored.ingest(ks[m:], vs[m:], qs[m:])
     assert_same_tiers(restored, whole)
     assert bits(restored.attend(qs[0])) == bits(whole.attend(qs[0]))
+    assert restored.absorbed_score_sum.hex() == whole.absorbed_score_sum.hex()
 
 
 @pytest.mark.parametrize("d", [1, 2, 4, 16, 64])
