@@ -248,54 +248,62 @@ def load_feature_map(path) -> FeatureMapParams:
     return FeatureMapParams(w)
 
 
-def _sequence_loss_grad(params, config, qs, ks, vs, max_logit, need_grad):
-    """Squared tracking error of the linear path against the oracle, and its
-    gradient in the map weights if requested."""
-    qs = as_matrix(qs)
-    ks = as_matrix(ks, rows=qs.shape[0], cols=qs.shape[1])
-    vs = as_matrix(vs, rows=qs.shape[0])
-    n = qs.shape[0]
-    phi_q = feature_map_batch(params, qs, max_logit)
-    phi_k = feature_map_batch(params, ks, max_logit)
-    mask = np.tril(np.ones((n, n)))
-    pm = (phi_q @ phi_k.T) * mask
-    denom = pm.sum(axis=1)  # strictly positive: the map is positive
-    yhat = (pm @ vs) / denom[:, None]
-    teacher = softmax_attention_oracle(qs, ks, vs, config.scale)
-    r = yhat - teacher
-    loss = float((r * r).sum())
-    if not need_grad:
-        return loss, None
-    # d loss / d kernel value (t, j): 2 r_t.(v_j - yhat_t) / denom_t, causal only
-    g = (2.0 / denom)[:, None] * (r @ vs.T - (r * yhat).sum(axis=1, keepdims=True)) * mask
-    m = params.weights.shape[0]
-    # d kernel(t, j) / d w_i = (phiq[t,i] phik[j,i] - phiq[t,i+m] phik[j,i+m]) (q_t + k_j)
-    diff = (
-        phi_q.T[:m, :, None] * phi_k.T[:m, None, :]
-        - phi_q.T[m:, :, None] * phi_k.T[m:, None, :]
-    )  # (m, n, n)
-    c = g[None, :, :] * diff
-    grad = np.einsum("itj,td->id", c, qs) + np.einsum("itj,jd->id", c, ks)
-    return loss, grad
+def _prepare(config, sequences) -> list:
+    """Validate each (q, k, v) once and compute what does not depend on the
+    weights: its causal mask and its oracle teacher."""
+    prepared = []
+    for qs, ks, vs in sequences:
+        qs = as_matrix(qs)
+        ks = as_matrix(ks, rows=qs.shape[0], cols=qs.shape[1])
+        vs = as_matrix(vs, rows=qs.shape[0])
+        mask = np.tril(np.ones((qs.shape[0], qs.shape[0])))
+        prepared.append((qs, ks, vs, mask, softmax_attention_oracle(qs, ks, vs, config.scale)))
+    return prepared
+
+
+def _forward(params, prepared, max_logit):
+    """Squared tracking error of the linear path against the oracle, summed in
+    sequence order, and per sequence what ``_backward`` needs."""
+    total = 0.0
+    states = []
+    for qs, ks, vs, mask, teacher in prepared:
+        phi_q = feature_map_batch(params, qs, max_logit)
+        phi_k = feature_map_batch(params, ks, max_logit)
+        pm = (phi_q @ phi_k.T) * mask
+        denom = pm.sum(axis=1)  # strictly positive: the map is positive
+        yhat = (pm @ vs) / denom[:, None]
+        r = yhat - teacher
+        total += float((r * r).sum())
+        states.append((phi_q, phi_k, denom, yhat, r))
+    return total, states
+
+
+def _backward(weights, prepared, states) -> np.ndarray:
+    """Gradient of the ``_forward`` loss in the map weights."""
+    grad = np.zeros_like(weights)
+    m = weights.shape[0]
+    for (qs, ks, vs, mask, _), (phi_q, phi_k, denom, yhat, r) in zip(prepared, states):
+        # d loss / d kernel value (t, j): 2 r_t.(v_j - yhat_t) / denom_t, causal only
+        g = (2.0 / denom)[:, None] * (r @ vs.T - (r * yhat).sum(axis=1, keepdims=True)) * mask
+        # d kernel(t, j) / d w_i = (phiq[t,i] phik[j,i] - phiq[t,i+m] phik[j,i+m]) (q_t + k_j)
+        diff = (
+            phi_q.T[:m, :, None] * phi_k.T[:m, None, :]
+            - phi_q.T[m:, :, None] * phi_k.T[m:, None, :]
+        )  # (m, n, n)
+        c = g[None, :, :] * diff
+        grad += np.einsum("itj,td->id", c, qs) + np.einsum("itj,jd->id", c, ks)
+    return grad
 
 
 def distillation_loss(params, config, sequences, max_logit: float = DEFAULT_MAX_LOGIT) -> float:
-    total = 0.0
-    for qs, ks, vs in sequences:
-        loss, _ = _sequence_loss_grad(params, config, qs, ks, vs, max_logit, need_grad=False)
-        total += loss
-    return total
+    return _forward(params, _prepare(config, sequences), max_logit)[0]
 
 
 def distillation_gradient(params, config, sequences, max_logit: float = DEFAULT_MAX_LOGIT):
     """Total loss and its gradient in the map weights, summed over sequences."""
-    total = 0.0
-    grad = np.zeros_like(params.weights)
-    for qs, ks, vs in sequences:
-        loss, g = _sequence_loss_grad(params, config, qs, ks, vs, max_logit, need_grad=True)
-        total += loss
-        grad += g
-    return total, grad
+    prepared = _prepare(config, sequences)
+    loss, states = _forward(params, prepared, max_logit)
+    return loss, _backward(params.weights, prepared, states)
 
 
 def distill_feature_map(
@@ -314,25 +322,32 @@ def distill_feature_map(
     Each step backtracks (halves the step size) until the loss does not
     increase, so the loss trajectory is nonincreasing; the reduced step size
     carries over to later steps. ``steps == 0`` returns the initialization
-    unchanged. A non-finite loss aborts with ``DistillationDiverged``.
+    unchanged. A non-finite loss aborts with ``DistillationDiverged``. The
+    corpus is read once, and its oracle outputs are computed once per fit;
+    each step's gradient reuses the forward pass that accepted its weights.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    sequences = list(sequences)
     if not sequences:
         raise ValueError("need at least one training sequence")
     params = init if init is not None else init_feature_map(rng, config)
     w = params.weights.copy()
     lr = learning_rate
+    if steps or loss_history is not None:
+        prepared = _prepare(config, sequences)
+        loss, states = _forward(FeatureMapParams(w), prepared, max_logit)
     for _ in range(steps):
-        loss, grad = distillation_gradient(FeatureMapParams(w), config, sequences, max_logit)
         if not np.isfinite(loss):
             raise DistillationDiverged(f"training loss became non-finite ({loss})")
         if loss_history is not None:
             loss_history.append(loss)
+        grad = _backward(w, prepared, states)
         while True:
+            states = None  # hold one forward pass at a time
             w_try = w - lr * grad
             try:
-                new_loss = distillation_loss(FeatureMapParams(w_try), config, sequences, max_logit)
+                new_loss, states = _forward(FeatureMapParams(w_try), prepared, max_logit)
             except OverflowGuardError:
                 new_loss = np.inf
             if np.isfinite(new_loss) and new_loss <= loss:
@@ -343,7 +358,7 @@ def distill_feature_map(
                 if loss_history is not None:
                     loss_history.append(loss)
                 return FeatureMapParams(w)
-        w = w_try
+        w, loss = w_try, new_loss
     if loss_history is not None:
-        loss_history.append(distillation_loss(FeatureMapParams(w), config, sequences, max_logit))
+        loss_history.append(loss)
     return FeatureMapParams(w)

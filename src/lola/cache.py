@@ -651,6 +651,11 @@ class LolaCache:
         if any(b <= a for a, b in zip(bounds, bounds[1:])):
             raise ValueError(f"snapshot 'sparse' indices {sidx} must ascend and precede the window")
         count = snap["absorbed_count"]
+        # t - nw - ns >= 0 once the indices above check out; bool is not a count
+        if type(count) is not int or count != t - nw - ns:
+            raise ValueError(
+                f"snapshot 'absorbed_count' {count!r} is not the int t - window - sparse = {t - nw - ns}"
+            )
         if not count and (hidden.any() or normalizer.any()):
             raise ValueError("snapshot absorbed nothing, yet its 'hidden' or 'normalizer' is not zero")
         finite = np.isfinite(hidden).all() and np.isfinite(normalizer).all()

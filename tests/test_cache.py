@@ -420,6 +420,15 @@ def test_snapshot_state_without_absorptions_must_be_zero(setup):
         LolaCache.from_snapshot(snap)
 
 
+@pytest.mark.parametrize("count", [14, 16, -1, 15.5, "15", True])
+def test_snapshot_absorbed_count_must_close_conservation(setup, count):
+    snap = snapshot_after(setup, eta=3, lam=2, n=20)
+    assert snap["absorbed_count"] == 15
+    snap["absorbed_count"] = count
+    with pytest.raises(ValueError, match="'absorbed_count'"):
+        LolaCache.from_snapshot(snap)
+
+
 def test_snapshot_scores_are_current_after_restore(setup):
     snap = snapshot_after(setup, eta=3, lam=2, n=20)
     restored = LolaCache.from_snapshot(snap)

@@ -87,3 +87,18 @@ def test_empty_corpus_rejected():
     cfg = AttentionConfig(2)
     with pytest.raises(ValueError):
         distill_feature_map(SeededRng(1), cfg, [], steps=1, learning_rate=1e-3)
+
+
+def test_a_generator_corpus_trains_like_a_list():
+    cfg = AttentionConfig(4)
+    gen = SeededRng(40).generator()
+    sequences = [tuple(gen.normal(size=(3, 6, 4))) for _ in range(5)]
+    fits = []
+    for corpus in (sequences, (s for s in sequences)):
+        history = []
+        params = distill_feature_map(
+            SeededRng(41), cfg, corpus, steps=10, learning_rate=1e-2, loss_history=history
+        )
+        fits.append((params.weights.tobytes(), history))
+    assert fits[0] == fits[1]
+    assert fits[0][1][-1] < fits[0][1][0]
