@@ -19,13 +19,11 @@ from .attention import (
     feature_map_apply,
     feature_map_batch,
     init_feature_map,
-    linear_attention_forward,
     load_feature_map,
     save_feature_map,
     softmax_attention_oracle,
 )
 from .cache import (
-    KVPair,
     LolaCache,
     ScoringStrategy,
     SelfRecallScoring,
@@ -42,14 +40,13 @@ from .chunkwise import (
     effective_cache_size,
     prefill,
 )
-from .numerics import SeededRng, dot, gaussian_sample, outer_accumulate, singular_values
+from .numerics import SeededRng, gaussian_sample
 
 __all__ = [
     "AttentionConfig",
     "ChunkConfig",
     "DistillationDiverged",
     "FeatureMapParams",
-    "KVPair",
     "LinearState",
     "LolaCache",
     "OverflowGuardError",
@@ -62,20 +59,16 @@ __all__ = [
     "attend_after_prefill",
     "compression_rate",
     "distill_feature_map",
-    "dot",
     "effective_cache_size",
     "feature_map_apply",
     "feature_map_batch",
     "gaussian_sample",
     "init_feature_map",
-    "linear_attention_forward",
     "load_feature_map",
     "load_snapshot",
-    "outer_accumulate",
     "prefill",
     "save_feature_map",
     "save_snapshot",
     "self_recall_score",
-    "singular_values",
     "softmax_attention_oracle",
 ]

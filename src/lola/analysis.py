@@ -24,7 +24,7 @@ from .attention import (
     feature_map_batch,
 )
 from .cache import LolaCache, ScoringStrategy, StaticScoring, _self_recall_scores
-from .numerics import SeededRng, as_matrix, gaussian_sample, singular_values
+from .numerics import SeededRng, as_matrix, gaussian_sample
 
 __all__ = [
     "POLICIES",
@@ -34,13 +34,10 @@ __all__ = [
     "CollisionMatrix",
     "GramStudyResult",
     "OverestimateRatioScoring",
-    "attention_error_abs",
-    "attention_error_squared",
     "collision_matrix",
     "engine_for_policy",
     "gram_matrix",
     "mean_absorbed_error",
-    "overestimate_ratio",
     "rank_study",
     "relative_collision_matrix",
     "relative_to_absorption",
@@ -106,8 +103,8 @@ def rank_study(n_list, d_list, seed: int, scale_rule=None) -> list[GramStudyResu
     for d in d_list:
         xs = gaussian_sample(rng.child(d), max(n_list), d, rule(d))
         for n in n_list:
-            g = gram_matrix(xs[:n])
-            sv = singular_values(g)
+            # sorted descending
+            sv = np.linalg.svd(gram_matrix(xs[:n]), compute_uv=False)
             results.append(GramStudyResult(n, d, sv, truncated_errors(sv)))
     return results
 
@@ -246,27 +243,6 @@ def mean_absorbed_error(cm: CollisionMatrix) -> float:
 
 
 # -- alternative window scores ----------------------------------------------
-
-
-def attention_error_squared(exp_vals, lin_vals) -> float:
-    """Summed squared gap between exponential logit weights and their linear stand-ins."""
-    e = np.asarray(exp_vals, dtype=np.float64)
-    p = np.asarray(lin_vals, dtype=np.float64)
-    return float(((e - p) ** 2).sum())
-
-
-def attention_error_abs(exp_vals, lin_vals) -> float:
-    e = np.asarray(exp_vals, dtype=np.float64)
-    p = np.asarray(lin_vals, dtype=np.float64)
-    return float(np.abs(e - p).sum())
-
-
-def overestimate_ratio(exp_vals, lin_vals) -> float:
-    """Summed ratio of linear kernel mass to exponential mass; large when the
-    linear path over-represents a key."""
-    e = np.asarray(exp_vals, dtype=np.float64)
-    p = np.asarray(lin_vals, dtype=np.float64)
-    return float((p / e).sum())
 
 
 class AttentionErrorSquaredScoring(StaticScoring):

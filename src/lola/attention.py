@@ -34,7 +34,6 @@ __all__ = [
     "feature_map_apply",
     "feature_map_batch",
     "init_feature_map",
-    "linear_attention_forward",
     "load_feature_map",
     "save_feature_map",
     "softmax_attention_oracle",
@@ -136,12 +135,16 @@ def feature_map_apply(params: FeatureMapParams, x, max_logit: float = DEFAULT_MA
     return _feature_row(params, as_vector(x, dim=params.head_dim), max_logit)
 
 
-def feature_map_batch(params: FeatureMapParams, xs, max_logit: float = DEFAULT_MAX_LOGIT) -> np.ndarray:
-    """Map rows of ``xs`` to feature vectors, one per row."""
-    xs = as_matrix(xs, cols=params.head_dim)
+def _feature_batch(params: FeatureMapParams, xs: np.ndarray, max_logit: float) -> np.ndarray:
+    """``feature_map_batch`` on an already validated matrix: one GEMM."""
     z = xs @ params.weights.T
     _guard(z, max_logit)
     return np.concatenate([np.exp(z), np.exp(-z)], axis=1)
+
+
+def feature_map_batch(params: FeatureMapParams, xs, max_logit: float = DEFAULT_MAX_LOGIT) -> np.ndarray:
+    """Map rows of ``xs`` to feature vectors, one per row."""
+    return _feature_batch(params, as_matrix(xs, cols=params.head_dim), max_logit)
 
 
 def softmax_attention_oracle(qs, ks, vs, scale: float) -> np.ndarray:
@@ -212,21 +215,6 @@ class LinearState:
         self.normalizer += phi_rows.sum(axis=0)
         self.count += phi_rows.shape[0]
 
-    def copy(self) -> "LinearState":
-        return LinearState(self.hidden.copy(), self.normalizer.copy(), self.count)
-
-
-def linear_attention_forward(state: LinearState, phi_q: np.ndarray) -> np.ndarray:
-    """Recall ``(phi_q . hidden) / (phi_q . normalizer)`` from a populated state."""
-    if state.count < 1:
-        raise ValueError("cannot recall from an empty state")
-    den = float(phi_q @ state.normalizer)
-    if den <= 0.0:
-        raise ValueError(
-            f"non-positive normalizer {den:g}: recall requires a strictly positive feature map"
-        )
-    return (phi_q @ state.hidden) / den
-
 
 def save_feature_map(params: FeatureMapParams, path) -> None:
     """Write the map as JSON: dims header plus row-major weights."""
@@ -267,8 +255,8 @@ def _forward(params, prepared, max_logit):
     total = 0.0
     states = []
     for qs, ks, vs, mask, teacher in prepared:
-        phi_q = feature_map_batch(params, qs, max_logit)
-        phi_k = feature_map_batch(params, ks, max_logit)
+        phi_q = _feature_batch(params, qs, max_logit)
+        phi_k = _feature_batch(params, ks, max_logit)
         pm = (phi_q @ phi_k.T) * mask
         denom = pm.sum(axis=1)  # strictly positive: the map is positive
         yhat = (pm @ vs) / denom[:, None]

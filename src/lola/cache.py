@@ -59,7 +59,6 @@ from .attention import (
 from .numerics import as_matrix, as_vector
 
 __all__ = [
-    "KVPair",
     "LolaCache",
     "ScoringStrategy",
     "SelfRecallScoring",
@@ -69,21 +68,6 @@ __all__ = [
     "save_snapshot",
     "self_recall_score",
 ]
-
-
-@dataclass(frozen=True)
-class KVPair:
-    """One stored association, tagged with its 1-based arrival position."""
-
-    key: np.ndarray
-    value: np.ndarray
-    index: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "key", as_vector(self.key))
-        object.__setattr__(self, "value", as_vector(self.value))
-        if self.index < 1:
-            raise ValueError(f"index must be >= 1, got {self.index}")
 
 
 class ScoringStrategy:
@@ -154,6 +138,27 @@ def _recall_rows(
         r = (phi @ state.hidden) / den[:, None] - values
     # the operations of ``np.linalg.norm(r, axis=1)`` without its wrapper
     return np.sqrt(np.add.reduce(r * r, axis=1))
+
+
+def _mix_tiers(q, phi_q, scale, keys_a, values_a, keys_b, values_b, state: LinearState) -> np.ndarray:
+    """The output for ``q`` over two full-rank tiers and the hidden state.
+
+    The exponential terms and the hidden-state term share one shift (the
+    largest logit, or zero) and one denominator, so the output is a convex
+    combination of stored values. A denominator that is not positive (an
+    overflowing logit makes it NaN) raises ``ValueError``.
+    """
+    logit_a = (keys_a @ q) * scale
+    logit_b = (keys_b @ q) * scale
+    shift = float(max(logit_a.max(initial=0.0), logit_b.max(initial=0.0)))
+    ea = np.exp(logit_a - shift)
+    eb = np.exp(logit_b - shift)
+    damp = np.exp(-shift)
+    num = ea @ values_a + eb @ values_b + damp * (phi_q @ state.hidden)
+    den = float(ea.sum() + eb.sum()) + damp * float(phi_q @ state.normalizer)
+    if not den > 0.0:
+        raise ValueError(f"shared denominator {den:g} is not positive")
+    return num / den
 
 
 def _norm(v: np.ndarray) -> float:
@@ -287,19 +292,6 @@ class LolaCache:
         if self.scoring.dynamic and ns:
             return _self_recall_scores(self._sphi[:ns], self._sv[:ns], self.linear)
         return self._sscore[:ns].copy()
-
-    def window_pairs(self) -> list[KVPair]:
-        order = np.argsort(self._widx[: self._wlen])
-        return [
-            KVPair(self._wk[i].copy(), self._wv[i].copy(), int(self._widx[i]))
-            for i in order
-        ]
-
-    def sparse_pairs(self) -> list[KVPair]:
-        return [
-            KVPair(self._sk[i].copy(), self._sv[i].copy(), int(self._sidx[i]))
-            for i in range(self._slen)
-        ]
 
     # -- updates ----------------------------------------------------------
 
@@ -532,19 +524,11 @@ class LolaCache:
             raise ValueError("attend called before any pair was admitted")
         q = as_vector(query, self.config.head_dim)
         phi_q = _feature_row(self.params, q, self.max_logit)
-        scale = self.config.scale
         nw, ns = self._wlen, self._slen
-        logit_w = (self._wk[:nw] @ q) * scale
-        logit_s = (self._sk[:ns] @ q) * scale
-        shift = float(max(logit_w.max(initial=0.0), logit_s.max(initial=0.0)))
-        ew = np.exp(logit_w - shift)
-        es = np.exp(logit_s - shift)
-        damp = np.exp(-shift)
-        num = ew @ self._wv[:nw] + es @ self._sv[:ns] + damp * (phi_q @ self.linear.hidden)
-        den = float(ew.sum() + es.sum()) + damp * float(phi_q @ self.linear.normalizer)
-        if not den > 0.0:
-            raise ValueError(f"shared denominator {den:g} is not positive")
-        return num / den
+        return _mix_tiers(
+            q, phi_q, self.config.scale,
+            self._wk[:nw], self._wv[:nw], self._sk[:ns], self._sv[:ns], self.linear,
+        )
 
     def decode_step(self, query, key, value) -> np.ndarray:
         """Admit ``(key, value)``, then answer ``query``; the new pair is
@@ -562,9 +546,6 @@ class LolaCache:
                 f"conservation violated at t={self.t}: window {self._wlen} "
                 f"+ sparse {self._slen} + absorbed {self.linear.count} = {stored}"
             )
-
-    def check_conservation(self) -> None:
-        self._assert_conserved()
 
     # -- serialization ----------------------------------------------------
 

@@ -25,10 +25,10 @@ from .attention import (
     AttentionConfig,
     FeatureMapParams,
     LinearState,
-    feature_map_apply,
+    _feature_row,
     feature_map_batch,
 )
-from .cache import _self_recall_scores
+from .cache import _mix_tiers, _self_recall_scores
 from .numerics import as_matrix, as_vector
 
 __all__ = [
@@ -227,21 +227,8 @@ def attend_after_prefill(
 ) -> np.ndarray:
     """Answer one extra query as the first token of a hypothetical next chunk."""
     q = as_vector(query, attn.head_dim)
-    phi_q = feature_map_apply(params, q, max_logit)
-    logit_s = (state.sparse_keys @ q) * attn.scale
-    logit_r = (state.recent_keys @ q) * attn.scale
-    shift = 0.0
-    if logit_s.size:
-        shift = max(shift, float(logit_s.max()))
-    if logit_r.size:
-        shift = max(shift, float(logit_r.max()))
-    es = np.exp(logit_s - shift)
-    er = np.exp(logit_r - shift)
-    damp = np.exp(-shift)
-    num = es @ state.sparse_values + er @ state.recent_values + damp * (
-        phi_q @ state.linear.hidden
+    return _mix_tiers(
+        q, _feature_row(params, q, max_logit), attn.scale,
+        state.sparse_keys, state.sparse_values, state.recent_keys, state.recent_values,
+        state.linear,
     )
-    den = float(es.sum() + er.sum()) + damp * float(phi_q @ state.linear.normalizer)
-    if not den > 0.0:
-        raise ValueError(f"shared denominator {den:g} is not positive")
-    return num / den

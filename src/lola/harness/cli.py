@@ -4,29 +4,24 @@ Subcommands: recall, ablate-scores, collisions, gram-study, distill, suite.
 Common flags: --seed, --out-dir, --config, --format. Every artifact is a pure
 function of the flags and the seed; re-runs write identical bytes. Each
 subcommand drops a manifest.json next to its artifacts with the flag echo,
-seed, and per-file checksums.
+seed, and per-file checksums. recall, ablate-scores, collisions and
+gram-study run as one-entry suites: the experiment their flags denote is
+checked as a suite config is (bad sizes exit 2) and run by the suite's
+runner, so they write the artifacts a one-entry ``lola suite`` would.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .. import __version__
-from ..analysis import rank_study, write_gram_csv
 from ..attention import AttentionConfig, distill_feature_map, save_feature_map
 from ..numerics import SeededRng
-from .experiments import (
-    RECORD_COLUMNS,
-    ExperimentConfig,
-    _distill_corpus,
-    eval_recall,
-    run_ablation,
-)
-from .io import sha256_file, write_manifest, write_rows_csv, write_rows_json
-from .suite import ConfigError, load_config, run_suite, write_collisions
+from .experiments import _distill_corpus
+from .io import sha256_file, write_manifest
+from .suite import _RUNNERS, ConfigError, load_config, run_suite, validate_config
 from .synthetic import SyntheticTaskSpec
 
 __all__ = ["main"]
@@ -92,14 +87,49 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_records(records, out_dir: Path, name: str, fmt: str) -> Path:
-    rows = [asdict(r) for r in records]
-    path = out_dir / f"{name}.{fmt}"
-    if fmt == "json":
-        write_rows_json(path, RECORD_COLUMNS, rows)
-    else:
-        write_rows_csv(path, RECORD_COLUMNS, rows)
-    return path
+def _one_entry(args) -> dict:
+    """The one-entry suite experiment that an analysis subcommand's flags denote."""
+    if args.command == "gram-study":
+        return {
+            "kind": "gram-study",
+            "name": "gram_study",
+            "n_list": [int(x) for x in args.n_list.split(",")],
+            "d_list": [int(x) for x in args.d_list.split(",")],
+        }
+    task = {
+        "n": args.n,
+        "d": args.d,
+        "feature_dim": args.feature_dim,
+        "distribution": args.distribution,
+        "codebook": args.codebook,
+        "needles": args.needles,
+        "feature_map": args.feature_map,
+    }
+    if args.command == "recall":
+        variant = {
+            "name": "recall",
+            "policy": args.policy,
+            "window": args.eta,
+            "sparse": args.lam,
+            "chunk": args.chunk,
+        }
+        return {"kind": "recall", "name": "recall", **task, "trials": args.trials, "variants": [variant]}
+    if args.command == "ablate-scores":
+        return {
+            "kind": "ablation",
+            "name": "score_ablation",
+            **task,
+            "budget": args.budget,
+            "trials": args.trials,
+        }
+    return {
+        "kind": "collisions",
+        "name": "collisions",
+        **task,
+        "window": args.eta,
+        "sparse": args.lam,
+        "relative": args.relative,
+    }
 
 
 def _finish(out_dir: Path, args, files: list[Path]) -> int:
@@ -117,7 +147,6 @@ def _finish(out_dir: Path, args, files: list[Path]) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.command == "suite":
         try:
@@ -127,72 +156,16 @@ def main(argv=None) -> int:
             return 2
         return run_suite(config, out_dir=out_dir, fmt=args.format)
 
-    if args.command == "gram-study":
-        n_list = [int(x) for x in args.n_list.split(",")]
-        d_list = [int(x) for x in args.d_list.split(",")]
-        results = rank_study(n_list, d_list, args.seed)
-        path = out_dir / "gram_study.csv"
-        write_gram_csv(results, path)
-        print(f"wrote {path}")
-        return _finish(out_dir, args, [path])
-
-    task = SyntheticTaskSpec(
-        haystack_len=args.n,
-        needle_count=args.needles,
-        head_dim=args.d,
-        key_distribution=args.distribution,
-        value_codebook_size=args.codebook,
-        seed=args.seed,
-    )
-
-    if args.command == "recall":
-        exp = ExperimentConfig(
-            policy=args.policy,
-            window_capacity=args.eta,
-            sparse_capacity=args.lam,
-            chunk_size=args.chunk,
-            trials=args.trials,
-            feature_map=args.feature_map,
-            feature_dim=args.feature_dim,
-            seed=args.seed,
-        )
-        record = eval_recall(exp, task)
-        path = _write_records([record], out_dir, "recall", args.format)
-        print(f"accuracy {record.accuracy:.4f} ({record.policy}); wrote {path}")
-        return _finish(out_dir, args, [path])
-
-    if args.command == "ablate-scores":
-        records = run_ablation(
-            task,
-            budget=args.budget,
-            trials=args.trials,
-            seed=args.seed,
-            feature_map=args.feature_map,
-            feature_dim=args.feature_dim,
-        )
-        path = _write_records(records, out_dir, "score_ablation", args.format)
-        for r in records:
-            print(f"{r.name:>18}: accuracy {r.accuracy:.4f}")
-        print(f"wrote {path}")
-        return _finish(out_dir, args, [path])
-
-    if args.command == "collisions":
-        files, means = write_collisions(
-            task,
-            out_dir,
-            "collisions",
-            window=args.eta,
-            sparse=args.lam,
-            feature_map=args.feature_map,
-            feature_dim=args.feature_dim,
-            relative=args.relative,
-        )
-        for policy, mean in means.items():
-            path = out_dir / f"collisions-{policy}.csv"
-            print(f"{policy:>12}: mean absorbed error {mean:.4f}; wrote {path}")
-        return _finish(out_dir, args, files)
-
     if args.command == "distill":
+        out_dir.mkdir(parents=True, exist_ok=True)
+        task = SyntheticTaskSpec(
+            haystack_len=args.n,
+            needle_count=args.needles,
+            head_dim=args.d,
+            key_distribution=args.distribution,
+            value_codebook_size=args.codebook,
+            seed=args.seed,
+        )
         attn = AttentionConfig(args.d, args.feature_dim)
         corpus = _distill_corpus(task, SeededRng(args.seed).child(1))
         params = distill_feature_map(
@@ -203,7 +176,28 @@ def main(argv=None) -> int:
         print(f"wrote {path}")
         return _finish(out_dir, args, [path])
 
-    raise AssertionError(f"unhandled command {args.command}")
+    # recall, ablate-scores, collisions and gram-study run as one-entry suites
+    exp = _one_entry(args)
+    try:
+        validate_config({"seed": args.seed, "experiments": [exp]}, source=f"lola {args.command}")
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths, result = _RUNNERS[exp["kind"]](exp, args.seed, out_dir, args.format, [])
+    if args.command == "recall":
+        print(f"accuracy {result[0].accuracy:.4f} ({result[0].policy}); wrote {paths[0]}")
+    elif args.command == "ablate-scores":
+        for r in result:
+            print(f"{r.name:>18}: accuracy {r.accuracy:.4f}")
+        print(f"wrote {paths[0]}")
+    elif args.command == "collisions":
+        for policy, mean in result.items():
+            path = out_dir / f"collisions-{policy}.csv"
+            print(f"{policy:>12}: mean absorbed error {mean:.4f}; wrote {path}")
+    else:
+        print(f"wrote {paths[0]}")
+    return _finish(out_dir, args, paths)
 
 
 if __name__ == "__main__":

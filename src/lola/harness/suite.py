@@ -48,7 +48,6 @@ __all__ = [
     "load_config",
     "run_suite",
     "validate_config",
-    "write_collisions",
 ]
 
 
@@ -253,7 +252,13 @@ def _records_by_name(records: list[ResultRecord]) -> dict[str, ResultRecord]:
     return {r.name: r for r in records}
 
 
-def _run_recall(exp: dict, seed: int, out: Path, fmt: str, checks_out: list) -> dict:
+# Every runner writes one experiment's artifacts into ``out``, appends its
+# graded checks to ``checks_out`` and returns the paths it wrote, in write
+# order, with what the command line reports: the records, or the mean
+# absorbed error by policy, or the spectra.
+
+
+def _run_recall(exp: dict, seed: int, out: Path, fmt: str, checks_out: list):
     seed = exp.get("seed", seed)
     task = _task_from(exp, seed)
     records = []
@@ -274,7 +279,7 @@ def _run_recall(exp: dict, seed: int, out: Path, fmt: str, checks_out: list) -> 
     by_name = _records_by_name(records)
     for chk in exp.get("checks", []):
         checks_out.append(_grade_recall_check(exp["name"], chk, by_name))
-    return {path.name: sha256_file(path)}
+    return [path], records
 
 
 def _grade_recall_check(exp_name: str, chk: dict, by_name: dict) -> dict:
@@ -311,7 +316,7 @@ def order_inversions(records: list[ResultRecord], expected: list[str]) -> list[t
     return bad
 
 
-def _run_ablation(exp: dict, seed: int, out: Path, fmt: str, checks_out: list) -> dict:
+def _run_ablation(exp: dict, seed: int, out: Path, fmt: str, checks_out: list):
     seed = exp.get("seed", seed)
     task = _task_from(exp, seed)
     records = run_ablation(
@@ -336,53 +341,30 @@ def _run_ablation(exp: dict, seed: int, out: Path, fmt: str, checks_out: list) -
                 "detail": "no long-range inversions" if not bad else f"inversions {bad}",
             }
         )
-    return {path.name: sha256_file(path)}
+    return [path], records
 
 
-def write_collisions(
-    task: SyntheticTaskSpec,
-    out: Path,
-    prefix: str,
-    *,
-    window: int,
-    sparse: int,
-    feature_map: str = "distill",
-    feature_dim: int | None = None,
-    relative: bool = False,
-) -> tuple[list[Path], dict[str, float]]:
+def _run_collisions(exp: dict, seed: int, out: Path, fmt: str, checks_out: list):
     """Replay the task's stream once under each policy and write
-    ``<prefix>-<policy>.csv``, plus ``<prefix>-<policy>-relative.csv`` when
-    ``relative``. Returns the paths in write order and each policy's mean
-    absorbed error."""
+    ``<name>-<policy>.csv``, plus ``<name>-<policy>-relative.csv`` when
+    ``relative``."""
+    task = _task_from(exp, seed)
     inst = gen_niah(task)
-    attn = AttentionConfig(task.head_dim, feature_dim)
+    attn = AttentionConfig(task.head_dim, exp.get("feature_dim"))
     params = resolve_feature_map(
-        ExperimentConfig(feature_map=feature_map, seed=task.seed), task, attn
+        ExperimentConfig(feature_map=exp.get("feature_map", "distill"), seed=task.seed), task, attn
     )
+    window, sparse = exp.get("window", 32), exp.get("sparse", 32)
     paths = []
     means = {}
     for policy in POLICIES:
         cm = collision_matrix(inst.keys, inst.values, policy, window, sparse, attn, params)
         means[policy] = mean_absorbed_error(cm)
-        paths.append(out / f"{prefix}-{policy}.csv")
+        paths.append(out / f"{exp['name']}-{policy}.csv")
         write_collision_csv(cm, paths[-1])
-        if relative:
-            paths.append(out / f"{prefix}-{policy}-relative.csv")
+        if exp.get("relative"):
+            paths.append(out / f"{exp['name']}-{policy}-relative.csv")
             write_collision_csv(relative_to_absorption(cm), paths[-1])
-    return paths, means
-
-
-def _run_collisions(exp: dict, seed: int, out: Path, fmt: str, checks_out: list) -> dict:
-    paths, means = write_collisions(
-        _task_from(exp, seed),
-        out,
-        exp["name"],
-        window=exp.get("window", 32),
-        sparse=exp.get("sparse", 32),
-        feature_map=exp.get("feature_map", "distill"),
-        feature_dim=exp.get("feature_dim"),
-        relative=bool(exp.get("relative")),
-    )
     if exp.get("check_ordering"):
         ok = means["lola"] <= means["window-only"] <= means["linear-only"]
         checks_out.append(
@@ -394,10 +376,10 @@ def _run_collisions(exp: dict, seed: int, out: Path, fmt: str, checks_out: list)
                 + " / ".join(f"{p}={means[p]:.4f}" for p in ("lola", "window-only", "linear-only")),
             }
         )
-    return {p.name: sha256_file(p) for p in paths}
+    return paths, means
 
 
-def _run_gram(exp: dict, seed: int, out: Path, fmt: str, checks_out: list) -> dict:
+def _run_gram(exp: dict, seed: int, out: Path, fmt: str, checks_out: list):
     seed = exp.get("seed", seed)
     n_list = sorted(exp.get("n_list", [64, 128, 256]))
     d_list = sorted(exp.get("d_list", [8, 16]))
@@ -423,7 +405,7 @@ def _run_gram(exp: dict, seed: int, out: Path, fmt: str, checks_out: list) -> di
         checks_out.append(
             {"experiment": exp["name"], "check": "gram-dominance", "passed": ok, "detail": detail}
         )
-    return {path.name: sha256_file(path)}
+    return [path], results
 
 
 def _write_records(path: Path, records: list[ResultRecord], fmt: str) -> None:
@@ -466,7 +448,8 @@ def run_suite(config: dict | str | Path | None = None, out_dir=".", fmt: str = "
     try:
         for exp in config.get("experiments", []):
             t0 = time.perf_counter()
-            files.update(_RUNNERS[exp["kind"]](exp, seed, out, fmt, checks))
+            paths, _ = _RUNNERS[exp["kind"]](exp, seed, out, fmt, checks)
+            files.update((p.name, sha256_file(p)) for p in paths)
             timings[exp["name"]] = time.perf_counter() - t0
     finally:
         write_manifest(

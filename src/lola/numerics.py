@@ -17,10 +17,7 @@ __all__ = [
     "SeededRng",
     "as_matrix",
     "as_vector",
-    "dot",
     "gaussian_sample",
-    "outer_accumulate",
-    "singular_values",
 ]
 
 
@@ -48,26 +45,6 @@ def as_matrix(x, rows: int | None = None, cols: int | None = None) -> np.ndarray
     if cols is not None and m.shape[1] != cols:
         raise ValueError(f"dimension mismatch: expected {cols} columns, got {m.shape[1]}")
     return m
-
-
-def dot(a, b) -> float:
-    a = as_vector(a)
-    b = as_vector(b, dim=a.shape[0])
-    return float(a @ b)
-
-
-def outer_accumulate(m, a, b) -> np.ndarray:
-    """Return ``m + a b^T`` without mutating ``m``."""
-    a = as_vector(a)
-    b = as_vector(b)
-    m = as_matrix(m, rows=a.shape[0], cols=b.shape[0])
-    return m + np.outer(a, b)
-
-
-def singular_values(g) -> np.ndarray:
-    """Singular values of ``g``, sorted descending."""
-    g = as_matrix(g)
-    return np.linalg.svd(g, compute_uv=False)
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,10 @@ from lola.analysis import (
     AttentionErrorAbsScoring,
     AttentionErrorSquaredScoring,
     OverestimateRatioScoring,
-    attention_error_abs,
-    attention_error_squared,
     collision_matrix,
     engine_for_policy,
     gram_matrix,
     mean_absorbed_error,
-    overestimate_ratio,
     rank_study,
     relative_collision_matrix,
     relative_to_absorption,
@@ -218,39 +215,40 @@ def test_collision_csv_reproducible(tmp_path, collision_setup):
 # -- alternative scores ---------------------------------------------------------
 
 
+def alt_score(cls, e, p):
+    """A static rule's total over the co-resident queries' terms."""
+    return cls().term(e, p).sum()
+
+
 def test_alt_scores_perfect_kernel():
     e = np.full(6, 2.5)
-    assert attention_error_squared(e, e) == 0.0
-    assert attention_error_abs(e, e) == 0.0
-    assert overestimate_ratio(e, e) == pytest.approx(6.0)  # one per co-resident query
+    assert alt_score(AttentionErrorSquaredScoring, e, e) == 0.0
+    assert alt_score(AttentionErrorAbsScoring, e, e) == 0.0
+    # one per co-resident query
+    assert alt_score(OverestimateRatioScoring, e, e) == pytest.approx(6.0)
 
 
 def test_alt_scores_hand_values():
     e = np.array([2.0])
     p = np.array([1.5])
-    assert attention_error_squared(e, p) == pytest.approx(0.25)
-    assert attention_error_abs(e, p) == pytest.approx(0.5)
-    assert overestimate_ratio(e, p) == pytest.approx(0.75)
+    assert alt_score(AttentionErrorSquaredScoring, e, p) == pytest.approx(0.25)
+    assert alt_score(AttentionErrorAbsScoring, e, p) == pytest.approx(0.5)
+    assert alt_score(OverestimateRatioScoring, e, p) == pytest.approx(0.75)
 
 
 def test_alt_scores_match_formula_on_random_input():
     gen = SeededRng(8).generator()
     e = np.exp(gen.normal(size=12))
     p = np.exp(gen.normal(size=12))
-    assert attention_error_squared(e, p) == pytest.approx(sum((a - b) ** 2 for a, b in zip(e, p)))
-    assert attention_error_abs(e, p) == pytest.approx(sum(abs(a - b) for a, b in zip(e, p)))
-    assert overestimate_ratio(e, p) == pytest.approx(sum(a / b for a, b in zip(p, e)))
-
-
-def test_strategy_terms_align_with_formula_helpers():
-    gen = SeededRng(9).generator()
-    e = np.exp(gen.normal(size=5))
-    p = np.exp(gen.normal(size=5))
-    assert AttentionErrorSquaredScoring().term(e, p).sum() == pytest.approx(
-        attention_error_squared(e, p)
+    assert alt_score(AttentionErrorSquaredScoring, e, p) == pytest.approx(
+        sum((a - b) ** 2 for a, b in zip(e, p))
     )
-    assert AttentionErrorAbsScoring().term(e, p).sum() == pytest.approx(attention_error_abs(e, p))
-    assert OverestimateRatioScoring().term(e, p).sum() == pytest.approx(overestimate_ratio(e, p))
+    assert alt_score(AttentionErrorAbsScoring, e, p) == pytest.approx(
+        sum(abs(a - b) for a, b in zip(e, p))
+    )
+    assert alt_score(OverestimateRatioScoring, e, p) == pytest.approx(
+        sum(a / b for a, b in zip(p, e))
+    )
 
 
 def test_engine_accumulates_alt_scores_over_coresident_queries():

@@ -11,16 +11,17 @@ from lola import (
     AttentionConfig,
     FeatureMapParams,
     LinearState,
+    LolaCache,
     OverflowGuardError,
     SeededRng,
     feature_map_apply,
     feature_map_batch,
     init_feature_map,
-    linear_attention_forward,
     load_feature_map,
     save_feature_map,
     softmax_attention_oracle,
 )
+from lola.cache import _mix_tiers
 
 
 @pytest.fixture
@@ -231,23 +232,28 @@ def test_linear_state_absorb_matches_loop():
     assert a.count == b.count == 7
 
 
-def test_forward_single_pair_recalls_value():
-    # normalizer cancels: any query with positive overlap recovers the value
-    state = LinearState.zeros(4, 2)
-    phi_k = np.array([0.5, 1.5, 2.0, 0.25])
+# the linear-attention forward pass is the hidden-state term of the tier mix:
+# a cache with neither window nor sparse cache (η=λ=0) answers from it alone
+
+
+def test_forward_single_pair_recalls_value(small_map):
+    # normalizer cancels: any query recovers the one absorbed value
+    cfg, params = small_map
+    eng = LolaCache(cfg, params, 0, 0)
     v = np.array([3.0, -1.0])
-    state.update(phi_k, v)
+    eng.update(np.array([0.5, -1.5]), v)
+    assert eng.linear.count == 1
     gen = SeededRng(13).generator()
     for _ in range(10):
-        phi_q = np.abs(gen.normal(size=4)) + 0.01
-        np.testing.assert_allclose(linear_attention_forward(state, phi_q), v, rtol=1e-10)
+        np.testing.assert_allclose(eng.attend(gen.normal(size=2)), v, rtol=1e-10)
 
 
 def test_forward_orthogonal_recall_is_exact():
     state = LinearState.zeros(4, 2)
     state.update(np.array([1.0, 0.0, 0.0, 0.0]), np.array([1.0, 2.0]))
     state.update(np.array([0.0, 1.0, 0.0, 0.0]), np.array([-5.0, 7.0]))
-    out = linear_attention_forward(state, np.array([1.0, 0.0, 0.0, 0.0]))
+    none = np.zeros((0, 2))
+    out = _mix_tiers(np.zeros(2), np.array([1.0, 0.0, 0.0, 0.0]), 1.0, none, none, none, none, state)
     np.testing.assert_allclose(out, [1.0, 2.0], rtol=1e-12)
 
 
@@ -260,22 +266,24 @@ def test_forward_matches_explicit_summation():
     q = gen.normal(size=3)
     phis = feature_map_batch(params, ks)
     phi_q = feature_map_apply(params, q)
-    state = LinearState.zeros(6, 3)
+    eng = LolaCache(cfg, params, 0, 0)
     for i in range(20):
-        state.update(phis[i], vs[i])
+        eng.update(ks[i], vs[i])
     num = np.zeros(3)
     den = 0.0
     for i in range(20):
         w = float(phi_q @ phis[i])
         num += w * vs[i]
         den += w
-    np.testing.assert_allclose(linear_attention_forward(state, phi_q), num / den, rtol=1e-9)
+    np.testing.assert_allclose(eng.attend(q), num / den, rtol=1e-9)
 
 
-def test_forward_errors():
-    state = LinearState.zeros(4, 2)
-    with pytest.raises(ValueError, match="empty state"):
-        linear_attention_forward(state, np.ones(4))
-    state.update(np.array([1.0, 1.0, 1.0, 1.0]), np.array([1.0, 1.0]))
-    with pytest.raises(ValueError, match="normalizer"):
-        linear_attention_forward(state, np.array([-1.0, -1.0, -1.0, -1.0]))
+def test_forward_errors(small_map):
+    cfg, params = small_map
+    eng = LolaCache(cfg, params, 0, 0)
+    with pytest.raises(ValueError, match="before any pair"):
+        eng.attend(np.ones(2))
+    eng.update(np.ones(2), np.ones(2))
+    eng.linear.normalizer = -eng.linear.normalizer
+    with pytest.raises(ValueError, match="is not positive"):
+        eng.attend(np.ones(2))

@@ -182,7 +182,6 @@ def test_conservation_across_configs(setup):
         for t in range(60):
             eng.update(gen.normal(size=4), gen.normal(size=4))
             assert eng.window_size + eng.sparse_size + eng.linear.count == eng.t
-        eng.check_conservation()
 
 
 def test_tier_membership_invariants(setup):
@@ -253,11 +252,12 @@ def test_attend_matches_direct_three_term_formula(setup):
     phi_q = feature_map_apply(params, q)
 
     # independent evaluation from the engine's reported tier contents
+    snap = eng.to_snapshot()
     num = phi_q @ eng.linear.hidden
     den = float(phi_q @ eng.linear.normalizer)
-    for pair in eng.sparse_pairs() + eng.window_pairs():
-        w = float(np.exp(cfg.scale * (q @ pair.key)))
-        num = num + w * pair.value
+    for pair in snap["sparse"] + snap["window"]:
+        w = float(np.exp(cfg.scale * (q @ np.array(pair["key"]))))
+        num = num + w * np.array(pair["value"])
         den += w
     np.testing.assert_allclose(eng.attend(q), num / den, rtol=1e-9)
 

@@ -91,21 +91,24 @@ def test_collisions_subcommand(tmp_path):
         assert (tmp_path / f"collisions-{policy}-relative.csv").exists()
 
 
+def assert_cli_writes_what_the_suite_writes(tmp_path, cli_args, exp, seed):
+    """Run ``lola <cli_args>`` and ``lola suite`` on the one-entry config
+    ``exp``; both must write the same CSV files, byte for byte."""
+    cli_dir = tmp_path / "cli"
+    assert main([*cli_args, "--seed", str(seed), "--out-dir", str(cli_dir)]) == 0
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps({"seed": seed, "experiments": [exp]}))
+    assert main(["suite", "--config", str(cfg_path), "--out-dir", str(tmp_path / "suite")]) == 0
+    (suite_dir,) = list((tmp_path / "suite").iterdir())
+    cli_csvs = sorted(p.name for p in cli_dir.glob("*.csv"))
+    assert sorted(p.name for p in suite_dir.glob("*.csv")) == cli_csvs
+    for name in cli_csvs:
+        assert (cli_dir / name).read_bytes() == (suite_dir / name).read_bytes(), name
+    return cli_csvs
+
+
 def test_collisions_subcommand_matches_a_one_entry_suite(tmp_path, capsys):
     n, d, eta, lam, seed = 40, 8, 6, 5, 4
-    status = main(
-        [
-            "collisions",
-            "--n", str(n), "--d", str(d), "--codebook", "4",
-            "--eta", str(eta), "--lam", str(lam), "--relative",
-            "--feature-map", "random", "--seed", str(seed),
-            "--out-dir", str(tmp_path / "cli"),
-        ]
-    )
-    assert status == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0].strip() for line in lines] == ["linear-only", "window-only", "lola"]
-    assert lines[2].endswith(f"wrote {tmp_path / 'cli' / 'collisions-lola.csv'}")
     exp = {
         "kind": "collisions",
         "name": "collisions",
@@ -117,15 +120,68 @@ def test_collisions_subcommand_matches_a_one_entry_suite(tmp_path, capsys):
         "feature_map": "random",
         "relative": True,
     }
-    cfg_path = tmp_path / "suite.json"
-    cfg_path.write_text(json.dumps({"seed": seed, "experiments": [exp]}))
-    assert main(["suite", "--config", str(cfg_path), "--out-dir", str(tmp_path / "suite")]) == 0
-    (suite_dir,) = list((tmp_path / "suite").iterdir())
-    cli_csvs = sorted(p.name for p in (tmp_path / "cli").glob("*.csv"))
+    cli_args = [
+        "collisions",
+        "--n", str(n), "--d", str(d), "--codebook", "4",
+        "--eta", str(eta), "--lam", str(lam), "--relative",
+        "--feature-map", "random",
+    ]
+    cli_csvs = assert_cli_writes_what_the_suite_writes(tmp_path, cli_args, exp, seed)
     assert len(cli_csvs) == 6
-    assert sorted(p.name for p in suite_dir.glob("*.csv")) == cli_csvs
-    for name in cli_csvs:
-        assert (tmp_path / "cli" / name).read_bytes() == (suite_dir / name).read_bytes(), name
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0].strip() for line in lines] == ["linear-only", "window-only", "lola"]
+    assert lines[2].endswith(f"wrote {tmp_path / 'cli' / 'collisions-lola.csv'}")
+
+
+@pytest.mark.parametrize(
+    "cli_args, exp",
+    [
+        (
+            ["recall", "--n", "24", "--d", "8", "--codebook", "4", "--eta", "6", "--lam", "5",
+             "--chunk", "4", "--trials", "3", "--feature-map", "random"],
+            {"kind": "recall", "name": "recall", "n": 24, "d": 8, "codebook": 4, "trials": 3,
+             "feature_map": "random",
+             "variants": [{"name": "recall", "policy": "lola", "window": 6, "sparse": 5, "chunk": 4}]},
+        ),
+        (
+            ["ablate-scores", "--n", "24", "--d", "8", "--codebook", "4", "--budget", "8",
+             "--trials", "2", "--feature-map", "random"],
+            {"kind": "ablation", "name": "score_ablation", "n": 24, "d": 8, "codebook": 4,
+             "budget": 8, "trials": 2, "feature_map": "random"},
+        ),
+        # the command line sorts its lists, as the suite does
+        (
+            ["gram-study", "--n-list", "16,8", "--d-list", "6,4"],
+            {"kind": "gram-study", "name": "gram_study", "n_list": [8, 16], "d_list": [4, 6]},
+        ),
+    ],
+    ids=["recall", "ablate-scores", "gram-study-unsorted"],
+)
+def test_analysis_subcommands_write_what_a_one_entry_suite_writes(tmp_path, cli_args, exp):
+    # collisions has its own test above, which also checks what it prints
+    assert assert_cli_writes_what_the_suite_writes(tmp_path, cli_args, exp, seed=3)
+    if exp["kind"] == "gram-study":
+        rows = (tmp_path / "cli" / "gram_study.csv").read_text().splitlines()[1:]
+        shapes = [tuple(int(x) for x in row.split(",")[:2]) for row in rows]
+        assert shapes == sorted(shapes, key=lambda nd: (nd[1], nd[0]))
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--trials", "0"], "'trials' must be >= 1, got 0"),
+        (["--n", "-5"], "'n' must be >= 1, got -5"),
+        (["--needles", "30", "--n", "24"], "'needles' 30 exceeds 'n' 24"),
+    ],
+    ids=["trials-0", "n-negative", "needles-over-n"],
+)
+def test_recall_bad_sizes_exit_2_before_any_file_is_written(tmp_path, capsys, flags, message):
+    out_dir = tmp_path / "out"
+    status = main(["recall", *flags, "--feature-map", "random", "--out-dir", str(out_dir)])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: lola recall: ") and message in err
+    assert not out_dir.exists()
 
 
 def test_suite_config_errors_exit_2_naming_experiment_and_field(tmp_path, capsys):

@@ -1,139 +1,37 @@
-"""Substrate checks: dot/outer against naive loops, spectra, seeded sampling."""
-
-import math
+"""Substrate checks: input validation, the gram study's spectra, seeded sampling."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from lola.numerics import (
-    SeededRng,
-    dot,
-    gaussian_sample,
-    outer_accumulate,
-    singular_values,
-)
+from lola.analysis import gram_matrix, rank_study
+from lola.numerics import SeededRng, as_vector, gaussian_sample
 
 
-def test_dot_orthogonal():
-    assert dot([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-
-def test_dot_known_value():
-    assert dot([2.0, 3.0], [2.0, 3.0]) == 13.0
-
-
-def test_dot_dimension_mismatch():
+def test_as_vector_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
-        dot([1.0, 2.0], [1.0, 2.0, 3.0])
+        as_vector([1.0, 2.0, 3.0], dim=2)
 
 
-def test_dot_rejects_non_finite():
-    with pytest.raises(ValueError):
-        dot([1.0, np.nan], [1.0, 2.0])
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_dot_matches_summation_loop(seed):
-    gen = SeededRng(seed).generator()
-    a = gen.normal(size=8)
-    b = gen.normal(size=8)
-    expected = sum(float(a[i]) * float(b[i]) for i in range(8))
-    assert dot(a, b) == pytest.approx(expected, rel=1e-12)
-
-
-def test_outer_accumulate_forced():
-    out = outer_accumulate(np.zeros((2, 1)), [1.0, 0.0], [2.0])
-    assert out.tolist() == [[2.0], [0.0]]
-
-
-def test_outer_accumulate_zero_vector_is_identity():
-    gen = SeededRng(5).generator()
-    m = gen.normal(size=(3, 4))
-    out = outer_accumulate(m, np.zeros(3), gen.normal(size=4))
-    np.testing.assert_array_equal(out, m)
-
-
-def test_outer_accumulate_does_not_mutate():
-    m = np.ones((2, 2))
-    outer_accumulate(m, [1.0, 1.0], [1.0, 1.0])
-    np.testing.assert_array_equal(m, np.ones((2, 2)))
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_outer_accumulate_matches_entrywise_loop(seed):
-    gen = SeededRng(seed).generator()
-    m = gen.normal(size=(3, 5))
-    a = gen.normal(size=3)
-    b = gen.normal(size=5)
-    got = outer_accumulate(m, a, b)
-    for i in range(3):
-        for j in range(5):
-            assert got[i, j] == pytest.approx(m[i, j] + a[i] * b[j], rel=1e-12, abs=1e-15)
-
-
-def test_singular_values_identity():
-    np.testing.assert_allclose(singular_values(np.eye(3)), [1.0, 1.0, 1.0])
-
-
-def test_singular_values_diagonal_sorted():
-    np.testing.assert_allclose(singular_values(np.diag([2.0, 3.0, 1.0])), [3.0, 2.0, 1.0])
-
-
-def test_singular_values_shifted_identity_plus_ones():
-    # (e-1) I + J over n=4 orthonormal inputs: rank-one bump e-1+n, rest e-1
-    n = 4
-    g = (math.e - 1.0) * np.eye(n) + np.ones((n, n))
-    sv = singular_values(g)
-    expected = [math.e - 1.0 + n] + [math.e - 1.0] * (n - 1)
-    np.testing.assert_allclose(sv, expected, rtol=1e-12)
+def test_as_vector_rejects_non_finite():
+    with pytest.raises(ValueError, match="non-finite"):
+        as_vector([1.0, np.nan])
 
 
 def test_singular_values_count_and_order():
-    gen = SeededRng(11).generator()
-    g = gen.normal(size=(6, 4))
-    sv = singular_values(g)
-    assert sv.shape == (4,)
-    assert np.all(np.diff(sv) <= 0)
-    assert np.all(sv >= 0)
+    for res in rank_study([6, 24], [4, 9], seed=11):
+        sv = res.singular_values
+        assert sv.shape == (res.n,)
+        assert np.all(np.diff(sv) <= 0)
+        assert np.all(sv >= 0)
 
 
 def test_singular_values_frobenius_identity_random_64():
-    gen = SeededRng(12).generator()
-    for _ in range(10):
-        g = gen.normal(size=(64, 64))
-        sv = singular_values(g)
-        assert (sv**2).sum() == pytest.approx((g**2).sum(), rel=1e-8)
-
-
-def test_dot_and_outer_match_naive_loops_bulk():
-    # 1000 random cases against plain Python accumulation
-    gen = SeededRng(40).generator()
-    for _ in range(1000):
-        d1, d2 = int(gen.integers(1, 7)), int(gen.integers(1, 7))
-        a = gen.normal(size=d1)
-        b = gen.normal(size=d1)
-        expected = 0.0
-        for i in range(d1):
-            expected += float(a[i]) * float(b[i])
-        assert dot(a, b) == pytest.approx(expected, rel=1e-12, abs=1e-15)
-
-        m = gen.normal(size=(d1, d2))
-        u, w = gen.normal(size=d1), gen.normal(size=d2)
-        got = outer_accumulate(m, u, w)
-        for i in range(d1):
-            for j in range(d2):
-                assert got[i, j] == pytest.approx(m[i, j] + u[i] * w[j], rel=1e-12, abs=1e-15)
-
-
-def test_singular_values_rejects_non_finite():
-    bad = np.ones((2, 2))
-    bad[0, 0] = np.inf
-    with pytest.raises(ValueError):
-        singular_values(bad)
+    # the study's inputs for dimension d are the seed's child stream d
+    for seed in range(10):
+        (res,) = rank_study([64], [8], seed=seed)
+        xs = gaussian_sample(SeededRng(seed).child(8), 64, 8, 8 ** -0.25)
+        g = gram_matrix(xs)
+        assert (res.singular_values**2).sum() == pytest.approx((g**2).sum(), rel=1e-8)
 
 
 def test_gaussian_sample_deterministic():

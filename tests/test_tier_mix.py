@@ -1,0 +1,158 @@
+"""The shared-denominator tier mix against the two bodies it replaced.
+
+``LolaCache.attend`` and ``attend_after_prefill`` each used to compute the
+three-tier ratio inline; both now call ``cache._mix_tiers``. The references
+below are those bodies verbatim, so every output must match them bit for
+bit, and a denominator that is not positive must still raise.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from lola import AttentionConfig, LolaCache, SeededRng, init_feature_map, prefill
+from lola.attention import DEFAULT_MAX_LOGIT, _feature_row, feature_map_apply
+from lola.chunkwise import ChunkConfig, attend_after_prefill
+from lola.numerics import as_vector
+
+
+def reference_attend(self, query):
+    if self.t < 1:
+        raise ValueError("attend called before any pair was admitted")
+    q = as_vector(query, self.config.head_dim)
+    phi_q = _feature_row(self.params, q, self.max_logit)
+    scale = self.config.scale
+    nw, ns = self._wlen, self._slen
+    logit_w = (self._wk[:nw] @ q) * scale
+    logit_s = (self._sk[:ns] @ q) * scale
+    shift = float(max(logit_w.max(initial=0.0), logit_s.max(initial=0.0)))
+    ew = np.exp(logit_w - shift)
+    es = np.exp(logit_s - shift)
+    damp = np.exp(-shift)
+    num = ew @ self._wv[:nw] + es @ self._sv[:ns] + damp * (phi_q @ self.linear.hidden)
+    den = float(ew.sum() + es.sum()) + damp * float(phi_q @ self.linear.normalizer)
+    if not den > 0.0:
+        raise ValueError(f"shared denominator {den:g} is not positive")
+    return num / den
+
+
+def reference_attend_after_prefill(state, query, attn, params, max_logit=DEFAULT_MAX_LOGIT):
+    q = as_vector(query, attn.head_dim)
+    phi_q = feature_map_apply(params, q, max_logit)
+    logit_s = (state.sparse_keys @ q) * attn.scale
+    logit_r = (state.recent_keys @ q) * attn.scale
+    shift = 0.0
+    if logit_s.size:
+        shift = max(shift, float(logit_s.max()))
+    if logit_r.size:
+        shift = max(shift, float(logit_r.max()))
+    es = np.exp(logit_s - shift)
+    er = np.exp(logit_r - shift)
+    damp = np.exp(-shift)
+    num = es @ state.sparse_values + er @ state.recent_values + damp * (
+        phi_q @ state.linear.hidden
+    )
+    den = float(es.sum() + er.sum()) + damp * float(phi_q @ state.linear.normalizer)
+    if not den > 0.0:
+        raise ValueError(f"shared denominator {den:g} is not positive")
+    return num / den
+
+
+def stream(d, n, key_scale, seed):
+    cfg = AttentionConfig(d)
+    params = init_feature_map(SeededRng(seed), cfg)
+    gen = SeededRng(seed).child(1).generator()
+    ks = gen.normal(0.0, key_scale, (n, d))
+    vs = gen.normal(size=(n, d))
+    qs = gen.normal(0.0, key_scale, (4, d))
+    return cfg, params, ks, vs, qs
+
+
+def same_outcome(got, want, *args):
+    """Both calls return the same bits, or both raise the same ValueError."""
+    try:
+        expected = want(*args)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            got(*args)
+        assert str(raised.value) == str(exc)
+        return False
+    assert got(*args).tobytes() == expected.tobytes()
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.sampled_from([1, 4, 16]),
+    eta=st.integers(0, 6),
+    lam=st.integers(0, 4),
+    n=st.integers(1, 30),
+    key_scale=st.floats(0.1, 3.0),
+    seed=st.integers(0, 2**16),
+)
+@example(d=4, eta=0, lam=0, n=5, key_scale=1.0, seed=0)  # linear-only
+@example(d=4, eta=3, lam=0, n=12, key_scale=1.0, seed=1)  # no sparse tier
+@example(d=4, eta=0, lam=3, n=12, key_scale=1.0, seed=2)  # no window
+@example(d=16, eta=8, lam=2, n=6, key_scale=2.0, seed=3)  # nothing evicted yet
+def test_attend_matches_the_inline_mix_bit_for_bit(d, eta, lam, n, key_scale, seed):
+    cfg, params, ks, vs, qs = stream(d, n, key_scale, seed)
+    eng = LolaCache(cfg, params, eta, lam)
+    eng.ingest(ks, vs)
+    for q in qs:
+        same_outcome(eng.attend, lambda q: reference_attend(eng, q), q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.sampled_from([1, 4, 16]),
+    chunk=st.sampled_from([1, 3, 7, 64]),
+    lam=st.integers(0, 4),
+    n=st.integers(1, 40),
+    key_scale=st.floats(0.1, 3.0),
+    seed=st.integers(0, 2**16),
+    drop_recent=st.booleans(),
+)
+@example(d=4, chunk=7, lam=0, n=30, key_scale=1.0, seed=0, drop_recent=False)
+@example(d=4, chunk=3, lam=0, n=30, key_scale=1.0, seed=1, drop_recent=True)
+@example(d=4, chunk=1, lam=2, n=3, key_scale=1.0, seed=2, drop_recent=True)
+def test_attend_after_prefill_matches_the_inline_mix_bit_for_bit(
+    d, chunk, lam, n, key_scale, seed, drop_recent
+):
+    cfg, params, ks, vs, qs = stream(d, n, key_scale, seed)
+    _, state = prefill(ks, ks, vs, ChunkConfig(chunk, lam), cfg, params)
+    if drop_recent:
+        # a carry-over state with an empty recent tier
+        state = dataclasses.replace(
+            state, recent_keys=state.recent_keys[:0], recent_values=state.recent_values[:0]
+        )
+    for q in qs:
+        same_outcome(attend_after_prefill, reference_attend_after_prefill, state, q, cfg, params)
+
+
+@pytest.mark.parametrize("eta, lam", [(0, 0), (3, 0), (0, 3), (3, 3)])
+def test_attend_still_rejects_a_nan_normalizer(eta, lam):
+    cfg, params, ks, vs, qs = stream(4, 12, 1.0, 5)
+    eng = LolaCache(cfg, params, eta, lam)
+    eng.ingest(ks, vs)
+    eng.linear.normalizer = np.full(cfg.feature_dim, np.nan)
+    assert not same_outcome(eng.attend, lambda q: reference_attend(eng, q), qs[0])
+    with pytest.raises(ValueError, match="shared denominator nan is not positive"):
+        eng.attend(qs[0])
+
+
+@pytest.mark.parametrize("lam, drop_recent", [(0, False), (2, False), (2, True)])
+def test_attend_after_prefill_still_rejects_a_nan_normalizer(lam, drop_recent):
+    cfg, params, ks, vs, qs = stream(4, 20, 1.0, 6)
+    _, state = prefill(ks, ks, vs, ChunkConfig(3, lam), cfg, params)
+    if drop_recent:
+        state = dataclasses.replace(
+            state, recent_keys=state.recent_keys[:0], recent_values=state.recent_values[:0]
+        )
+    state.linear.normalizer[:] = np.nan
+    args = (state, qs[0], cfg, params)
+    assert not same_outcome(attend_after_prefill, reference_attend_after_prefill, *args)
+    with pytest.raises(ValueError, match="shared denominator nan is not positive"):
+        attend_after_prefill(*args)
