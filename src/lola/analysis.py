@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import (
-    DEFAULT_MAX_LOGIT,
-    AttentionConfig,
-    FeatureMapParams,
-    feature_map_batch,
-)
+from .attention import AttentionConfig, FeatureMapParams, _guard, feature_map_batch
 from .cache import LolaCache, ScoringStrategy, StaticScoring, _self_recall_scores
 from .numerics import SeededRng, as_matrix, gaussian_sample
 
@@ -39,7 +34,6 @@ __all__ = [
     "gram_matrix",
     "mean_absorbed_error",
     "rank_study",
-    "relative_collision_matrix",
     "relative_to_absorption",
     "truncated_errors",
     "write_collision_csv",
@@ -50,22 +44,18 @@ __all__ = [
 # -- exponential-kernel spectra ------------------------------------------
 
 
-def gram_matrix(xs, max_logit: float = DEFAULT_MAX_LOGIT) -> np.ndarray:
+def gram_matrix(xs) -> np.ndarray:
     """Pairwise ``exp(x_i . x_j)`` for the rows of ``xs``.
 
     Symmetric positive semidefinite, with ``exp(|x_i|^2)`` on the diagonal.
-    Inputs whose pairwise products exceed ``max_logit`` are rejected before
-    exponentiation.
+    Inputs whose pairwise products exceed the feature map's fixed bound
+    (``OverflowGuardError``) are rejected before exponentiation.
     """
     xs = as_matrix(xs)
     if xs.shape[0] < 1:
         raise ValueError("need at least one input vector")
     z = xs @ xs.T
-    peak = float(np.max(np.abs(z)))
-    if peak > max_logit:
-        raise ValueError(
-            f"kernel exponent {peak:.4g} exceeds the bound {max_logit:g}; rescale the inputs"
-        )
+    _guard(z)
     return np.exp(z)
 
 
@@ -84,24 +74,23 @@ class GramStudyResult:
     truncated_errors: np.ndarray  # length n + 1, indexed by retained rank
 
 
-def rank_study(n_list, d_list, seed: int, scale_rule=None) -> list[GramStudyResult]:
+def rank_study(n_list, d_list, seed: int) -> list[GramStudyResult]:
     """Gram spectra over a grid of sample counts and input dimensions.
 
     Inputs for a given dimension are drawn once at the largest n and reused
     as prefixes, so the error curve for a larger n dominates a smaller one at
-    every rank by eigenvalue interlacing, not just on average. The default
-    sampling scale is ``d ** -0.25`` per entry, which keeps pairwise dot
-    products of comparable size across dimensions.
+    every rank by eigenvalue interlacing, not just on average. The sampling
+    scale is ``d ** -0.25`` per entry, which keeps pairwise dot products of
+    comparable size across dimensions.
     """
     n_list = [int(n) for n in n_list]
     d_list = [int(d) for d in d_list]
     if not n_list or min(n_list) < 1 or not d_list or min(d_list) < 1:
         raise ValueError("n_list and d_list must contain positive integers")
-    rule = scale_rule if scale_rule is not None else (lambda d: d ** -0.25)
     rng = SeededRng(seed)
     results = []
     for d in d_list:
-        xs = gaussian_sample(rng.child(d), max(n_list), d, rule(d))
+        xs = gaussian_sample(rng.child(d), max(n_list), d, d ** -0.25)
         for n in n_list:
             # sorted descending
             sv = np.linalg.svd(gram_matrix(xs[:n]), compute_uv=False)
@@ -121,7 +110,6 @@ def engine_for_policy(
     params: FeatureMapParams,
     window_capacity: int,
     sparse_capacity: int,
-    max_logit: float = DEFAULT_MAX_LOGIT,
 ) -> LolaCache:
     """Build the decode engine a policy name denotes.
 
@@ -130,11 +118,11 @@ def engine_for_policy(
     swaps the self-recall rule for one of the alternative window scores.
     """
     if policy == "linear-only":
-        return LolaCache(attn, params, 0, 0, max_logit=max_logit)
+        return LolaCache(attn, params, 0, 0)
     if policy == "window-only":
-        return LolaCache(attn, params, window_capacity, 0, max_logit=max_logit)
+        return LolaCache(attn, params, window_capacity, 0)
     if policy == "lola":
-        return LolaCache(attn, params, window_capacity, sparse_capacity, max_logit=max_logit)
+        return LolaCache(attn, params, window_capacity, sparse_capacity)
     if policy.startswith("lola-altscore:"):
         name = policy.split(":", 1)[1]
         if name not in SCORING_STRATEGIES:
@@ -142,12 +130,7 @@ def engine_for_policy(
                 f"unknown scoring strategy {name!r}; have {sorted(SCORING_STRATEGIES)}"
             )
         return LolaCache(
-            attn,
-            params,
-            window_capacity,
-            sparse_capacity,
-            scoring=SCORING_STRATEGIES[name](),
-            max_logit=max_logit,
+            attn, params, window_capacity, sparse_capacity, scoring=SCORING_STRATEGIES[name]()
         )
     raise ValueError(f"unknown policy {policy!r}")
 
@@ -175,7 +158,6 @@ def collision_matrix(
     sparse_capacity: int,
     attn: AttentionConfig,
     params: FeatureMapParams,
-    max_logit: float = DEFAULT_MAX_LOGIT,
 ) -> CollisionMatrix:
     """Replay a stream under ``policy`` and score every stored pair at every step."""
     keys = as_matrix(keys, cols=attn.head_dim)
@@ -183,8 +165,8 @@ def collision_matrix(
     t_total = keys.shape[0]
     if t_total < 1:
         raise ValueError("need at least one pair")
-    engine = engine_for_policy(policy, attn, params, window_capacity, sparse_capacity, max_logit)
-    phi = feature_map_batch(params, keys, max_logit)
+    engine = engine_for_policy(policy, attn, params, window_capacity, sparse_capacity)
+    phi = feature_map_batch(params, keys)
     errors = np.full((t_total, t_total), np.nan)
     absorbed_at = np.zeros(t_total, dtype=np.int64)
     for t in range(1, t_total + 1):
@@ -200,24 +182,6 @@ def collision_matrix(
         unabsorbed[resident] = False
         absorbed_at[:t][unabsorbed] = t
     return CollisionMatrix(policy, errors, absorbed_at)
-
-
-def relative_collision_matrix(
-    keys,
-    values,
-    policy: str,
-    window_capacity: int,
-    sparse_capacity: int,
-    attn: AttentionConfig,
-    params: FeatureMapParams,
-    max_logit: float = DEFAULT_MAX_LOGIT,
-) -> CollisionMatrix:
-    """``relative_to_absorption`` of a fresh ``collision_matrix`` replay."""
-    return relative_to_absorption(
-        collision_matrix(
-            keys, values, policy, window_capacity, sparse_capacity, attn, params, max_logit
-        )
-    )
 
 
 def relative_to_absorption(cm: CollisionMatrix) -> CollisionMatrix:

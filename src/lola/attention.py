@@ -5,10 +5,11 @@ The oracle evaluates causal attention exactly, with per-query max subtraction
 for stability, so each output is a convex combination of the values seen so
 far. The feature map sends ``x`` to ``[exp(w_i.x)] ++ [exp(-w_i.x)]``: every
 output entry is strictly positive and paired entries multiply to exactly one.
-A bound on the pre-exponential magnitude rejects inputs that would wash out
-downstream normalizers. ``distill_feature_map`` fits the map so the linear
-recall path tracks the oracle on a corpus, by gradient descent on the squared
-error with backtracking (the loss never increases between accepted steps).
+A fixed bound, ``DEFAULT_MAX_LOGIT``, on the pre-exponential magnitude rejects
+inputs that would wash out downstream normalizers. ``distill_feature_map``
+fits the map so the linear recall path tracks the oracle on a corpus, by
+gradient descent on the squared error with backtracking (the loss never
+increases between accepted steps).
 """
 
 from __future__ import annotations
@@ -39,11 +40,12 @@ __all__ = [
     "softmax_attention_oracle",
 ]
 
+# the largest |w.x| the feature map exponentiates; a numeric guard, not a knob
 DEFAULT_MAX_LOGIT = 30.0
 
 
 class OverflowGuardError(ValueError):
-    """A pre-exponential magnitude exceeded the configured bound."""
+    """A pre-exponential magnitude exceeded ``DEFAULT_MAX_LOGIT``."""
 
 
 class DistillationDiverged(RuntimeError):
@@ -101,23 +103,23 @@ def init_feature_map(rng: SeededRng, config: AttentionConfig) -> FeatureMapParam
     return FeatureMapParams(w)
 
 
-def _guard(z: np.ndarray, max_logit: float) -> None:
+def _guard(z: np.ndarray) -> None:
     peak = float(np.max(np.abs(z))) if z.size else 0.0
-    if peak > max_logit:
+    if peak > DEFAULT_MAX_LOGIT:
         raise OverflowGuardError(
-            f"pre-exponential magnitude {peak:.4g} exceeds the bound {max_logit:g}; "
-            "rescale the inputs or raise the bound"
+            f"pre-exponential magnitude {peak:.4g} exceeds the bound {DEFAULT_MAX_LOGIT:g}; "
+            "rescale the inputs"
         )
 
 
-def _feature_row(params: FeatureMapParams, x: np.ndarray, max_logit: float) -> np.ndarray:
+def _feature_row(params: FeatureMapParams, x: np.ndarray) -> np.ndarray:
     """``feature_map_apply`` on an already validated vector."""
     z = params.weights @ x
-    _guard(z, max_logit)
+    _guard(z)
     return np.concatenate([np.exp(z), np.exp(-z)])
 
 
-def _feature_rows(params: FeatureMapParams, xs: np.ndarray, max_logit: float) -> np.ndarray:
+def _feature_rows(params: FeatureMapParams, xs: np.ndarray) -> np.ndarray:
     """``_feature_row`` of every row of an already validated matrix, bit for bit.
 
     A stacked matrix-vector product gives each row the bits of ``W @ x``; the
@@ -126,25 +128,25 @@ def _feature_rows(params: FeatureMapParams, xs: np.ndarray, max_logit: float) ->
     row before any is returned.
     """
     z = np.matmul(params.weights, xs[:, :, None])[:, :, 0]
-    _guard(z, max_logit)
+    _guard(z)
     return np.concatenate([np.exp(z), np.exp(-z)], axis=1)
 
 
-def feature_map_apply(params: FeatureMapParams, x, max_logit: float = DEFAULT_MAX_LOGIT) -> np.ndarray:
+def feature_map_apply(params: FeatureMapParams, x) -> np.ndarray:
     """Map one vector to its strictly positive feature vector."""
-    return _feature_row(params, as_vector(x, dim=params.head_dim), max_logit)
+    return _feature_row(params, as_vector(x, dim=params.head_dim))
 
 
-def _feature_batch(params: FeatureMapParams, xs: np.ndarray, max_logit: float) -> np.ndarray:
+def _feature_batch(params: FeatureMapParams, xs: np.ndarray) -> np.ndarray:
     """``feature_map_batch`` on an already validated matrix: one GEMM."""
     z = xs @ params.weights.T
-    _guard(z, max_logit)
+    _guard(z)
     return np.concatenate([np.exp(z), np.exp(-z)], axis=1)
 
 
-def feature_map_batch(params: FeatureMapParams, xs, max_logit: float = DEFAULT_MAX_LOGIT) -> np.ndarray:
+def feature_map_batch(params: FeatureMapParams, xs) -> np.ndarray:
     """Map rows of ``xs`` to feature vectors, one per row."""
-    return _feature_batch(params, as_matrix(xs, cols=params.head_dim), max_logit)
+    return _feature_batch(params, as_matrix(xs, cols=params.head_dim))
 
 
 def softmax_attention_oracle(qs, ks, vs, scale: float) -> np.ndarray:
@@ -249,14 +251,14 @@ def _prepare(config, sequences) -> list:
     return prepared
 
 
-def _forward(params, prepared, max_logit):
+def _forward(params, prepared):
     """Squared tracking error of the linear path against the oracle, summed in
     sequence order, and per sequence what ``_backward`` needs."""
     total = 0.0
     states = []
     for qs, ks, vs, mask, teacher in prepared:
-        phi_q = _feature_batch(params, qs, max_logit)
-        phi_k = _feature_batch(params, ks, max_logit)
+        phi_q = _feature_batch(params, qs)
+        phi_k = _feature_batch(params, ks)
         pm = (phi_q @ phi_k.T) * mask
         denom = pm.sum(axis=1)  # strictly positive: the map is positive
         yhat = (pm @ vs) / denom[:, None]
@@ -283,14 +285,14 @@ def _backward(weights, prepared, states) -> np.ndarray:
     return grad
 
 
-def distillation_loss(params, config, sequences, max_logit: float = DEFAULT_MAX_LOGIT) -> float:
-    return _forward(params, _prepare(config, sequences), max_logit)[0]
+def distillation_loss(params, config, sequences) -> float:
+    return _forward(params, _prepare(config, sequences))[0]
 
 
-def distillation_gradient(params, config, sequences, max_logit: float = DEFAULT_MAX_LOGIT):
+def distillation_gradient(params, config, sequences):
     """Total loss and its gradient in the map weights, summed over sequences."""
     prepared = _prepare(config, sequences)
-    loss, states = _forward(params, prepared, max_logit)
+    loss, states = _forward(params, prepared)
     return loss, _backward(params.weights, prepared, states)
 
 
@@ -301,7 +303,6 @@ def distill_feature_map(
     steps: int,
     learning_rate: float,
     *,
-    max_logit: float = DEFAULT_MAX_LOGIT,
     init: FeatureMapParams | None = None,
     loss_history: list | None = None,
 ) -> FeatureMapParams:
@@ -324,7 +325,7 @@ def distill_feature_map(
     lr = learning_rate
     if steps or loss_history is not None:
         prepared = _prepare(config, sequences)
-        loss, states = _forward(FeatureMapParams(w), prepared, max_logit)
+        loss, states = _forward(FeatureMapParams(w), prepared)
     for _ in range(steps):
         if not np.isfinite(loss):
             raise DistillationDiverged(f"training loss became non-finite ({loss})")
@@ -335,7 +336,7 @@ def distill_feature_map(
             states = None  # hold one forward pass at a time
             w_try = w - lr * grad
             try:
-                new_loss, states = _forward(FeatureMapParams(w_try), prepared, max_logit)
+                new_loss, states = _forward(FeatureMapParams(w_try), prepared)
             except OverflowGuardError:
                 new_loss = np.inf
             if np.isfinite(new_loss) and new_loss <= loss:

@@ -43,6 +43,7 @@ Selection details, fixed for determinism:
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -177,6 +178,14 @@ _BOUND_FLOOR = 1e-150
 
 _SNAPSHOT_V1 = "lola-cache-snapshot-v1"
 _SNAPSHOT_V2 = "lola-cache-snapshot-v2"  # v1 plus absorbed_score_sum
+# what ``from_snapshot`` reads; v1 lacks the last field
+_SNAPSHOT_FIELDS = (
+    "config", "weights", "t", "hidden", "normalizer", "absorbed_count", "window", "sparse",
+    "absorbed_score_sum",
+)
+_CONFIG_FIELDS = (
+    "head_dim", "feature_dim", "scale", "window_capacity", "sparse_capacity", "max_logit", "scoring"
+)
 _EMPTY_IDX = np.empty(0, dtype=np.int64)
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
 
@@ -211,7 +220,6 @@ class LolaCache:
         sparse_capacity: int,
         *,
         scoring: ScoringStrategy | None = None,
-        max_logit: float = DEFAULT_MAX_LOGIT,
     ):
         if window_capacity < 0 or sparse_capacity < 0:
             raise ValueError("capacities must be >= 0")
@@ -225,7 +233,6 @@ class LolaCache:
         self.window_capacity = window_capacity
         self.sparse_capacity = sparse_capacity
         self.scoring = scoring if scoring is not None else SelfRecallScoring()
-        self.max_logit = max_logit
         self.linear = LinearState.zeros(config.feature_dim, config.head_dim)
         self.t = 0
         # the latest step: a StepEvent, or the arguments of ``_event_of``
@@ -303,7 +310,7 @@ class LolaCache:
             raise ValueError(f"index discontinuity: expected {idx}, got {index}")
         key = as_vector(key, self.config.head_dim)
         value = as_vector(value, self.config.head_dim)
-        self._admit(key, value, _feature_row(self.params, key, self.max_logit))
+        self._admit(key, value, _feature_row(self.params, key))
 
     def ingest(self, keys, values, queries=None) -> None:
         """Admit a stream of pairs in order, as ``update`` does one by one.
@@ -324,8 +331,8 @@ class LolaCache:
             if queries is None:
                 raise ValueError(f"scoring rule {self.scoring.name!r} needs the stream's queries")
             queries = as_matrix(queries, rows=keys.shape[0], cols=d)
-            phi_q = _feature_rows(self.params, queries, self.max_logit)
-        phi_k = _feature_rows(self.params, keys, self.max_logit)
+            phi_q = _feature_rows(self.params, queries)
+        phi_k = _feature_rows(self.params, keys)
         for t in range(keys.shape[0]):
             self._admit(keys[t], values[t], phi_k[t])
             if static:
@@ -502,7 +509,7 @@ class LolaCache:
         if self.scoring.dynamic or self._wlen == 0:
             return
         q = as_vector(query, self.config.head_dim)
-        self._accumulate(q, _feature_row(self.params, q, self.max_logit))
+        self._accumulate(q, _feature_row(self.params, q))
 
     def _accumulate(self, q: np.ndarray, phi_q: np.ndarray) -> None:
         nw = self._wlen
@@ -523,7 +530,7 @@ class LolaCache:
         if self.t < 1:
             raise ValueError("attend called before any pair was admitted")
         q = as_vector(query, self.config.head_dim)
-        phi_q = _feature_row(self.params, q, self.max_logit)
+        phi_q = _feature_row(self.params, q)
         nw, ns = self._wlen, self._slen
         return _mix_tiers(
             q, phi_q, self.config.scale,
@@ -562,7 +569,7 @@ class LolaCache:
                 "scale": self.config.scale,
                 "window_capacity": self.window_capacity,
                 "sparse_capacity": self.sparse_capacity,
-                "max_logit": self.max_logit,
+                "max_logit": DEFAULT_MAX_LOGIT,
                 "scoring": self.scoring.name,
             },
             "weights": self.params.weights.reshape(-1).tolist(),
@@ -593,11 +600,23 @@ class LolaCache:
 
     @classmethod
     def from_snapshot(cls, snap: dict, scoring: ScoringStrategy | None = None) -> "LolaCache":
+        """Restore a cache from ``to_snapshot`` output, v1 or v2. A malformed
+        snapshot raises ``ValueError`` naming the field at fault."""
+        if not isinstance(snap, dict):
+            raise ValueError(f"snapshot must be an object, got {type(snap).__name__}")
         version = snap.get("format")
         if version not in (_SNAPSHOT_V1, _SNAPSHOT_V2):
             raise ValueError("unrecognized snapshot format")
+        _require(snap, _SNAPSHOT_FIELDS[: None if version == _SNAPSHOT_V2 else -1], "snapshot")
         cfg = snap["config"]
+        _require(cfg, _CONFIG_FIELDS, "snapshot 'config'")
         fdim, d, t = cfg["feature_dim"], cfg["head_dim"], snap["t"]
+        if type(t) is not int or t < 0:
+            raise ValueError(f"snapshot 't' {t!r} is not an int >= 0")
+        if cfg["max_logit"] != DEFAULT_MAX_LOGIT:
+            raise ValueError(
+                f"snapshot 'max_logit' {cfg['max_logit']!r} is not the fixed bound {DEFAULT_MAX_LOGIT:g}"
+            )
         config = AttentionConfig(d, fdim, cfg["scale"])
         weights = np.asarray(snap["weights"], dtype=np.float64).reshape(fdim // 2, d)
         params = FeatureMapParams(weights)
@@ -613,18 +632,16 @@ class LolaCache:
             cfg["window_capacity"],
             cfg["sparse_capacity"],
             scoring=scoring,
-            max_logit=cfg["max_logit"],
         )
         hidden = np.asarray(snap["hidden"], dtype=np.float64)
         normalizer = np.asarray(snap["normalizer"], dtype=np.float64)
         for name, arr, n in (("hidden", hidden, fdim * d), ("normalizer", normalizer, fdim)):
             if arr.shape != (n,):
                 raise ValueError(f"snapshot {name!r} has shape {arr.shape}, expected ({n},)")
-        for name, cap in (("window", cache.window_capacity), ("sparse", cache.sparse_capacity)):
-            if len(snap[name]) > cap:
-                raise ValueError(f"snapshot {name!r}: {len(snap[name])} pairs > capacity {cap}")
-        widx = [entry["index"] for entry in snap["window"]]
-        sidx = [entry["index"] for entry in snap["sparse"]]
+        window = _tier_entries(snap, "window", "acc", cache.window_capacity, d)
+        sparse = _tier_entries(snap, "sparse", "score", cache.sparse_capacity, d)
+        widx = [entry[0] for entry in window]
+        sidx = [entry[0] for entry in sparse]
         nw, ns = len(widx), len(sidx)
         if widx != list(range(t - nw + 1, t + 1)):
             raise ValueError(f"snapshot 'window' indices {widx} are not the run ending at t={t}")
@@ -656,26 +673,63 @@ class LolaCache:
             cache._rmax = float((row_norms / normalizer).max())
         # pair i sits in ring slot (i - 1) % capacity, as in the saved engine,
         # so window sums run in the same order and keep the same bits
-        for entry in snap["window"]:
-            i = (entry["index"] - 1) % cache.window_capacity
-            cache._wk[i] = entry["key"]
-            cache._wv[i] = entry["value"]
-            cache._widx[i] = entry["index"]
-            cache._wacc[i] = entry["acc"]
+        for index, key, value, acc in window:
+            i = (index - 1) % cache.window_capacity
+            cache._wk[i] = key
+            cache._wv[i] = value
+            cache._widx[i] = index
+            cache._wacc[i] = acc
         cache._wlen = nw
-        cache._wphi[:nw] = _feature_rows(params, as_matrix(cache._wk[:nw]), cfg["max_logit"])
+        cache._wphi[:nw] = _feature_rows(params, cache._wk[:nw])
         cache._wnext = t % cache.window_capacity if cache.window_capacity else 0
-        for i, entry in enumerate(snap["sparse"]):
-            cache._sk[i] = entry["key"]
-            cache._sv[i] = entry["value"]
-            cache._sidx[i] = entry["index"]
-            cache._sscore[i] = entry["score"]
+        for i, (index, key, value, score) in enumerate(sparse):
+            cache._sk[i] = key
+            cache._sv[i] = value
+            cache._sidx[i] = index
+            cache._sscore[i] = score
         cache._slen = ns
-        cache._sphi[:ns] = _feature_rows(params, as_matrix(cache._sk[:ns]), cfg["max_logit"])
+        cache._sphi[:ns] = _feature_rows(params, cache._sk[:ns])
         # restored residents' scores are not tracked: their bounds start open
         cache._svnorm[:ns] = np.sqrt(np.add.reduce(cache._sv[:ns] ** 2, axis=1))
         cache._assert_conserved()
         return cache
+
+
+def _require(obj, names, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object, got {type(obj).__name__}")
+    missing = [name for name in names if name not in obj]
+    if missing:
+        raise ValueError(f"{where} is missing {', '.join(map(repr, missing))}")
+
+
+def _tier_entries(snap: dict, name: str, extra: str, capacity: int, d: int) -> list:
+    """The (index, key, value, acc or score) of each snapshot pair in tier
+    ``name``, checked: an int index, two finite length-``d`` vectors and a
+    finite number."""
+    entries = snap[name]
+    if not isinstance(entries, list):
+        raise ValueError(f"snapshot {name!r} must be a list, got {type(entries).__name__}")
+    if len(entries) > capacity:
+        raise ValueError(f"snapshot {name!r}: {len(entries)} pairs > capacity {capacity}")
+    checked = []
+    for j, entry in enumerate(entries):
+        where = f"snapshot {name!r}[{j}]"
+        _require(entry, ("index", "key", "value", extra), where)
+        index, number = entry["index"], entry[extra]
+        if type(index) is not int:
+            raise ValueError(f"{where} 'index' {index!r} is not an int")
+        vectors = []
+        for field_name in ("key", "value"):
+            try:
+                vectors.append(as_vector(entry[field_name], d))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{where} {field_name!r}: {exc}") from None
+        # the comparison is exact for ints, and false for NaN
+        if type(number) not in (int, float) or not abs(number) <= sys.float_info.max:
+            raise ValueError(f"{where} {extra!r} {number!r} is not a finite number")
+        checked.append((index, *vectors, number))
+    return checked
 
 
 def save_snapshot(cache: LolaCache, path) -> None:

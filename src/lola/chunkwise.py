@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import (
-    DEFAULT_MAX_LOGIT,
     AttentionConfig,
     FeatureMapParams,
     LinearState,
@@ -84,7 +83,6 @@ class PrefillState:
     recent_indices: np.ndarray
     processed: int
     peak_full_rank: int
-    absorbed_count: int
     absorbed_score_sum: float
     events: list[ChunkEvent] = field(default_factory=list)
 
@@ -106,7 +104,6 @@ def prefill(
     config: ChunkConfig,
     attn: AttentionConfig,
     params: FeatureMapParams,
-    max_logit: float = DEFAULT_MAX_LOGIT,
 ) -> tuple[np.ndarray, PrefillState]:
     """Run the chunked pass over a full sequence.
 
@@ -122,8 +119,8 @@ def prefill(
     c = config.chunk_size
     lam = config.sparse_capacity
 
-    phi_q = feature_map_batch(params, qs, max_logit)
-    phi_k = feature_map_batch(params, ks, max_logit)
+    phi_q = feature_map_batch(params, qs)
+    phi_k = feature_map_batch(params, ks)
     linear = LinearState.zeros(attn.feature_dim, attn.head_dim)
     sk = np.zeros((lam, attn.head_dim))
     sv = np.zeros((lam, attn.head_dim))
@@ -134,7 +131,6 @@ def prefill(
     out = np.empty_like(vs)
     events: list[ChunkEvent] = []
     peak = 0
-    absorbed_count = 0
     absorbed_score_sum = 0.0
     n_chunks = -(-n // c)
     # queries may not look ahead inside their own chunk; a short last chunk
@@ -177,7 +173,6 @@ def prefill(
             dropped = order[lam:]
             dropped = dropped[np.argsort(elig_idx[dropped])]
             linear.absorb(elig_phi[dropped], elig_v[dropped])
-            absorbed_count += dropped.shape[0]
             absorbed_score_sum += float(scores[dropped].sum())
 
             kept = kept[np.argsort(elig_idx[kept])]
@@ -211,7 +206,6 @@ def prefill(
         recent_indices=np.arange(r0 + 1, n + 1, dtype=np.int64),
         processed=n_chunks,
         peak_full_rank=peak,
-        absorbed_count=absorbed_count,
         absorbed_score_sum=absorbed_score_sum,
         events=events,
     )
@@ -223,12 +217,11 @@ def attend_after_prefill(
     query,
     attn: AttentionConfig,
     params: FeatureMapParams,
-    max_logit: float = DEFAULT_MAX_LOGIT,
 ) -> np.ndarray:
     """Answer one extra query as the first token of a hypothetical next chunk."""
     q = as_vector(query, attn.head_dim)
     return _mix_tiers(
-        q, _feature_row(params, q, max_logit), attn.scale,
+        q, _feature_row(params, q), attn.scale,
         state.sparse_keys, state.sparse_values, state.recent_keys, state.recent_values,
         state.linear,
     )

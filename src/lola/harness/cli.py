@@ -22,7 +22,7 @@ from ..numerics import SeededRng
 from .experiments import _distill_corpus
 from .io import sha256_file, write_manifest
 from .suite import _RUNNERS, ConfigError, load_config, run_suite, validate_config
-from .synthetic import SyntheticTaskSpec
+from .synthetic import _KEY_DISTRIBUTIONS, SyntheticTaskSpec
 
 __all__ = ["main"]
 
@@ -40,7 +40,7 @@ def _task_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--feature-dim", type=int, default=None, help="feature map width (default 2*d)")
     p.add_argument("--codebook", type=int, default=16, help="value codebook size")
     p.add_argument("--needles", type=int, default=1)
-    p.add_argument("--distribution", choices=("gaussian", "clustered"), default="clustered")
+    p.add_argument("--distribution", choices=_KEY_DISTRIBUTIONS, default="clustered")
     p.add_argument("--feature-map", default="distill", help="distill | random | path to a saved map")
 
 
@@ -87,14 +87,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(
+            f"lola gram-study: {flag} must be comma-separated integers, got {text!r}"
+        ) from None
+
+
 def _one_entry(args) -> dict:
     """The one-entry suite experiment that an analysis subcommand's flags denote."""
     if args.command == "gram-study":
         return {
             "kind": "gram-study",
             "name": "gram_study",
-            "n_list": [int(x) for x in args.n_list.split(",")],
-            "d_list": [int(x) for x in args.d_list.split(",")],
+            "n_list": _int_list("--n-list", args.n_list),
+            "d_list": _int_list("--d-list", args.d_list),
         }
     task = {
         "n": args.n,
@@ -177,8 +186,8 @@ def main(argv=None) -> int:
         return _finish(out_dir, args, [path])
 
     # recall, ablate-scores, collisions and gram-study run as one-entry suites
-    exp = _one_entry(args)
     try:
+        exp = _one_entry(args)
         validate_config({"seed": args.seed, "experiments": [exp]}, source=f"lola {args.command}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

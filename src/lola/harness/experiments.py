@@ -50,6 +50,9 @@ DISTILL_SEQ_LEN = 24
 DISTILL_STEPS = 40
 DISTILL_LR = 2e-4
 
+# the policies the chunked prefill path runs; the rest need the decode path
+_CHUNKED_POLICIES = ("lola", "window-only")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -175,7 +178,7 @@ def run_trial(
 ) -> tuple[bool, float, int]:
     """Run one stream + probe. Returns (hit, absorbed score sum, absorbed count)."""
     if exp.chunk_size is not None:
-        if exp.policy not in ("lola", "window-only"):
+        if exp.policy not in _CHUNKED_POLICIES:
             raise ValueError(
                 f"policy {exp.policy!r} runs on the decode path only; "
                 "the chunked path supports 'lola' and 'window-only'"
@@ -185,7 +188,7 @@ def run_trial(
         # queries equal keys on these streams: only the probe's answer matters
         _, state = prefill(inst.keys, inst.keys, inst.values, cc, attn, params)
         answer = attend_after_prefill(state, inst.probe, attn, params)
-        score_sum, absorbed = state.absorbed_score_sum, state.absorbed_count
+        score_sum, absorbed = state.absorbed_score_sum, state.linear.count
     else:
         engine = engine_for_policy(
             exp.policy, attn, params, exp.window_capacity, exp.sparse_capacity
@@ -201,18 +204,16 @@ def run_trial(
 def eval_recall(
     exp: ExperimentConfig,
     task: SyntheticTaskSpec,
-    trials: int | None = None,
     name: str = "recall",
 ) -> ResultRecord:
     """Accuracy of one policy over seeded trials of one task."""
-    trials = exp.trials if trials is None else trials
     attn = AttentionConfig(task.head_dim, exp.feature_dim)
     params = resolve_feature_map(exp, task, attn)
     base = SeededRng(exp.seed)
     t0 = time.perf_counter()
     matches = 0
     score_sum, absorbed = 0.0, 0
-    for i in range(trials):
+    for i in range(exp.trials):
         inst = gen_niah(task, seed=base.child(100, i).seed)
         hit, s, a = run_trial(exp, inst, attn, params)
         matches += hit
@@ -238,9 +239,9 @@ def eval_recall(
         feature_dim=attn.feature_dim,
         key_distribution=task.key_distribution,
         value_codebook_size=task.value_codebook_size,
-        trials=trials,
+        trials=exp.trials,
         seed=exp.seed,
-        accuracy=matches / trials,
+        accuracy=matches / exp.trials,
         mean_self_recall_error=score_sum / absorbed if absorbed else 0.0,
         effective_cache_size=size,
         wall_time_s=wall,

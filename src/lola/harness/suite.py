@@ -22,6 +22,7 @@ import numpy as np
 from .. import __version__
 from ..analysis import (
     POLICIES,
+    SCORING_STRATEGIES,
     collision_matrix,
     mean_absorbed_error,
     rank_study,
@@ -31,6 +32,7 @@ from ..analysis import (
 )
 from ..attention import AttentionConfig
 from .experiments import (
+    _CHUNKED_POLICIES,
     EXPECTED_ACCURACY_ORDER,
     RECORD_COLUMNS,
     ExperimentConfig,
@@ -40,7 +42,7 @@ from .experiments import (
     run_ablation,
 )
 from .io import sha256_file, write_manifest, write_rows_csv, write_rows_json
-from .synthetic import SyntheticTaskSpec, gen_niah
+from .synthetic import _KEY_DISTRIBUTIONS, SyntheticTaskSpec, gen_niah
 
 __all__ = [
     "DEFAULT_SUITE",
@@ -75,6 +77,8 @@ _INT_MIN = {
     "trials": 1, "budget": 0, "chunk": 1,
 }
 _CHECK_KEYS = {"type", "variant", "a", "b", "value", "variants"}
+# every policy the decode path runs, as ``engine_for_policy`` names them
+_DECODE_POLICIES = (*POLICIES, *(f"lola-altscore:{name}" for name in SCORING_STRATEGIES))
 
 
 DEFAULT_SUITE = {
@@ -190,6 +194,7 @@ def validate_config(config, source: str = "<config>") -> None:
         if unknown:
             raise ConfigError(f"{where}: unknown keys {sorted(unknown)} for kind {kind!r}")
         _check_ints(where, exp)
+        _check_choices(where, exp)
         if exp.get("needles", 1) > exp.get("n", 256):
             raise ConfigError(f"{where}: 'needles' {exp['needles']} exceeds 'n' {exp.get('n', 256)}")
         for field, allowed in (("variants", _VARIANT_KEYS), ("checks", _CHECK_KEYS)):
@@ -205,6 +210,7 @@ def validate_config(config, source: str = "<config>") -> None:
                     raise ConfigError(f"{at}: unknown keys {sorted(bad)}")
                 if field == "variants":
                     _check_ints(at, entry)
+                    _check_policy(at, entry)
         for artifact in _artifacts(exp):
             if artifact in written:
                 owner = written[artifact]
@@ -235,6 +241,38 @@ def _check_ints(where: str, entry: dict) -> None:
             raise ConfigError(f"{where}: {key!r} must be an integer, got {value!r}")
         if key in _INT_MIN and value < _INT_MIN[key]:
             raise ConfigError(f"{where}: {key!r} must be >= {_INT_MIN[key]}, got {value}")
+
+
+def _check_choices(where: str, exp: dict) -> None:
+    """The fields besides sizes that a run would reject partway through."""
+    fdim = exp.get("feature_dim")
+    if fdim is not None and (type(fdim) is not int or fdim < 2 or fdim % 2):
+        raise ConfigError(
+            f"{where}: 'feature_dim' must be null or an even integer >= 2, got {fdim!r}"
+        )
+    dist = exp.get("distribution", "clustered")
+    if dist not in _KEY_DISTRIBUTIONS:
+        raise ConfigError(
+            f"{where}: 'distribution' must be one of {list(_KEY_DISTRIBUTIONS)}, got {dist!r}"
+        )
+    for key in ("n_list", "d_list"):
+        values = exp.get(key, [1])
+        if not isinstance(values, list) or not values or any(type(v) is not int or v < 1 for v in values):
+            raise ConfigError(
+                f"{where}: {key!r} must be a non-empty list of integers >= 1, got {values!r}"
+            )
+
+
+def _check_policy(where: str, variant: dict) -> None:
+    policy = variant.get("policy", "lola")
+    if variant.get("chunk") is not None:
+        allowed, path = _CHUNKED_POLICIES, "the chunked path"
+    else:
+        allowed, path = _DECODE_POLICIES, "the decode path"
+    if policy not in allowed:
+        raise ConfigError(
+            f"{where}: 'policy' {policy!r} is not a policy {path} runs; have {list(allowed)}"
+        )
 
 
 def _task_from(exp: dict, seed: int) -> SyntheticTaskSpec:

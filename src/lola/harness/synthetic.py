@@ -36,6 +36,7 @@ CLUSTER_NOISE = 0.1      # intra-cluster key noise, relative to KEY_SCALE
 # outside what the distractor pattern predicts.
 NEEDLE_KEY_BOOST = 1.0
 NEEDLE_VALUE_BOOST = 2.5
+_KEY_DISTRIBUTIONS = ("gaussian", "clustered")
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ class SyntheticTaskSpec:
             )
         if self.head_dim < 1:
             raise ValueError(f"head_dim must be >= 1, got {self.head_dim}")
-        if self.key_distribution not in ("gaussian", "clustered"):
+        if self.key_distribution not in _KEY_DISTRIBUTIONS:
             raise ValueError(f"unknown key_distribution {self.key_distribution!r}")
         if self.value_codebook_size < 2:
             raise ValueError(

@@ -28,7 +28,7 @@ from lola.analysis import (
     gram_matrix,
     mean_absorbed_error,
     rank_study,
-    relative_collision_matrix,
+    relative_to_absorption,
     write_collision_csv,
 )
 from lola.attention import distill_feature_map, distillation_gradient, distillation_loss
@@ -295,7 +295,8 @@ def test_criterion_08_collision_analysis(tmp_path):
     # relative matrices reproduce byte for byte
     blobs = []
     for run in range(2):
-        rel = relative_collision_matrix(inst.keys, inst.values, "lola", 64, 64, attn, params)
+        cm = collision_matrix(inst.keys, inst.values, "lola", 64, 64, attn, params)
+        rel = relative_to_absorption(cm)
         path = tmp_path / f"rel{run}.csv"
         write_collision_csv(rel, path)
         blobs.append(path.read_bytes())

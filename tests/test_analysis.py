@@ -15,7 +15,6 @@ from lola.analysis import (
     gram_matrix,
     mean_absorbed_error,
     rank_study,
-    relative_collision_matrix,
     relative_to_absorption,
     truncated_errors,
     write_collision_csv,
@@ -163,7 +162,8 @@ def test_sparse_resident_columns_are_zero(collision_setup):
 
 def test_relative_zero_at_absorption_row(collision_setup):
     cfg, params, inst = collision_setup
-    rel = relative_collision_matrix(inst.keys[:48], inst.values[:48], "lola", 8, 4, cfg, params)
+    cm = collision_matrix(inst.keys[:48], inst.values[:48], "lola", 8, 4, cfg, params)
+    rel = relative_to_absorption(cm)
     for j in range(48):
         ta = int(rel.absorbed_at[j])
         if ta > 0:
@@ -176,15 +176,17 @@ def test_relative_of_an_existing_matrix_matches_a_fresh_replay(collision_setup):
     before = cm.errors.copy()
     rel = relative_to_absorption(cm)
     np.testing.assert_array_equal(cm.errors, before)
-    fresh = relative_collision_matrix(inst.keys[:64], inst.values[:64], "lola", 8, 4, cfg, params)
+    fresh = relative_to_absorption(
+        collision_matrix(inst.keys[:64], inst.values[:64], "lola", 8, 4, cfg, params)
+    )
     assert rel.errors.tobytes() == fresh.errors.tobytes()
     assert rel.absorbed_at.tobytes() == fresh.absorbed_at.tobytes()
 
 
 def test_relative_linear_only_early_pairs_drift_up(collision_setup):
     cfg, params, inst = collision_setup
-    rel = relative_collision_matrix(
-        inst.keys, inst.values, "linear-only", 0, 0, cfg, params
+    rel = relative_to_absorption(
+        collision_matrix(inst.keys, inst.values, "linear-only", 0, 0, cfg, params)
     )
     final = inst.keys.shape[0] - 1
     assert rel.errors[final, :5].mean() > 0.0
@@ -194,7 +196,8 @@ def test_relative_mean_drift_ordering(collision_setup):
     cfg, params, inst = collision_setup
     drifts = {}
     for policy in ("lola", "linear-only"):
-        rel = relative_collision_matrix(inst.keys, inst.values, policy, 16, 16, cfg, params)
+        cm = collision_matrix(inst.keys, inst.values, policy, 16, 16, cfg, params)
+        rel = relative_to_absorption(cm)
         drifts[policy] = mean_absorbed_error(rel)
     assert drifts["lola"] <= drifts["linear-only"]
 
@@ -203,7 +206,8 @@ def test_collision_csv_reproducible(tmp_path, collision_setup):
     cfg, params, inst = collision_setup
     paths = []
     for run in range(2):
-        cm = relative_collision_matrix(inst.keys[:64], inst.values[:64], "lola", 8, 8, cfg, params)
+        cm = collision_matrix(inst.keys[:64], inst.values[:64], "lola", 8, 8, cfg, params)
+        cm = relative_to_absorption(cm)
         path = tmp_path / f"run{run}.csv"
         write_collision_csv(cm, path)
         paths.append(path.read_bytes())

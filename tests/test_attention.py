@@ -18,10 +18,13 @@ from lola import (
     feature_map_batch,
     init_feature_map,
     load_feature_map,
+    prefill,
     save_feature_map,
     softmax_attention_oracle,
 )
+from lola.analysis import gram_matrix
 from lola.cache import _mix_tiers
+from lola.chunkwise import ChunkConfig, attend_after_prefill
 
 
 @pytest.fixture
@@ -78,6 +81,49 @@ def test_feature_map_overflow_guard():
         feature_map_apply(params, np.array([4.0, 0.0]))
     # just inside the bound is fine
     feature_map_apply(params, np.array([2.9, 0.0]))
+
+
+_SAFE = np.array([0.1, 0.0])
+
+
+def _engine(cfg, params):
+    eng = LolaCache(cfg, params, 2, 1)
+    eng.update(_SAFE, _SAFE)
+    return eng
+
+
+def _after_prefill(cfg, params, x):
+    _, state = prefill([_SAFE], [_SAFE], [_SAFE], ChunkConfig(1, 1), cfg, params)
+    return attend_after_prefill(state, x, cfg, params)
+
+
+# each call puts x where its entry point exponentiates w.x (= 10 x_0 here)
+GUARDED_ENTRY_POINTS = {
+    "feature_map_apply": lambda cfg, params, x: feature_map_apply(params, x),
+    "feature_map_batch": lambda cfg, params, x: feature_map_batch(params, [_SAFE, x]),
+    "LolaCache.update": lambda cfg, params, x: _engine(cfg, params).update(x, _SAFE),
+    "LolaCache.ingest": lambda cfg, params, x: LolaCache(cfg, params, 2, 1).ingest(
+        [_SAFE, x], [_SAFE, _SAFE]
+    ),
+    "LolaCache.attend": lambda cfg, params, x: _engine(cfg, params).attend(x),
+    "prefill": lambda cfg, params, x: prefill(
+        [_SAFE, x], [_SAFE, _SAFE], [_SAFE, _SAFE], ChunkConfig(1, 1), cfg, params
+    ),
+    "attend_after_prefill": _after_prefill,
+    # the kernel exponent is |row|^2, which is 10 x_0 for this row
+    "gram_matrix": lambda cfg, params, x: gram_matrix([np.sqrt(10.0 * np.abs(x))]),
+}
+
+
+@pytest.mark.parametrize(
+    "call", GUARDED_ENTRY_POINTS.values(), ids=GUARDED_ENTRY_POINTS.keys()
+)
+def test_every_entry_point_enforces_the_fixed_bound(call):
+    cfg = AttentionConfig(head_dim=2, feature_dim=4)
+    params = FeatureMapParams(np.array([[10.0, 0.0], [0.0, 10.0]]))
+    call(cfg, params, np.array([2.9, 0.0]))
+    with pytest.raises(OverflowGuardError, match="exceeds the bound 30"):
+        call(cfg, params, np.array([3.1, 0.0]))
 
 
 def test_feature_map_batch_matches_single(small_map):

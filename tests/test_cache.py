@@ -435,6 +435,59 @@ def test_snapshot_scores_are_current_after_restore(setup):
     assert restored.sparse_scores.tolist() == [e["score"] for e in snap["sparse"]]
 
 
+def _set_pair(tier, field, value):
+    def mutate(snap):
+        snap[tier][0][field] = value
+        return snap
+    return mutate
+
+
+def _drop(field):
+    def mutate(snap):
+        del snap[field]
+        return snap
+    return mutate
+
+
+def _set_t(snap):
+    snap["t"] = str(snap["t"])
+    return snap
+
+
+def _set_max_logit(snap):
+    snap["config"]["max_logit"] = 50.0
+    return snap
+
+
+MALFORMED_SNAPSHOTS = {
+    "window-key-one-entry": (_set_pair("window", "key", [1.0]), r"'window'\[0\] 'key'"),
+    "window-value-one-entry": (_set_pair("window", "value", [1.0]), r"'window'\[0\] 'value'"),
+    "sparse-key-one-entry": (_set_pair("sparse", "key", [1.0]), r"'sparse'\[0\] 'key'"),
+    "sparse-value-one-entry": (_set_pair("sparse", "value", [1.0]), r"'sparse'\[0\] 'value'"),
+    "window-value-nan": (_set_pair("window", "value", [float("nan")] * 4), r"'window'\[0\] 'value'"),
+    "sparse-value-inf": (_set_pair("sparse", "value", [float("inf")] * 4), r"'sparse'\[0\] 'value'"),
+    "acc-nan": (_set_pair("window", "acc", float("nan")), r"'window'\[0\] 'acc'"),
+    "acc-inf": (_set_pair("window", "acc", float("inf")), r"'window'\[0\] 'acc'"),
+    "score-nan": (_set_pair("sparse", "score", float("nan")), r"'sparse'\[0\] 'score'"),
+    "score-inf": (_set_pair("sparse", "score", -float("inf")), r"'sparse'\[0\] 'score'"),
+    "missing-t": (_drop("t"), "missing 't'"),
+    "missing-config": (_drop("config"), "missing 'config'"),
+    "missing-window": (_drop("window"), "missing 'window'"),
+    "t-string": (_set_t, "'t' '20' is not an int"),
+    "not-an-object": (lambda snap: list(snap.items()), "snapshot must be an object"),
+    "other-max-logit": (_set_max_logit, "'max_logit' 50.0 is not the fixed bound 30"),
+}
+
+
+@pytest.mark.parametrize(
+    "mutate, match", MALFORMED_SNAPSHOTS.values(), ids=MALFORMED_SNAPSHOTS.keys()
+)
+def test_malformed_snapshot_raises_naming_the_field(setup, mutate, match):
+    snap = mutate(snapshot_after(setup, eta=3, lam=2, n=20))
+    with pytest.raises(ValueError, match=match):
+        LolaCache.from_snapshot(snap)
+
+
 # -- numeric guards -----------------------------------------------------------
 
 

@@ -184,6 +184,27 @@ def test_recall_bad_sizes_exit_2_before_any_file_is_written(tmp_path, capsys, fl
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gram-study", "--n-list", "0,8"], "'n_list' must be a non-empty list of integers >= 1"),
+        (["gram-study", "--n-list", "a,8"], "--n-list must be comma-separated integers, got 'a,8'"),
+        (["recall", "--feature-dim", "3"], "'feature_dim' must be null or an even integer >= 2, got 3"),
+        (["recall", "--policy", "nope"], "'policy' 'nope' is not a policy the decode path runs"),
+        (["recall", "--chunk", "4", "--policy", "linear-only"],
+         "'policy' 'linear-only' is not a policy the chunked path runs"),
+    ],
+    ids=["n-list-zero", "n-list-not-int", "feature-dim-odd", "policy-unknown", "policy-not-chunked"],
+)
+def test_bad_values_exit_2_before_any_file_is_written(tmp_path, capsys, argv, message):
+    out_dir = tmp_path / "out"
+    status = main([*argv, "--out-dir", str(out_dir)])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: lola {argv[0]}: ") and message in err
+    assert not out_dir.exists()
+
+
 def test_suite_config_errors_exit_2_naming_experiment_and_field(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     exp = {"kind": "recall", "name": "r", "n": "12"}

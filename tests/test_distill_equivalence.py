@@ -28,15 +28,15 @@ from lola.attention import (
 from lola.numerics import as_matrix
 
 
-def _sequence_loss_grad(params, config, qs, ks, vs, max_logit, need_grad):
+def _sequence_loss_grad(params, config, qs, ks, vs, need_grad):
     """Squared tracking error of the linear path against the oracle, and its
     gradient in the map weights if requested."""
     qs = as_matrix(qs)
     ks = as_matrix(ks, rows=qs.shape[0], cols=qs.shape[1])
     vs = as_matrix(vs, rows=qs.shape[0])
     n = qs.shape[0]
-    phi_q = feature_map_batch(params, qs, max_logit)
-    phi_k = feature_map_batch(params, ks, max_logit)
+    phi_q = feature_map_batch(params, qs)
+    phi_k = feature_map_batch(params, ks)
     mask = np.tril(np.ones((n, n)))
     pm = (phi_q @ phi_k.T) * mask
     denom = pm.sum(axis=1)  # strictly positive: the map is positive
@@ -59,20 +59,20 @@ def _sequence_loss_grad(params, config, qs, ks, vs, max_logit, need_grad):
     return loss, grad
 
 
-def distillation_loss(params, config, sequences, max_logit: float = DEFAULT_MAX_LOGIT) -> float:
+def distillation_loss(params, config, sequences) -> float:
     total = 0.0
     for qs, ks, vs in sequences:
-        loss, _ = _sequence_loss_grad(params, config, qs, ks, vs, max_logit, need_grad=False)
+        loss, _ = _sequence_loss_grad(params, config, qs, ks, vs, need_grad=False)
         total += loss
     return total
 
 
-def distillation_gradient(params, config, sequences, max_logit: float = DEFAULT_MAX_LOGIT):
+def distillation_gradient(params, config, sequences):
     """Total loss and its gradient in the map weights, summed over sequences."""
     total = 0.0
     grad = np.zeros_like(params.weights)
     for qs, ks, vs in sequences:
-        loss, g = _sequence_loss_grad(params, config, qs, ks, vs, max_logit, need_grad=True)
+        loss, g = _sequence_loss_grad(params, config, qs, ks, vs, need_grad=True)
         total += loss
         grad += g
     return total, grad
@@ -85,7 +85,6 @@ def distill_feature_map(
     steps: int,
     learning_rate: float,
     *,
-    max_logit: float = DEFAULT_MAX_LOGIT,
     init: FeatureMapParams | None = None,
     loss_history: list | None = None,
 ) -> FeatureMapParams:
@@ -104,7 +103,7 @@ def distill_feature_map(
     w = params.weights.copy()
     lr = learning_rate
     for _ in range(steps):
-        loss, grad = distillation_gradient(FeatureMapParams(w), config, sequences, max_logit)
+        loss, grad = distillation_gradient(FeatureMapParams(w), config, sequences)
         if not np.isfinite(loss):
             raise DistillationDiverged(f"training loss became non-finite ({loss})")
         if loss_history is not None:
@@ -112,7 +111,7 @@ def distill_feature_map(
         while True:
             w_try = w - lr * grad
             try:
-                new_loss = distillation_loss(FeatureMapParams(w_try), config, sequences, max_logit)
+                new_loss = distillation_loss(FeatureMapParams(w_try), config, sequences)
             except OverflowGuardError:
                 new_loss = np.inf
             if np.isfinite(new_loss) and new_loss <= loss:
@@ -125,7 +124,7 @@ def distill_feature_map(
                 return FeatureMapParams(w)
         w = w_try
     if loss_history is not None:
-        loss_history.append(distillation_loss(FeatureMapParams(w), config, sequences, max_logit))
+        loss_history.append(distillation_loss(FeatureMapParams(w), config, sequences))
     return FeatureMapParams(w)
 
 

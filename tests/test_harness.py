@@ -315,6 +315,41 @@ def test_validate_rejects_out_of_range_sizes(exp, field):
         validate_config({"seed": 0, "experiments": [exp]})
 
 
+@pytest.mark.parametrize(
+    "exp, match",
+    [
+        ({"kind": "gram-study", "name": "x", "n_list": [0, 8]}, "'n_list' must be a non-empty list"),
+        ({"kind": "gram-study", "name": "x", "n_list": []}, "'n_list' must be a non-empty list"),
+        ({"kind": "gram-study", "name": "x", "d_list": [4.0]}, "'d_list' must be a non-empty list"),
+        ({"kind": "gram-study", "name": "x", "d_list": "8,16"}, "'d_list' must be a non-empty list"),
+        (_recall("x", feature_dim=3), "'feature_dim' must be null or an even integer >= 2"),
+        (_recall("x", feature_dim=0), "'feature_dim' must be null or an even integer >= 2"),
+        ({"kind": "ablation", "name": "x", "feature_dim": "8"}, "'feature_dim' must be null"),
+        ({"kind": "collisions", "name": "x", "distribution": "nope"}, "'distribution' must be one of"),
+        (_recall("x", variants=[{"name": "v", "policy": "nope"}]), "'policy' 'nope' is not a policy"),
+        (_recall("x", variants=[{"name": "v", "policy": "lola-altscore:nope"}]), "the decode path"),
+        (_recall("x", variants=[{"name": "v", "policy": "linear-only", "chunk": 4}]), "the chunked path"),
+        (_recall("x", variants=[{"name": "v", "policy": "lola-altscore:overestimate", "chunk": 4}]),
+         "the chunked path"),
+    ],
+    ids=[
+        "n-list-zero", "n-list-empty", "d-list-float", "d-list-string", "feature-dim-odd",
+        "feature-dim-zero", "feature-dim-string", "distribution", "policy-unknown",
+        "altscore-unknown", "chunked-linear-only", "chunked-altscore",
+    ],
+)
+def test_validate_rejects_values_a_run_would_reject(exp, match):
+    with pytest.raises(ConfigError, match=rf"experiments\[0\] \('x'\).*{match}"):
+        validate_config({"seed": 0, "experiments": [exp]})
+
+
+def test_validate_accepts_every_policy_on_its_path():
+    variants = [{"name": p, "policy": p} for p in ("linear-only", "window-only", "lola")]
+    variants += [{"name": f"alt-{s}", "policy": f"lola-altscore:{s}"} for s in ("attnerr-sq", "overestimate")]
+    variants += [{"name": f"chunk-{p}", "policy": p, "chunk": 4} for p in ("lola", "window-only")]
+    validate_config({"seed": 0, "experiments": [_recall("x", feature_dim=None, variants=variants)]})
+
+
 def test_validate_rejects_more_needles_than_tokens():
     with pytest.raises(ConfigError, match="'needles' 9 exceeds 'n' 8"):
         validate_config({"seed": 0, "experiments": [_recall("x", n=8, needles=9)]})

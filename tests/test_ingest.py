@@ -159,9 +159,9 @@ def test_row_batch_kernel_equals_feature_map_apply(d):
     cfg = AttentionConfig(head_dim=d)
     params = init_feature_map(SeededRng(d), cfg)
     xs = SeededRng(100 + d).generator().normal(size=(500, d))
-    rows = _feature_rows(params, xs, 30.0)
+    rows = _feature_rows(params, xs)
     for x, row in zip(xs, rows):
-        assert bits(row) == bits(feature_map_apply(params, x, 30.0))
+        assert bits(row) == bits(feature_map_apply(params, x))
 
 
 def test_decode_step_validates_each_input_once(monkeypatch):

@@ -41,7 +41,7 @@ class ReferenceCache(LolaCache):
             raise ValueError(f"index discontinuity: expected {idx}, got {index}")
         key = as_vector(key, self.config.head_dim)
         value = as_vector(value, self.config.head_dim)
-        phi_k = feature_map_apply(self.params, key, self.max_logit)
+        phi_k = feature_map_apply(self.params, key)
 
         evicted = None
         if self.window_capacity == 0:

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lola import AttentionConfig, LolaCache, SeededRng, init_feature_map, prefill
-from lola.attention import DEFAULT_MAX_LOGIT, _feature_row, feature_map_apply
+from lola.attention import _feature_row, feature_map_apply
 from lola.chunkwise import ChunkConfig, attend_after_prefill
 from lola.numerics import as_vector
 
@@ -23,7 +23,7 @@ def reference_attend(self, query):
     if self.t < 1:
         raise ValueError("attend called before any pair was admitted")
     q = as_vector(query, self.config.head_dim)
-    phi_q = _feature_row(self.params, q, self.max_logit)
+    phi_q = _feature_row(self.params, q)
     scale = self.config.scale
     nw, ns = self._wlen, self._slen
     logit_w = (self._wk[:nw] @ q) * scale
@@ -39,9 +39,9 @@ def reference_attend(self, query):
     return num / den
 
 
-def reference_attend_after_prefill(state, query, attn, params, max_logit=DEFAULT_MAX_LOGIT):
+def reference_attend_after_prefill(state, query, attn, params):
     q = as_vector(query, attn.head_dim)
-    phi_q = feature_map_apply(params, q, max_logit)
+    phi_q = feature_map_apply(params, q)
     logit_s = (state.sparse_keys @ q) * attn.scale
     logit_r = (state.recent_keys @ q) * attn.scale
     shift = 0.0
