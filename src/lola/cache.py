@@ -15,10 +15,19 @@ window and sparse pairs share a denominator with the hidden-state term, so
 every output is a convex combination of stored values.
 
 A whole stream can be admitted at once with ``ingest(keys, values)``: it
-validates and feature-maps every row before it changes any state, then runs
-the same per-pair step as ``update``, so the tiers end bit-identical to a
-loop of ``update`` calls (plus ``accumulate_window_scores`` on the stream's
-queries under a static rule).
+validates and feature-maps every row before it changes any state, and the
+tiers end bit-identical to a loop of ``update`` calls (plus
+``accumulate_window_scores`` on the stream's queries under a static rule).
+A static rule reads the window at every step, so it takes the per-pair step.
+A dynamic rule does not, so past the first η rows each eviction is staged
+straight from the input, evictions into a sparse cache with room are copied
+as one block, and only the last η rows enter the window ring.
+
+A pair is one float64 row of [value | φ(key) | key | score | index]; the
+arrival index is an int64 column over the same memory. The window ring and
+the sparse tier each keep their pairs as such rows, so staging an evicted
+pair is one row copy and closing the gap an absorption leaves is one block
+move.
 
 Selection details, fixed for determinism:
   * an eviction into a full sparse cache scores the evicted pair and the
@@ -166,6 +175,19 @@ def _norm(v: np.ndarray) -> float:
     return float(np.sqrt(v @ v))
 
 
+def _pair_rows(values: np.ndarray, phi: np.ndarray, keys: np.ndarray, first: int) -> np.ndarray:
+    """The engine's pair rows, [value | φ(key) | key | score | index], with
+    score 0 and arrival indices from ``first`` on."""
+    rows = np.concatenate((values, phi, keys, np.zeros((keys.shape[0], 2))), axis=1)
+    rows.view(np.int64)[:, -1] = np.arange(first, first + keys.shape[0])
+    return rows
+
+
+def _pair_views(rows: np.ndarray, d: int, fdim: int) -> tuple:
+    """The value, φ(key) and key columns of rows that start [value | φ(key) | key]."""
+    return rows[:, :d], rows[:, d : d + fdim], rows[:, d + fdim : 2 * d + fdim]
+
+
 # (λ+1)·F·d at and above which an eviction into a full sparse cache scores
 # only the rows that can still be the minimum; below it the bookkeeping costs
 # more than the rows it saves, and one call over all λ+1 rows is faster
@@ -186,8 +208,11 @@ _SNAPSHOT_FIELDS = (
 _CONFIG_FIELDS = (
     "head_dim", "feature_dim", "scale", "window_capacity", "sparse_capacity", "max_logit", "scoring"
 )
+# the config sizes, each an int of at least this value
+_CONFIG_INTS = (("head_dim", 1), ("feature_dim", 2), ("window_capacity", 0), ("sparse_capacity", 0))
 _EMPTY_IDX = np.empty(0, dtype=np.int64)
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
+_ZERO = np.zeros(1)
 
 
 @dataclass(frozen=True)
@@ -243,22 +268,26 @@ class LolaCache:
         self.absorbed_score_sum = 0.0
         d, fdim = config.head_dim, config.feature_dim
         eta, lam = window_capacity, sparse_capacity
-        # window ring buffer; once full, slot _wnext always holds the oldest pair
-        self._wk = np.zeros((eta, d))
-        self._wv = np.zeros((eta, d))
-        self._wphi = np.zeros((eta, fdim))
-        self._widx = np.zeros(eta, dtype=np.int64)
-        self._wacc = np.zeros(eta)
+        # a pair is one row of [value | φ(key) | key | score | index]: the
+        # score is the window's accumulated static score, frozen into the
+        # sparse tier, and the arrival index is an int64 column over the same
+        # memory, so one row copy moves the whole pair
+        w = 2 * d + fdim + 2
+        # window ring buffer; once full, slot _wnext always holds the oldest
+        # pair, and pair i sits in slot (i - 1) % eta
+        self._wrows = np.zeros((eta, w))
+        self._wv, self._wphi, self._wk = _pair_views(self._wrows, d, fdim)
+        self._wacc = self._wrows[:, w - 2]
+        self._widx = self._wrows.view(np.int64)[:, w - 1]
         self._wlen = 0
         self._wnext = 0
         # sparse cache, kept sorted by arrival index; row _slen stages the
         # pair being evicted from the window
-        self._sk = np.zeros((lam + 1, d))
-        self._sv = np.zeros((lam + 1, d))
-        self._sphi = np.zeros((lam + 1, fdim))
-        self._sidx = np.zeros(lam + 1, dtype=np.int64)
-        self._sscore = np.zeros(lam + 1)
-        self._sbufs = (self._sk, self._sv, self._sphi, self._sidx, self._sscore)
+        self._srows = np.zeros((lam + 1, w))
+        self._sflat = self._srows.reshape(-1)
+        self._sv, self._sphi, self._sk = _pair_views(self._srows, d, fdim)
+        self._sscore = self._srows[:, w - 2]
+        self._sidx = self._srows.view(np.int64)[:, w - 1]
         self._slen = 0
         # bounded settle, taken from the shape alone: each resident carries a
         # lower and an upper bound on its self-recall score and its value's
@@ -267,12 +296,13 @@ class LolaCache:
         self._bounded = (
             self.scoring.dynamic and lam >= 1 and (lam + 1) * fdim * d >= _BOUNDED_MIN_WORK
         )
+        # the bounds are whole-column reads and writes at every bounded
+        # eviction, so each is its own array: a column of the row store would
+        # cost a cache line per row
         self._slo = np.full(lam + 1, -np.inf)
         self._shi = np.full(lam + 1, np.inf)
         self._svnorm = np.zeros(lam + 1)
         self._rmax = 0.0
-        if self._bounded:
-            self._sbufs += (self._slo, self._shi, self._svnorm)
 
     # -- views ------------------------------------------------------------
 
@@ -310,10 +340,11 @@ class LolaCache:
             raise ValueError(f"index discontinuity: expected {idx}, got {index}")
         key = as_vector(key, self.config.head_dim)
         value = as_vector(value, self.config.head_dim)
-        self._admit(key, value, _feature_row(self.params, key))
+        self._admit(np.concatenate((value, _feature_row(self.params, key), key, _ZERO)))
 
     def ingest(self, keys, values, queries=None) -> None:
-        """Admit a stream of pairs in order, as ``update`` does one by one.
+        """Admit a stream of pairs in order, bit for bit as ``update`` does
+        one by one.
 
         Under a static rule ``queries`` is required and row ``t`` is scored
         after pair ``t`` is admitted, as ``accumulate_window_scores`` does;
@@ -322,41 +353,84 @@ class LolaCache:
         leaves the cache as it was. The one check left to the loop is the
         static rule's non-finite score term, which depends on the window: it
         raises mid-stream, with the earlier pairs admitted.
+
+        A static rule reads the window at every step, so its pairs pass
+        through the ring one at a time. A dynamic rule never does; see
+        ``_ingest_ring_free``.
         """
         d = self.config.head_dim
         keys = as_matrix(keys, cols=d)
-        values = as_matrix(values, rows=keys.shape[0], cols=d)
+        n = keys.shape[0]
+        values = as_matrix(values, rows=n, cols=d)
         static = not self.scoring.dynamic
         if static:
             if queries is None:
                 raise ValueError(f"scoring rule {self.scoring.name!r} needs the stream's queries")
-            queries = as_matrix(queries, rows=keys.shape[0], cols=d)
+            queries = as_matrix(queries, rows=n, cols=d)
             phi_q = _feature_rows(self.params, queries)
-        phi_k = _feature_rows(self.params, keys)
-        for t in range(keys.shape[0]):
-            self._admit(keys[t], values[t], phi_k[t])
-            if static:
+        pairs = _pair_rows(values, _feature_rows(self.params, keys), keys, self.t + 1)
+        if static:
+            for t in range(n):
+                self._admit(pairs[t])
                 self._accumulate(queries[t], phi_q[t])
+        else:
+            self._ingest_ring_free(pairs)
 
-    def _admit(self, key: np.ndarray, value: np.ndarray, phi_k: np.ndarray) -> None:
-        """One validated pair in: window ring, then settle on eviction."""
+    def _ingest_ring_free(self, pairs: np.ndarray) -> None:
+        """``ingest`` under a dynamic rule, which reads the window only to
+        evict from it. Rows that fill a window with room are one block, and
+        the rest of the first η rows go through ``_admit``. From then on row
+        j evicts row j - η, staged straight from ``pairs``: evictions into a
+        sparse cache with room are one block, each later one settles as
+        ``_admit`` would, and only the last η rows are written into the ring,
+        in the slots a loop of ``_admit`` leaves them in."""
+        eta = self.window_capacity
+        n, width = pairs.shape
+        fill = max(0, min(n, eta - self._wlen))
+        if fill:
+            # the window has evicted nothing yet: pair i goes to slot (i - 1) % η
+            self._wrows[np.arange(self.t, self.t + fill) % eta, :width] = pairs[:fill]
+            self._wlen += fill
+            self.t += fill
+            self._wnext = self.t % eta
+            self._step = StepEvent(self.t, None)
+        for t in range(fill, min(n, eta)):
+            self._admit(pairs[t])
+        if n <= eta:
+            return
+        base = self.t - eta  # arrival index of row 0, less one
+        room = max(0, min(self.sparse_capacity - self._slen, n - eta))
+        if room:
+            self._srows[self._slen : self._slen + room, :width] = pairs[:room]
+            self._take(room, base + eta + room)
+        # the rest evict into a full cache, each staged in its last row
+        staged = self._srows[-1, :width]
+        for step, row in enumerate(pairs[room : n - eta], start=base + eta + room + 1):
+            staged[...] = row
+            self._settle(step)
+        if eta:
+            slots = np.arange(base + n - eta, base + n) % eta
+            self._wrows[slots, :width] = pairs[n - eta :]
+            self._wnext = (base + n) % eta
+        self.t = base + n
+        self._assert_conserved()
+
+    def _admit(self, row: np.ndarray) -> None:
+        """One validated pair row in: window ring, then settle on eviction."""
         idx = self.t + 1
         evicted = self._wlen == self.window_capacity  # always, with no window
         if self.window_capacity == 0:
-            self._stage(key, value, phi_k, idx, 0.0)
+            self._srows[self._slen, : row.size] = row
+            self._sidx[self._slen] = idx
         else:
             slot = self._wnext
             if evicted:
-                self._stage(
-                    self._wk[slot], self._wv[slot], self._wphi[slot], self._widx[slot], self._wacc[slot]
-                )
+                # the oldest pair, with its score and index, to the staging row
+                self._srows[self._slen, : self._wrows.shape[1]] = self._wrows[slot]
             else:
                 self._wlen += 1
-            self._wk[slot] = key
-            self._wv[slot] = value
-            self._wphi[slot] = phi_k
+            self._wrows[slot, : row.size] = row
             self._widx[slot] = idx
-            self._wacc[slot] = 0.0
             self._wnext = (slot + 1) % self.window_capacity
 
         self.t = idx
@@ -366,13 +440,28 @@ class LolaCache:
             self._step = StepEvent(idx, None)
         self._assert_conserved()
 
-    def _stage(self, key, value, phi_k, index, score) -> None:
+    def _take(self, k: int, step_index: int) -> None:
+        """Evictions of the ``k`` rows staged from ``_slen`` on into a sparse
+        cache with room: they join the residents, and nothing needs scoring."""
         ns = self._slen
-        self._sk[ns] = key
-        self._sv[ns] = value
-        self._sphi[ns] = phi_k
-        self._sidx[ns] = index
-        self._sscore[ns] = score
+        if self._bounded:
+            self._slo[ns : ns + k] = -np.inf
+            self._shi[ns : ns + k] = np.inf
+            for i in range(ns, ns + k):
+                self._svnorm[i] = _norm(self._sv[i])
+        self._slen = ns + k
+        self._step = (step_index,)
+
+    def _close(self, drop: int) -> None:
+        """Remove row ``drop`` of the λ+1 staged rows, keeping arrival order.
+        The rows are moved as one 1-D run of memory, which numpy moves in
+        place; a 2-D overlapping copy goes through a temporary."""
+        ns, w = self._slen, self._srows.shape[1]
+        if drop < ns:
+            self._sflat[drop * w : ns * w] = self._sflat[(drop + 1) * w : (ns + 1) * w]
+            if self._bounded:
+                for col in (self._slo, self._shi, self._svnorm):
+                    col[drop:ns] = col[drop + 1 : ns + 1]
 
     def _settle(self, step_index: int) -> None:
         """Rank the staged pair with the residents in one scoring call; on
@@ -380,27 +469,22 @@ class LolaCache:
         room, nothing is absorbed and nothing needs scoring."""
         ns = self._slen
         if ns < self.sparse_capacity:
-            if self._bounded:
-                self._slo[ns], self._shi[ns] = -np.inf, np.inf
-                self._svnorm[ns] = _norm(self._sv[ns])
-            self._slen = ns + 1
-            self._step = (step_index,)
+            self._take(1, step_index)
             return
         if self._bounded:
             self._settle_bounded(step_index)
             return
+        # ns is λ here: the staged pair and the residents are all λ+1 rows
         if self.scoring.dynamic:
-            scores = _self_recall_scores(self._sphi[: ns + 1], self._sv[: ns + 1], self.linear)
+            scores = _self_recall_scores(self._sphi, self._sv, self.linear)
         else:
-            scores = self._sscore[: ns + 1].copy()
+            scores = self._sscore.copy()
         # rows ascend by arrival, so the last minimum is the newer of a tie
         drop = ns - int(scores[::-1].argmin())
         self.linear.update(self._sphi[drop], self._sv[drop])
-        self.absorbed_score_sum += float(scores[drop])
-        self._step = (step_index, scores, drop, int(self._sidx[drop]))
-        if drop < ns:
-            for buf in self._sbufs:
-                buf[drop:ns] = buf[drop + 1 : ns + 1]
+        self.absorbed_score_sum += scores.item(drop)
+        self._step = (step_index, scores, drop, self._sidx.item(drop))
+        self._close(drop)
 
     def _settle_bounded(self, step_index: int) -> None:
         """``_settle`` under the self-recall rule, scoring exactly only the
@@ -444,9 +528,7 @@ class LolaCache:
         lin.update(phi_a, v_a)
         self.absorbed_score_sum += float(scores[k])
         self._step = (step_index, (phi_a, v_a, before), drop, int(self._sidx[drop]))
-        if drop < ns:
-            for buf in self._sbufs:
-                buf[drop:ns] = buf[drop + 1 : ns + 1]
+        self._close(drop)
 
     @property
     def last_event(self) -> StepEvent | None:
@@ -610,16 +692,36 @@ class LolaCache:
         _require(snap, _SNAPSHOT_FIELDS[: None if version == _SNAPSHOT_V2 else -1], "snapshot")
         cfg = snap["config"]
         _require(cfg, _CONFIG_FIELDS, "snapshot 'config'")
-        fdim, d, t = cfg["feature_dim"], cfg["head_dim"], snap["t"]
+        for name, least in _CONFIG_INTS:
+            # bool is not a size
+            if type(cfg[name]) is not int or cfg[name] < least:
+                raise ValueError(f"snapshot {name!r} {cfg[name]!r} is not an int >= {least}")
+        fdim, d, t, scale = cfg["feature_dim"], cfg["head_dim"], snap["t"], cfg["scale"]
+        if fdim % 2:
+            raise ValueError(f"snapshot 'feature_dim' {fdim} is not even")
+        # the comparison is exact for ints, and false for NaN
+        if type(scale) not in (int, float) or not 0 < scale <= sys.float_info.max:
+            raise ValueError(f"snapshot 'scale' {scale!r} is not a finite positive number")
         if type(t) is not int or t < 0:
             raise ValueError(f"snapshot 't' {t!r} is not an int >= 0")
         if cfg["max_logit"] != DEFAULT_MAX_LOGIT:
             raise ValueError(
                 f"snapshot 'max_logit' {cfg['max_logit']!r} is not the fixed bound {DEFAULT_MAX_LOGIT:g}"
             )
-        config = AttentionConfig(d, fdim, cfg["scale"])
-        weights = np.asarray(snap["weights"], dtype=np.float64).reshape(fdim // 2, d)
-        params = FeatureMapParams(weights)
+        config = AttentionConfig(d, fdim, scale)
+        try:
+            weights = np.asarray(snap["weights"], dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"snapshot 'weights': {exc}") from None
+        if weights.shape != (fdim // 2 * d,):
+            raise ValueError(
+                f"snapshot 'feature_dim' {fdim} and 'head_dim' {d} need {fdim // 2 * d} 'weights', "
+                f"got shape {weights.shape}"
+            )
+        try:
+            params = FeatureMapParams(weights.reshape(fdim // 2, d))
+        except ValueError as exc:
+            raise ValueError(f"snapshot 'weights': {exc}") from None
         if scoring is None:
             if cfg["scoring"] != SelfRecallScoring.name:
                 raise ValueError(
@@ -673,14 +775,15 @@ class LolaCache:
             cache._rmax = float((row_norms / normalizer).max())
         # pair i sits in ring slot (i - 1) % capacity, as in the saved engine,
         # so window sums run in the same order and keep the same bits
-        for index, key, value, acc in window:
-            i = (index - 1) % cache.window_capacity
+        # (a window with room need not start at slot 0)
+        slots = [(index - 1) % cache.window_capacity for index in widx]
+        for i, (index, key, value, acc) in zip(slots, window):
             cache._wk[i] = key
             cache._wv[i] = value
             cache._widx[i] = index
             cache._wacc[i] = acc
         cache._wlen = nw
-        cache._wphi[:nw] = _feature_rows(params, cache._wk[:nw])
+        cache._wphi[slots] = _feature_rows(params, cache._wk[slots])
         cache._wnext = t % cache.window_capacity if cache.window_capacity else 0
         for i, (index, key, value, score) in enumerate(sparse):
             cache._sk[i] = key

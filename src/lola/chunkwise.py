@@ -24,8 +24,8 @@ from .attention import (
     AttentionConfig,
     FeatureMapParams,
     LinearState,
+    _feature_batch,
     _feature_row,
-    feature_map_batch,
 )
 from .cache import _mix_tiers, _self_recall_scores
 from .numerics import as_matrix, as_vector
@@ -110,6 +110,8 @@ def prefill(
     Returns one output per input position and the carry-over state. Arrival
     indices are 1-based, matching the decode path.
     """
+    # a caller may pass the keys as the queries (``run_trial`` does): map them once
+    shared = ks is qs
     qs = as_matrix(qs, cols=attn.head_dim)
     n = qs.shape[0]
     if n < 1:
@@ -119,8 +121,8 @@ def prefill(
     c = config.chunk_size
     lam = config.sparse_capacity
 
-    phi_q = feature_map_batch(params, qs)
-    phi_k = feature_map_batch(params, ks)
+    phi_q = _feature_batch(params, qs)
+    phi_k = phi_q if shared else _feature_batch(params, ks)
     linear = LinearState.zeros(attn.feature_dim, attn.head_dim)
     sk = np.zeros((lam, attn.head_dim))
     sv = np.zeros((lam, attn.head_dim))

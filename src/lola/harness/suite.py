@@ -79,6 +79,8 @@ _INT_MIN = {
 _CHECK_KEYS = {"type", "variant", "a", "b", "value", "variants"}
 # every policy the decode path runs, as ``engine_for_policy`` names them
 _DECODE_POLICIES = (*POLICIES, *(f"lola-altscore:{name}" for name in SCORING_STRATEGIES))
+# the scoring rules an ablation entry may name, as ``run_ablation`` takes them
+_ABLATION_STRATEGIES = ("self-recall", *SCORING_STRATEGIES)
 
 
 DEFAULT_SUITE = {
@@ -254,6 +256,14 @@ def _check_choices(where: str, exp: dict) -> None:
     if dist not in _KEY_DISTRIBUTIONS:
         raise ConfigError(
             f"{where}: 'distribution' must be one of {list(_KEY_DISTRIBUTIONS)}, got {dist!r}"
+        )
+    strategies = exp.get("strategies")
+    if strategies is not None and (
+        not isinstance(strategies, list) or any(s not in _ABLATION_STRATEGIES for s in strategies)
+    ):
+        raise ConfigError(
+            f"{where}: 'strategies' must be null or a list of {list(_ABLATION_STRATEGIES)}, "
+            f"got {strategies!r}"
         )
     for key in ("n_list", "d_list"):
         values = exp.get(key, [1])

@@ -510,3 +510,53 @@ def test_static_score_overflow_rejected(name, sign):
     with np.errstate(over="ignore", divide="ignore"), pytest.raises(ValueError, match="finite"):
         eng.accumulate_window_scores(sign * np.ones(4))
     assert eng.to_snapshot()["window"] == before
+
+
+def _set_config(field, value):
+    def mutate(snap):
+        snap["config"][field] = value
+        return snap
+    return mutate
+
+
+BAD_SNAPSHOT_CONFIGS = {
+    "window-capacity-string": (_set_config("window_capacity", "3"), "'window_capacity' '3' is not an int"),
+    "window-capacity-bool": (_set_config("window_capacity", True), "'window_capacity' True is not an int"),
+    "window-capacity-negative": (_set_config("window_capacity", -1), "'window_capacity' -1 is not an int >= 0"),
+    "sparse-capacity-float": (_set_config("sparse_capacity", 2.0), "'sparse_capacity' 2.0 is not an int"),
+    "head-dim-string": (_set_config("head_dim", "4"), "'head_dim' '4' is not an int >= 1"),
+    "head-dim-zero": (_set_config("head_dim", 0), "'head_dim' 0 is not an int >= 1"),
+    "feature-dim-bool": (_set_config("feature_dim", False), "'feature_dim' False is not an int >= 2"),
+    "feature-dim-odd": (_set_config("feature_dim", 7), "'feature_dim' 7 is not even"),
+    "feature-dim-mismatch": (_set_config("feature_dim", 6), "'feature_dim' 6 and 'head_dim' 4 need 12 'weights'"),
+    "scale-null": (_set_config("scale", None), "'scale' None is not a finite positive number"),
+    "scale-string": (_set_config("scale", "0.5"), "'scale' '0.5' is not a finite positive number"),
+    "scale-bool": (_set_config("scale", True), "'scale' True is not a finite positive number"),
+    "scale-zero": (_set_config("scale", 0.0), "'scale' 0.0 is not a finite positive number"),
+    "scale-negative": (_set_config("scale", -0.5), "'scale' -0.5 is not a finite positive number"),
+    "scale-nan": (_set_config("scale", float("nan")), "'scale' nan is not a finite positive number"),
+    "scale-inf": (_set_config("scale", float("inf")), "'scale' inf is not a finite positive number"),
+    "weights-not-numbers": (lambda snap: {**snap, "weights": ["a"] * 16}, "'weights'"),
+    "weights-non-finite": (lambda snap: {**snap, "weights": [float("nan")] * 16}, "'weights'"),
+}
+
+
+@pytest.mark.parametrize(
+    "mutate, match", BAD_SNAPSHOT_CONFIGS.values(), ids=BAD_SNAPSHOT_CONFIGS.keys()
+)
+def test_snapshot_config_values_raise_naming_the_field(setup, mutate, match):
+    snap = mutate(snapshot_after(setup, eta=3, lam=2, n=20))
+    with pytest.raises(ValueError, match=match):
+        LolaCache.from_snapshot(snap)
+
+
+def test_snapshot_restores_the_recorded_scale(setup):
+    cfg, params = setup
+    eng = LolaCache(AttentionConfig(4, 8, 0.25), params, 3, 2)
+    gen = SeededRng(21).generator()
+    for _ in range(9):
+        eng.update(gen.normal(size=4), gen.normal(size=4))
+    restored = LolaCache.from_snapshot(eng.to_snapshot())
+    assert restored.config.scale == 0.25 != cfg.scale
+    q = gen.normal(size=4)
+    assert restored.attend(q).tobytes() == eng.attend(q).tobytes()

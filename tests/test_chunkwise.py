@@ -239,3 +239,28 @@ def test_attend_after_prefill_rejects_a_non_finite_denominator(setup):
     state.linear.normalizer[:] = np.nan
     with pytest.raises(ValueError, match="shared denominator nan"):
         attend_after_prefill(state, qs[0], cfg, params)
+
+
+def test_keys_passed_as_queries_are_mapped_once(setup, monkeypatch):
+    import lola.chunkwise as chunkwise_mod
+    from lola.attention import _feature_batch
+
+    cfg, params = setup
+    gen = SeededRng(30).generator()
+    ks, vs = gen.normal(size=(2, 50, 4)) * 0.5
+    calls = []
+
+    def spy(p, xs):
+        calls.append(xs.shape[0])
+        return _feature_batch(p, xs)
+
+    monkeypatch.setattr(chunkwise_mod, "_feature_batch", spy)
+    cc = ChunkConfig(8, 6)
+    out_shared, st_shared = prefill(ks, ks, vs, cc, cfg, params)
+    assert calls == [50]
+    out_apart, st_apart = prefill(ks.copy(), ks, vs, cc, cfg, params)
+    assert calls == [50, 50, 50]
+    assert out_shared.tobytes() == out_apart.tobytes()
+    assert st_shared.linear.hidden.tobytes() == st_apart.linear.hidden.tobytes()
+    assert st_shared.sparse_indices.tolist() == st_apart.sparse_indices.tolist()
+    assert st_shared.sparse_scores.tobytes() == st_apart.sparse_scores.tobytes()

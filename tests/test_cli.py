@@ -281,3 +281,16 @@ def test_suite_malformed_config_exits_2(tmp_path, capsys):
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit):
         main(["defrag"])
+
+
+def test_suite_with_unknown_ablation_strategy_exits_2_before_any_file_is_written(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.json"
+    first = {"kind": "gram-study", "name": "g", "n_list": [8], "d_list": [2]}
+    bad = {"kind": "ablation", "name": "abl", "n": 16, "trials": 1, "strategies": ["nope"]}
+    cfg_path.write_text(json.dumps({"seed": 0, "experiments": [first, bad]}))
+    out_dir = tmp_path / "out"
+    status = main(["suite", "--config", str(cfg_path), "--out-dir", str(out_dir)])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert "experiments[1] ('abl')" in err and "'strategies'" in err
+    assert not out_dir.exists()

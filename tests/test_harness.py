@@ -540,3 +540,20 @@ def test_suite_replays_each_collision_policy_once(tmp_path, monkeypatch):
     assert calls == ["linear-only", "window-only", "lola"]
     (out,) = list(tmp_path.iterdir())
     assert len(list(out.glob("c-*-relative.csv"))) == 3
+
+
+@pytest.mark.parametrize(
+    "strategies",
+    [["nope"], ["overestimate", "window-extension"], "overestimate", [1], [["overestimate"]], {}],
+    ids=["unknown", "baseline-row", "string", "int", "nested-list", "object"],
+)
+def test_validate_rejects_ablation_strategies_a_run_would_reject(strategies):
+    exp = {"kind": "ablation", "name": "x", "strategies": strategies}
+    with pytest.raises(ConfigError, match=r"experiments\[0\] \('x'\): 'strategies' must be"):
+        validate_config({"seed": 0, "experiments": [exp]})
+
+
+def test_validate_accepts_every_ablation_strategy():
+    names = ["self-recall", "attnerr-sq", "attnerr-abs", "overestimate"]
+    for strategies in (None, [], names, names[1:]):
+        validate_config({"seed": 0, "experiments": [{"kind": "ablation", "name": "x", "strategies": strategies}]})
