@@ -209,8 +209,12 @@ class LinearState:
 
     def absorb(self, phi_rows: np.ndarray, v_rows: np.ndarray) -> None:
         """Bulk update; rows should already be in the intended order."""
-        if phi_rows.shape[0] != v_rows.shape[0]:
-            raise ValueError("row count mismatch")
+        f, d = self.hidden.shape
+        if phi_rows.ndim != 2 or phi_rows.shape[1] != f or v_rows.shape != (phi_rows.shape[0], d):
+            raise ValueError(
+                f"dimension mismatch: state is {self.hidden.shape}, "
+                f"got phi_rows {phi_rows.shape} and v_rows {v_rows.shape}"
+            )
         if phi_rows.shape[0] == 0:
             return
         self.hidden += phi_rows.T @ v_rows

@@ -9,6 +9,12 @@ sparse residents by self-recall score and the losers are absorbed. Peak
 full-rank storage is bounded by three chunks plus the sparse capacity no
 matter how long the input is.
 
+The residents are the decode engine's pair rows (see ``cache``) in arrival
+order. The chunk that left the lookback is staged behind them, all λ+c rows
+are scored in one call, and a stable sort on descending score keeps the λ
+highest, so a tie keeps the older pair; the rest are absorbed in one bulk
+update, in arrival order.
+
 Because all queries in a chunk share the frozen hidden state, prefill
 outputs differ slightly from the per-token decode path on the same stream:
 they are two policies, not approximations of each other.
@@ -27,7 +33,7 @@ from .attention import (
     _feature_batch,
     _feature_row,
 )
-from .cache import _mix_tiers, _self_recall_scores
+from .cache import _mix_tiers, _pair_rows, _pair_views, _self_recall_scores
 from .numerics import as_matrix, as_vector
 
 __all__ = [
@@ -47,10 +53,11 @@ class ChunkConfig:
     sparse_capacity: int = 0
 
     def __post_init__(self):
-        if self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.sparse_capacity < 0:
-            raise ValueError(f"sparse_capacity must be >= 0, got {self.sparse_capacity}")
+        for name, least in (("chunk_size", 1), ("sparse_capacity", 0)):
+            value = getattr(self, name)
+            # bool is not a size
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+                raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -123,11 +130,12 @@ def prefill(
 
     phi_q = _feature_batch(params, qs)
     phi_k = phi_q if shared else _feature_batch(params, ks)
-    linear = LinearState.zeros(attn.feature_dim, attn.head_dim)
-    sk = np.zeros((lam, attn.head_dim))
-    sv = np.zeros((lam, attn.head_dim))
-    sphi = np.zeros((lam, attn.feature_dim))
-    sidx = np.zeros(lam, dtype=np.int64)
+    d, fdim = attn.head_dim, attn.feature_dim
+    linear = LinearState.zeros(fdim, d)
+    # the residents as pair rows in arrival order, then the chunk staged behind them
+    rows = np.zeros((lam + c, 2 * d + fdim + 2))
+    rv, rphi, rk = _pair_views(rows, d, fdim)
+    ridx = rows.view(np.int64)[:, -1]
     slen = 0
 
     out = np.empty_like(vs)
@@ -143,8 +151,8 @@ def prefill(
         c0 = m * c
         c1 = min(n, c0 + c)
         lb0 = max(0, c0 - 2 * c)
-        kb = np.concatenate([sk[:slen], ks[lb0:c1]], axis=0)
-        vb = np.concatenate([sv[:slen], vs[lb0:c1]], axis=0)
+        kb = np.concatenate([rk[:slen], ks[lb0:c1]], axis=0)
+        vb = np.concatenate([rv[:slen], vs[lb0:c1]], axis=0)
         peak = max(peak, kb.shape[0])
         if kb.shape[0] > 3 * c + lam:
             raise RuntimeError("full-rank storage exceeded its fixed bound")
@@ -160,48 +168,30 @@ def prefill(
         den = e.sum(axis=1) + damp * (phi_q[c0:c1] @ linear.normalizer)
         out[c0:c1] = num / den[:, None]
 
-        # the chunk two behind just left the lookback: settle it
+        # the chunk two behind just left the lookback: stage it behind the
+        # residents and absorb all but the λ highest scores
         if m >= 2:
-            e0, e1 = (m - 2) * c, (m - 1) * c
-            elig_k = np.concatenate([sk[:slen], ks[e0:e1]], axis=0)
-            elig_v = np.concatenate([sv[:slen], vs[e0:e1]], axis=0)
-            elig_phi = np.concatenate([sphi[:slen], phi_k[e0:e1]], axis=0)
-            elig_idx = np.concatenate(
-                [sidx[:slen], np.arange(e0 + 1, e1 + 1, dtype=np.int64)]
-            )
-            scores = _self_recall_scores(elig_phi, elig_v, linear)
-            order = np.lexsort((elig_idx, -scores))
-            kept = order[:lam]
-            dropped = order[lam:]
-            dropped = dropped[np.argsort(elig_idx[dropped])]
-            linear.absorb(elig_phi[dropped], elig_v[dropped])
-            absorbed_score_sum += float(scores[dropped].sum())
-
-            kept = kept[np.argsort(elig_idx[kept])]
-            nk = kept.shape[0]
-            sk[:nk] = elig_k[kept]
-            sv[:nk] = elig_v[kept]
-            sphi[:nk] = elig_phi[kept]
-            sidx[:nk] = elig_idx[kept]
-            slen = nk
-            events.append(
-                ChunkEvent(
-                    chunk=m - 2,
-                    eligible_indices=elig_idx,
-                    eligible_scores=scores,
-                    kept_indices=elig_idx[kept].copy(),
-                    absorbed_indices=elig_idx[dropped].copy(),
-                )
-            )
+            e0, e1, ne = (m - 2) * c, (m - 1) * c, slen + c
+            rows[slen:ne] = _pair_rows(vs[e0:e1], phi_k[e0:e1], ks[e0:e1], e0 + 1)
+            scores = _self_recall_scores(rphi[:ne], rv[:ne], linear)
+            drop = np.zeros(ne, dtype=bool)
+            # stable on rows in arrival order: a tie keeps the older pair
+            drop[np.argsort(-scores, kind="stable")[lam:]] = True
+            linear.absorb(rphi[:ne][drop], rv[:ne][drop])
+            absorbed_score_sum += float(scores[drop].sum())
+            idx = ridx[:ne].copy()
+            events.append(ChunkEvent(m - 2, idx, scores, idx[~drop], idx[drop]))
+            slen = min(ne, lam)
+            rows[:slen] = rows[:ne][~drop]
 
     # only the final residents' scores are reported, so they are scored once, here
-    sscore = _self_recall_scores(sphi[:slen], sv[:slen], linear)
+    sscore = _self_recall_scores(rphi[:slen], rv[:slen], linear)
     r0 = max(0, (n_chunks - 2) * c)
     state = PrefillState(
         linear=linear,
-        sparse_keys=sk[:slen].copy(),
-        sparse_values=sv[:slen].copy(),
-        sparse_indices=sidx[:slen].copy(),
+        sparse_keys=rk[:slen].copy(),
+        sparse_values=rv[:slen].copy(),
+        sparse_indices=ridx[:slen].copy(),
         sparse_scores=sscore,
         recent_keys=ks[r0:].copy(),
         recent_values=vs[r0:].copy(),

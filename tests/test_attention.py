@@ -278,6 +278,26 @@ def test_linear_state_absorb_matches_loop():
     assert a.count == b.count == 7
 
 
+@pytest.mark.parametrize(
+    "phi_shape, v_shape",
+    [
+        ((3, 1), (3, 4)),  # a 1-column φ block would broadcast across F
+        ((3, 8), (3, 1)),  # a 1-column value block would broadcast across d
+        ((8,), (1, 4)),
+        ((3, 8), (4,)),
+        ((8,), (4,)),
+        ((3, 8), (2, 4)),
+    ],
+)
+def test_linear_state_absorb_rejects_wrong_shapes(phi_shape, v_shape):
+    state = LinearState.zeros(8, 4)
+    with pytest.raises(ValueError, match="dimension mismatch") as err:
+        state.absorb(np.ones(phi_shape), np.ones(v_shape))
+    assert str(phi_shape) in str(err.value) and str(v_shape) in str(err.value)
+    assert state.count == 0
+    assert not state.hidden.any() and not state.normalizer.any()
+
+
 # the linear-attention forward pass is the hidden-state term of the tier mix:
 # a cache with neither window nor sparse cache (η=λ=0) answers from it alone
 

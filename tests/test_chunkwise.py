@@ -264,3 +264,29 @@ def test_keys_passed_as_queries_are_mapped_once(setup, monkeypatch):
     assert st_shared.linear.hidden.tobytes() == st_apart.linear.hidden.tobytes()
     assert st_shared.sparse_indices.tolist() == st_apart.sparse_indices.tolist()
     assert st_shared.sparse_scores.tobytes() == st_apart.sparse_scores.tobytes()
+
+
+@pytest.mark.parametrize(
+    "chunk_size, sparse_capacity, field",
+    [
+        (2.5, 1, "chunk_size"),
+        (2, 1.5, "sparse_capacity"),
+        (True, 1, "chunk_size"),
+        (2, False, "sparse_capacity"),
+        ("3", 1, "chunk_size"),
+        (2, None, "sparse_capacity"),
+        (0, 1, "chunk_size"),
+        (2, -1, "sparse_capacity"),
+    ],
+)
+def test_chunk_config_rejects_sizes_that_are_not_ints(chunk_size, sparse_capacity, field):
+    with pytest.raises(ValueError, match=field):
+        ChunkConfig(chunk_size, sparse_capacity)
+
+
+def test_chunk_config_takes_numpy_ints(setup):
+    cfg, params = setup
+    ks, vs = SeededRng(31).generator().normal(size=(2, 20, 4))
+    out, _ = prefill(ks, ks, vs, ChunkConfig(np.int64(4), np.int32(2)), cfg, params)
+    ref, _ = prefill(ks, ks, vs, ChunkConfig(4, 2), cfg, params)
+    assert out.tobytes() == ref.tobytes()
