@@ -1,5 +1,5 @@
 """Diagnostic studies: spectral floors for kernel approximation, memory
-collision matrices, and the alternative window scoring rules.
+collision matrices, and the policy names that build decode engines.
 
 The spectral study builds exponential-kernel Gram matrices over sampled
 inputs and reports how much squared Frobenius error ANY rank-D factorization
@@ -18,17 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttentionConfig, FeatureMapParams, _guard, feature_map_batch
-from .cache import LolaCache, ScoringStrategy, StaticScoring, _self_recall_scores
+from .cache import SCORING_STRATEGIES, LolaCache, _self_recall_scores
 from .numerics import SeededRng, as_matrix, gaussian_sample
 
 __all__ = [
     "POLICIES",
-    "SCORING_STRATEGIES",
-    "AttentionErrorAbsScoring",
-    "AttentionErrorSquaredScoring",
     "CollisionMatrix",
     "GramStudyResult",
-    "OverestimateRatioScoring",
     "collision_matrix",
     "engine_for_policy",
     "gram_matrix",
@@ -102,6 +98,10 @@ def rank_study(n_list, d_list, seed: int) -> list[GramStudyResult]:
 
 
 POLICIES = ("linear-only", "window-only", "lola")
+# the rules ``lola-altscore:<name>`` may name: those ``lola`` does not already run
+_ALTSCORE_RULES = tuple(name for name, rule in SCORING_STRATEGIES.items() if not rule.dynamic)
+# every policy the decode path runs
+_DECODE_POLICIES = (*POLICIES, *(f"lola-altscore:{name}" for name in _ALTSCORE_RULES))
 
 
 def engine_for_policy(
@@ -125,10 +125,8 @@ def engine_for_policy(
         return LolaCache(attn, params, window_capacity, sparse_capacity)
     if policy.startswith("lola-altscore:"):
         name = policy.split(":", 1)[1]
-        if name not in SCORING_STRATEGIES:
-            raise ValueError(
-                f"unknown scoring strategy {name!r}; have {sorted(SCORING_STRATEGIES)}"
-            )
+        if name not in _ALTSCORE_RULES:
+            raise ValueError(f"unknown scoring strategy {name!r}; have {sorted(_ALTSCORE_RULES)}")
         return LolaCache(
             attn, params, window_capacity, sparse_capacity, scoring=SCORING_STRATEGIES[name]()
         )
@@ -204,44 +202,6 @@ def mean_absorbed_error(cm: CollisionMatrix) -> float:
     if not mask.any():
         return 0.0
     return float(cm.errors[mask].mean())
-
-
-# -- alternative window scores ----------------------------------------------
-
-
-class AttentionErrorSquaredScoring(StaticScoring):
-    """Cache the keys whose exponential weights the feature map misses worst."""
-
-    name = "attnerr-sq"
-
-    def term(self, exp_vals, lin_vals):
-        return (exp_vals - lin_vals) ** 2
-
-
-class AttentionErrorAbsScoring(StaticScoring):
-    name = "attnerr-abs"
-
-    def term(self, exp_vals, lin_vals):
-        return np.abs(exp_vals - lin_vals)
-
-
-class OverestimateRatioScoring(StaticScoring):
-    """Cache the keys the linear kernel over-weights relative to the exact one."""
-
-    name = "overestimate"
-
-    def term(self, exp_vals, lin_vals):
-        return lin_vals / exp_vals
-
-
-SCORING_STRATEGIES: dict[str, type[ScoringStrategy]] = {
-    cls.name: cls
-    for cls in (
-        AttentionErrorSquaredScoring,
-        AttentionErrorAbsScoring,
-        OverestimateRatioScoring,
-    )
-}
 
 
 # -- emission ----------------------------------------------------------------

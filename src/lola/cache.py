@@ -8,7 +8,9 @@ rest are absorbed into the linear-attention hidden state. The default score
 is the self-recall error: how far the hidden state's prediction for the
 pair's own key lands from the pair's value. Pairs the hidden state already
 stores well are cheap to absorb; pairs that would collide stay retrievable
-exactly.
+exactly. The three static window scores the ablation compares it with live
+here too, and ``SCORING_STRATEGIES`` names all four rules once: policies,
+ablations and snapshots (which restore the rule they name) look them up there.
 
 Outputs combine all three tiers in one ratio: exponential terms for the
 window and sparse pairs share a denominator with the hidden-state term, so
@@ -72,7 +74,11 @@ from .attention import (
 from .numerics import as_matrix, as_vector
 
 __all__ = [
+    "SCORING_STRATEGIES",
+    "AttentionErrorAbsScoring",
+    "AttentionErrorSquaredScoring",
     "LolaCache",
+    "OverestimateRatioScoring",
     "ScoringStrategy",
     "SelfRecallScoring",
     "StaticScoring",
@@ -115,6 +121,43 @@ class StaticScoring(ScoringStrategy):
 
     name = "static"
     dynamic = False
+
+
+class AttentionErrorSquaredScoring(StaticScoring):
+    """Cache the keys whose exponential weights the feature map misses worst."""
+
+    name = "attnerr-sq"
+
+    def term(self, exp_vals, lin_vals):
+        return (exp_vals - lin_vals) ** 2
+
+
+class AttentionErrorAbsScoring(StaticScoring):
+    name = "attnerr-abs"
+
+    def term(self, exp_vals, lin_vals):
+        return np.abs(exp_vals - lin_vals)
+
+
+class OverestimateRatioScoring(StaticScoring):
+    """Cache the keys the linear kernel over-weights relative to the exact one."""
+
+    name = "overestimate"
+
+    def term(self, exp_vals, lin_vals):
+        return lin_vals / exp_vals
+
+
+# every scoring rule by name: what snapshots, policies and ablations name
+SCORING_STRATEGIES: dict[str, type[ScoringStrategy]] = {
+    cls.name: cls
+    for cls in (
+        SelfRecallScoring,
+        AttentionErrorSquaredScoring,
+        AttentionErrorAbsScoring,
+        OverestimateRatioScoring,
+    )
+}
 
 
 def self_recall_score(phi_k: np.ndarray, value: np.ndarray, state: LinearState) -> float:
@@ -542,10 +585,6 @@ class LolaCache:
             step = self._step = self._event_of(*step)
         return step
 
-    @last_event.setter
-    def last_event(self, event: StepEvent | None) -> None:
-        self._step = event
-
     def _event_of(self, index: int, scores=None, drop: int = 0, absorbed_index: int = 0) -> StepEvent:
         """Rebuild an eviction's event from the residents it left behind;
         without ``scores`` the evicted pair joined them and none was absorbed.
@@ -685,9 +724,10 @@ class LolaCache:
         }
 
     @classmethod
-    def from_snapshot(cls, snap: dict, scoring: ScoringStrategy | None = None) -> "LolaCache":
-        """Restore a cache from ``to_snapshot`` output, v1 or v2. A malformed
-        snapshot raises ``ValueError`` naming the field at fault."""
+    def from_snapshot(cls, snap: dict) -> "LolaCache":
+        """Restore a cache from ``to_snapshot`` output, v1 or v2, under the
+        scoring rule it names. A malformed snapshot raises ``ValueError``
+        naming the field at fault."""
         if not isinstance(snap, dict):
             raise ValueError(f"snapshot must be an object, got {type(snap).__name__}")
         version = snap.get("format")
@@ -712,6 +752,9 @@ class LolaCache:
             raise ValueError(
                 f"snapshot 'max_logit' {cfg['max_logit']!r} is not the fixed bound {DEFAULT_MAX_LOGIT:g}"
             )
+        if cfg["scoring"] not in tuple(SCORING_STRATEGIES):  # a list is unknown, not a TypeError
+            names = list(SCORING_STRATEGIES)
+            raise ValueError(f"snapshot 'scoring' {cfg['scoring']!r} is not one of {names}")
         config = AttentionConfig(d, fdim, scale)
         try:
             weights = np.asarray(snap["weights"], dtype=np.float64)
@@ -726,19 +769,8 @@ class LolaCache:
             params = FeatureMapParams(weights.reshape(fdim // 2, d))
         except ValueError as exc:
             raise ValueError(f"snapshot 'weights': {exc}") from None
-        if scoring is None:
-            if cfg["scoring"] != SelfRecallScoring.name:
-                raise ValueError(
-                    f"snapshot used scoring {cfg['scoring']!r}; pass the strategy object to restore it"
-                )
-            scoring = SelfRecallScoring()
-        cache = cls(
-            config,
-            params,
-            cfg["window_capacity"],
-            cfg["sparse_capacity"],
-            scoring=scoring,
-        )
+        rule = SCORING_STRATEGIES[cfg["scoring"]]()
+        cache = cls(config, params, cfg["window_capacity"], cfg["sparse_capacity"], scoring=rule)
         hidden = np.asarray(snap["hidden"], dtype=np.float64)
         normalizer = np.asarray(snap["normalizer"], dtype=np.float64)
         for name, arr, n in (("hidden", hidden, fdim * d), ("normalizer", normalizer, fdim)):
@@ -843,5 +875,5 @@ def save_snapshot(cache: LolaCache, path) -> None:
     Path(path).write_text(json.dumps(cache.to_snapshot()))
 
 
-def load_snapshot(path, scoring: ScoringStrategy | None = None) -> LolaCache:
-    return LolaCache.from_snapshot(json.loads(Path(path).read_text()), scoring=scoring)
+def load_snapshot(path) -> LolaCache:
+    return LolaCache.from_snapshot(json.loads(Path(path).read_text()))

@@ -23,7 +23,8 @@ from ..attention import (
     init_feature_map,
     load_feature_map,
 )
-from ..analysis import SCORING_STRATEGIES, engine_for_policy
+from ..analysis import engine_for_policy
+from ..cache import SCORING_STRATEGIES, SelfRecallScoring
 from ..chunkwise import ChunkConfig, attend_after_prefill, effective_cache_size, prefill
 from ..numerics import SeededRng
 from .synthetic import KEY_SCALE, CLUSTER_NOISE, NiahInstance, SyntheticTaskSpec, gen_niah
@@ -275,19 +276,21 @@ def run_ablation(
 
     Every rule gets half the budget as window and half as sparse cache; the
     baseline spends the whole budget on a wider window. The same seeded trial
-    streams are reused across rows.
+    streams are reused across rows, and the ``lola`` policy's own rule is
+    always one of them.
     """
+    names = tuple(SCORING_STRATEGIES)
     if strategies is None:
-        strategies = [name for name in ABLATION_ROW_ORDER if name != "window-extension"]
-    unknown = [s for s in strategies if s != "self-recall" and s not in SCORING_STRATEGIES]
-    if unknown:
-        raise ValueError(f"unknown strategies {unknown}; have {sorted(SCORING_STRATEGIES)}")
-    if "self-recall" not in strategies:
-        strategies = ["self-recall"] + strategies
+        strategies = list(names)
+    if any(s not in names or strategies.count(s) > 1 for s in strategies):
+        raise ValueError(f"strategies {strategies!r} are not distinct names from {list(names)}")
+    own = SelfRecallScoring.name
+    if own not in strategies:
+        strategies = [own, *strategies]
     half = budget // 2
     records = []
     for strat in strategies:
-        policy = "lola" if strat == "self-recall" else f"lola-altscore:{strat}"
+        policy = "lola" if strat == own else f"lola-altscore:{strat}"
         exp = ExperimentConfig(
             policy=policy,
             window_capacity=half,

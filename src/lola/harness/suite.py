@@ -21,8 +21,8 @@ import numpy as np
 
 from .. import __version__
 from ..analysis import (
+    _DECODE_POLICIES,
     POLICIES,
-    SCORING_STRATEGIES,
     collision_matrix,
     mean_absorbed_error,
     rank_study,
@@ -31,6 +31,7 @@ from ..analysis import (
     write_gram_csv,
 )
 from ..attention import AttentionConfig
+from ..cache import SCORING_STRATEGIES
 from .experiments import (
     _CHUNKED_POLICIES,
     EXPECTED_ACCURACY_ORDER,
@@ -77,10 +78,6 @@ _INT_MIN = {
     "trials": 1, "budget": 0, "chunk": 1,
 }
 _CHECK_KEYS = {"type", "variant", "a", "b", "value", "variants"}
-# every policy the decode path runs, as ``engine_for_policy`` names them
-_DECODE_POLICIES = (*POLICIES, *(f"lola-altscore:{name}" for name in SCORING_STRATEGIES))
-# the scoring rules an ablation entry may name, as ``run_ablation`` takes them
-_ABLATION_STRATEGIES = ("self-recall", *SCORING_STRATEGIES)
 
 
 DEFAULT_SUITE = {
@@ -203,6 +200,8 @@ def validate_config(config, source: str = "<config>") -> None:
             entries = exp.get(field, [])
             if not isinstance(entries, list):
                 raise ConfigError(f"{where}: {field!r} must be a list")
+            # variant names as ``_run_recall`` takes them; checks find records by name
+            names = []
             for j, entry in enumerate(entries):
                 at = f"{where}.{field}[{j}]"
                 if not isinstance(entry, dict):
@@ -213,6 +212,12 @@ def validate_config(config, source: str = "<config>") -> None:
                 if field == "variants":
                     _check_ints(at, entry)
                     _check_policy(at, entry)
+                    names.append(entry.get("name", entry.get("policy", "lola")))
+                    if names[-1] in names[:-1]:
+                        raise ConfigError(
+                            f"{at}: 'name' {names[-1]!r} (the policy when unset) repeats "
+                            f"variants[{names.index(names[-1])}]"
+                        )
         for artifact in _artifacts(exp):
             if artifact in written:
                 owner = written[artifact]
@@ -258,11 +263,14 @@ def _check_choices(where: str, exp: dict) -> None:
             f"{where}: 'distribution' must be one of {list(_KEY_DISTRIBUTIONS)}, got {dist!r}"
         )
     strategies = exp.get("strategies")
+    # a tuple, not the dict: an unhashable entry is then unknown, not a TypeError
+    names = tuple(SCORING_STRATEGIES)
     if strategies is not None and (
-        not isinstance(strategies, list) or any(s not in _ABLATION_STRATEGIES for s in strategies)
+        not isinstance(strategies, list)
+        or any(s not in names or s in strategies[:j] for j, s in enumerate(strategies))
     ):
         raise ConfigError(
-            f"{where}: 'strategies' must be null or a list of {list(_ABLATION_STRATEGIES)}, "
+            f"{where}: 'strategies' must be null or a list of distinct names from {list(names)}, "
             f"got {strategies!r}"
         )
     for key in ("n_list", "d_list"):

@@ -79,7 +79,7 @@ class NiahInstance:
     needle_positions: np.ndarray  # 1-based, sorted
 
 
-def gen_niah(task: SyntheticTaskSpec, seed: int | None = None, probe_noise: float = 0.0) -> NiahInstance:
+def gen_niah(task: SyntheticTaskSpec, seed: int | None = None) -> NiahInstance:
     """Generate one stream; identical (task, seed) always yield identical output.
 
     The draw order below is fixed; changing it would silently re-key every
@@ -108,13 +108,10 @@ def gen_niah(task: SyntheticTaskSpec, seed: int | None = None, probe_noise: floa
     keys[positions - 1] = needle_key
     values[positions - 1] = needle_value
 
-    probe = needle_key.copy()
-    if probe_noise > 0.0:
-        probe = probe + gen.normal(0.0, probe_noise, d)
     return NiahInstance(
         keys=keys,
         values=values,
-        probe=probe,
+        probe=needle_key.copy(),
         target_value_id=target,
         codebook=codebook,
         needle_positions=positions,

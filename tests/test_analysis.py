@@ -7,9 +7,6 @@ import pytest
 
 from lola import AttentionConfig, SeededRng, feature_map_apply, init_feature_map
 from lola.analysis import (
-    AttentionErrorAbsScoring,
-    AttentionErrorSquaredScoring,
-    OverestimateRatioScoring,
     collision_matrix,
     engine_for_policy,
     gram_matrix,
@@ -18,6 +15,11 @@ from lola.analysis import (
     relative_to_absorption,
     truncated_errors,
     write_collision_csv,
+)
+from lola.cache import (
+    AttentionErrorAbsScoring,
+    AttentionErrorSquaredScoring,
+    OverestimateRatioScoring,
 )
 from lola.harness import SyntheticTaskSpec, gen_niah
 
@@ -302,3 +304,6 @@ def test_engine_for_policy_rejects_unknown():
         engine_for_policy("lru", cfg, params, 4, 4)
     with pytest.raises(ValueError, match="unknown scoring strategy"):
         engine_for_policy("lola-altscore:entropy", cfg, params, 4, 4)
+    # the ``lola`` policy runs self-recall; it has no alternative-score name
+    with pytest.raises(ValueError, match="unknown scoring strategy 'self-recall'"):
+        engine_for_policy("lola-altscore:self-recall", cfg, params, 4, 4)

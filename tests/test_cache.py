@@ -18,8 +18,7 @@ from lola import (
     self_recall_score,
     softmax_attention_oracle,
 )
-from lola.analysis import SCORING_STRATEGIES
-from lola.cache import StaticScoring
+from lola.cache import SCORING_STRATEGIES, StaticScoring
 
 
 @pytest.fixture
@@ -435,6 +434,40 @@ def test_snapshot_scores_are_current_after_restore(setup):
     assert restored.sparse_scores.tolist() == [e["score"] for e in snap["sparse"]]
 
 
+@pytest.mark.parametrize("name", list(SCORING_STRATEGIES))
+def test_snapshot_restores_its_own_rule(tmp_path, setup, name):
+    eng = make_engine(setup, eta=3, lam=2, scoring=SCORING_STRATEGIES[name]())
+    gen = SeededRng(22).generator()
+    for q, k, v in gen.normal(size=(20, 3, 4)):
+        eng.decode_step(q, k, v)
+    save_snapshot(eng, tmp_path / "state.json")
+    restored = load_snapshot(tmp_path / "state.json")
+    assert restored.scoring.name == name
+    for q, k, v in gen.normal(size=(10, 3, 4)):
+        assert restored.decode_step(q, k, v).tobytes() == eng.decode_step(q, k, v).tobytes()
+        assert restored.sparse_scores.tobytes() == eng.sparse_scores.tobytes()
+    assert restored.sparse_indices.tolist() == eng.sparse_indices.tolist()
+
+
+def test_every_rule_the_package_defines_is_in_the_table():
+    import importlib
+    import pkgutil
+
+    import lola
+    from lola.cache import ScoringStrategy
+
+    for mod in pkgutil.walk_packages(lola.__path__, "lola."):
+        importlib.import_module(mod.name)
+    found, todo = set(), [ScoringStrategy]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("lola.") and sub is not StaticScoring:
+                found.add(sub)
+    assert found == set(SCORING_STRATEGIES.values())
+    assert all(rule.name == name for name, rule in SCORING_STRATEGIES.items())
+
+
 def _set_pair(tier, field, value):
     def mutate(snap):
         snap[tier][0][field] = value
@@ -536,6 +569,11 @@ BAD_SNAPSHOT_CONFIGS = {
     "scale-negative": (_set_config("scale", -0.5), "'scale' -0.5 is not a finite positive number"),
     "scale-nan": (_set_config("scale", float("nan")), "'scale' nan is not a finite positive number"),
     "scale-inf": (_set_config("scale", float("inf")), "'scale' inf is not a finite positive number"),
+    "scoring-unknown": (_set_config("scoring", "nope"), "'scoring' 'nope' is not one of"),
+    # a test fake's rule is not in the table either
+    "scoring-fake": (_set_config("scoring", "constant"), "'scoring' 'constant' is not one of"),
+    "scoring-null": (_set_config("scoring", None), "'scoring' None is not one of"),
+    "scoring-list": (_set_config("scoring", ["self-recall"]), r"'scoring' \['self-recall'\] is not one of"),
     "weights-not-numbers": (lambda snap: {**snap, "weights": ["a"] * 16}, "'weights'"),
     "weights-non-finite": (lambda snap: {**snap, "weights": [float("nan")] * 16}, "'weights'"),
 }

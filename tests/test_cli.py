@@ -223,6 +223,10 @@ def test_suite_config_errors_exit_2_naming_experiment_and_field(tmp_path, capsys
         ({"kind": "recall", "name": "r", "variants": [5]}, "variants[0]: must be an object"),
         ({"kind": "recall", "name": "r", "trials": 0}, "'trials' must be >= 1"),
         ({"kind": "recall", "name": "r", "n": -5}, "'n' must be >= 1"),
+        (
+            {"kind": "recall", "name": "r", "variants": [{"name": "v"}, {"name": "v", "sparse": 0}]},
+            "variants[1]: 'name' 'v' (the policy when unset) repeats variants[0]",
+        ),
     ],
 )
 def test_suite_config_errors_exit_2_before_any_file_is_written(tmp_path, capsys, second, message):

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 import lola.cache as cache_mod
 from lola import AttentionConfig, LolaCache, SeededRng, init_feature_map
-from lola.analysis import SCORING_STRATEGIES
-from lola.cache import SelfRecallScoring, _self_recall_scores
+from lola.cache import SCORING_STRATEGIES, _self_recall_scores
 
 POLICIES = ["self-recall", "overestimate", "attnerr-sq", "attnerr-abs"]
 EVENT_FIELDS = (
@@ -28,7 +27,7 @@ EVENT_FIELDS = (
 
 
 def scoring_for(name):
-    return SelfRecallScoring() if name == "self-recall" else SCORING_STRATEGIES[name]()
+    return SCORING_STRATEGIES[name]()
 
 
 def bits(a) -> bytes:

@@ -55,16 +55,6 @@ def test_needle_norm_is_pinned():
         assert np.linalg.norm(inst.probe) == pytest.approx(expected, rel=1e-12)
 
 
-def test_probe_noise_perturbs_probe_only():
-    task = SyntheticTaskSpec(haystack_len=16, head_dim=8, value_codebook_size=4, seed=2)
-    clean = gen_niah(task, seed=1)
-    noisy = gen_niah(task, seed=1, probe_noise=0.05)
-    np.testing.assert_array_equal(clean.keys, noisy.keys)
-    needle = noisy.keys[noisy.needle_positions[0] - 1]
-    assert not np.array_equal(noisy.probe, needle)
-    assert np.linalg.norm(noisy.probe - needle) < 1.0
-
-
 def test_needle_positions_uniform_chi_square():
     n = 32
     task = SyntheticTaskSpec(haystack_len=n, head_dim=2, value_codebook_size=2, seed=0)
@@ -551,6 +541,45 @@ def test_validate_rejects_ablation_strategies_a_run_would_reject(strategies):
     exp = {"kind": "ablation", "name": "x", "strategies": strategies}
     with pytest.raises(ConfigError, match=r"experiments\[0\] \('x'\): 'strategies' must be"):
         validate_config({"seed": 0, "experiments": [exp]})
+
+
+@pytest.mark.parametrize(
+    "strategies",
+    [["overestimate", "overestimate"], ["self-recall", "attnerr-sq", "self-recall"]],
+    ids=["adjacent", "apart"],
+)
+def test_validate_rejects_repeated_ablation_strategies(strategies):
+    exp = {"kind": "ablation", "name": "x", "strategies": strategies}
+    with pytest.raises(ConfigError, match=r"\('x'\): 'strategies' must be .* distinct names"):
+        validate_config({"seed": 0, "experiments": [exp]})
+
+
+@pytest.mark.parametrize(
+    "variants, name",
+    [
+        ([{"name": "v", "policy": "lola"}, {"name": "v", "policy": "window-only"}], "v"),
+        ([{"policy": "window-only"}, {"policy": "window-only", "window": 8}], "window-only"),
+        ([{}, {"name": "lola", "sparse": 0}], "lola"),
+    ],
+    ids=["named", "unnamed-same-policy", "default-policy"],
+)
+def test_validate_rejects_repeated_variant_names(variants, name):
+    with pytest.raises(
+        ConfigError, match=rf"\('r'\)\.variants\[1\]: 'name' '{name}' .* repeats variants\[0\]"
+    ):
+        validate_config({"seed": 0, "experiments": [_recall("r", variants=variants)]})
+
+
+def test_validate_accepts_variants_named_apart_on_one_policy():
+    variants = [{"name": "a", "policy": "lola"}, {"name": "b", "policy": "lola"}, {"policy": "lola"}]
+    validate_config({"seed": 0, "experiments": [_recall("r", variants=variants)]})
+
+
+def test_run_ablation_rejects_repeated_strategies(small_task):
+    with pytest.raises(ValueError, match="are not distinct names"):
+        run_ablation(small_task, strategies=["overestimate", "overestimate"], trials=1)
+    with pytest.raises(ValueError, match="are not distinct names"):
+        run_ablation(small_task, strategies=["nope"], trials=1)
 
 
 def test_validate_accepts_every_ablation_strategy():

@@ -14,15 +14,14 @@ from hypothesis import strategies as st
 
 import lola.cache as cache_mod
 from lola import AttentionConfig, LolaCache, SeededRng, feature_map_apply, init_feature_map
-from lola.analysis import SCORING_STRATEGIES
 from lola.attention import OverflowGuardError, _feature_rows
-from lola.cache import SelfRecallScoring
+from lola.cache import SCORING_STRATEGIES
 
 POLICIES = ["self-recall", "overestimate", "attnerr-sq", "attnerr-abs"]
 
 
 def scoring_for(name):
-    return SelfRecallScoring() if name == "self-recall" else SCORING_STRATEGIES[name]()
+    return SCORING_STRATEGIES[name]()
 
 
 def bits(a) -> bytes:
@@ -146,7 +145,7 @@ def test_snapshot_at_a_cut_continues_bit_for_bit(eta, lam, policy, n, cut, seed,
         whole.ingest(ks, vs, qs)
         first = LolaCache(cfg, params, eta, lam, scoring=scoring_for(policy))
         first.ingest(ks[:m], vs[:m], qs[:m])
-        restored = LolaCache.from_snapshot(first.to_snapshot(), scoring=scoring_for(policy))
+        restored = LolaCache.from_snapshot(first.to_snapshot())
     assert restored._bounded == whole._bounded == (bounded and policy == "self-recall" and lam > 0)
     restored.ingest(ks[m:], vs[m:], qs[m:])
     assert_same_tiers(restored, whole)

@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 
 import lola.cache as cache_mod
 from lola import AttentionConfig, LolaCache, SeededRng, init_feature_map
-from lola.analysis import SCORING_STRATEGIES
-from lola.cache import SelfRecallScoring
+from lola.cache import SCORING_STRATEGIES
 
 EVENT_FIELDS = (
     "eligible_indices",
@@ -99,7 +98,7 @@ def test_ingest_after_any_prefix_equals_the_update_loop(
     qs, ks, vs = stream(seed, d, pool, prefix + n + 1)
 
     def scoring():
-        return SelfRecallScoring() if policy == "self-recall" else SCORING_STRATEGIES[policy]()
+        return SCORING_STRATEGIES[policy]()
 
     def feed(eng, lo, hi):
         for t in range(lo, hi):
@@ -113,8 +112,8 @@ def test_ingest_after_any_prefix_equals_the_update_loop(
             first = LolaCache(cfg, params, eta, lam, scoring=scoring())
             feed(first, 0, prefix)
             snap = first.to_snapshot()
-            bulk = LolaCache.from_snapshot(snap, scoring=scoring())
-            loop = LolaCache.from_snapshot(snap, scoring=scoring())
+            bulk = LolaCache.from_snapshot(snap)
+            loop = LolaCache.from_snapshot(snap)
         else:
             bulk = LolaCache(cfg, params, eta, lam, scoring=scoring())
             loop = LolaCache(cfg, params, eta, lam, scoring=scoring())

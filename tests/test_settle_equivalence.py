@@ -14,16 +14,15 @@ from hypothesis import strategies as st
 
 import lola.cache as cache_mod
 from lola import AttentionConfig, LolaCache, SeededRng, init_feature_map
-from lola.analysis import SCORING_STRATEGIES
 from lola.attention import feature_map_apply
-from lola.cache import SelfRecallScoring, StepEvent, _self_recall_scores
+from lola.cache import SCORING_STRATEGIES, StepEvent, _self_recall_scores
 from lola.numerics import as_vector
 
 POLICIES = ["self-recall", "overestimate", "attnerr-sq", "attnerr-abs"]
 
 
 def scoring_for(name):
-    return SelfRecallScoring() if name == "self-recall" else SCORING_STRATEGIES[name]()
+    return SCORING_STRATEGIES[name]()
 
 
 class ReferenceCache(LolaCache):
@@ -67,7 +66,7 @@ class ReferenceCache(LolaCache):
 
         self.t = idx
         if evicted is None:
-            self.last_event = StepEvent(idx, None)
+            self._step = StepEvent(idx, None)
         else:
             self._settle(evicted, idx)
         self._assert_conserved()
@@ -105,7 +104,7 @@ class ReferenceCache(LolaCache):
         else:
             self._sscore[:nk] = scores[kept]
 
-        self.last_event = StepEvent(
+        self._step = StepEvent(
             index=step_index,
             evicted_index=eidx,
             eligible_indices=elig_idx,
