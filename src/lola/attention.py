@@ -42,6 +42,8 @@ __all__ = [
 
 # the largest |w.x| the feature map exponentiates; a numeric guard, not a knob
 DEFAULT_MAX_LOGIT = 30.0
+# load_feature_map's weights by file contents, so a file rewritten in place is parsed again
+_parsed_maps: dict[bytes, np.ndarray] = {}
 
 
 class OverflowGuardError(ValueError):
@@ -234,12 +236,14 @@ def save_feature_map(params: FeatureMapParams, path) -> None:
 
 
 def load_feature_map(path) -> FeatureMapParams:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != "paired-exp-feature-map-v1":
-        raise ValueError(f"unrecognized feature map file format in {path}")
-    d, dim = payload["head_dim"], payload["feature_dim"]
-    w = np.asarray(payload["weights"], dtype=np.float64).reshape(dim // 2, d)
-    return FeatureMapParams(w)
+    data = Path(path).read_bytes()
+    if data not in _parsed_maps:
+        payload = json.loads(data)
+        if payload.get("format") != "paired-exp-feature-map-v1":
+            raise ValueError(f"unrecognized feature map file format in {path}")
+        d, dim = payload["head_dim"], payload["feature_dim"]
+        _parsed_maps[data] = np.asarray(payload["weights"], dtype=np.float64).reshape(dim // 2, d)
+    return FeatureMapParams(_parsed_maps[data].copy())
 
 
 def _prepare(config, sequences) -> list:
@@ -280,12 +284,9 @@ def _backward(weights, prepared, states) -> np.ndarray:
         # d loss / d kernel value (t, j): 2 r_t.(v_j - yhat_t) / denom_t, causal only
         g = (2.0 / denom)[:, None] * (r @ vs.T - (r * yhat).sum(axis=1, keepdims=True)) * mask
         # d kernel(t, j) / d w_i = (phiq[t,i] phik[j,i] - phiq[t,i+m] phik[j,i+m]) (q_t + k_j)
-        diff = (
-            phi_q.T[:m, :, None] * phi_k.T[:m, None, :]
-            - phi_q.T[m:, :, None] * phi_k.T[m:, None, :]
-        )  # (m, n, n)
-        c = g[None, :, :] * diff
-        grad += np.einsum("itj,td->id", c, qs) + np.einsum("itj,jd->id", c, ks)
+        a = phi_q * (g @ phi_k)
+        b = phi_k * (g.T @ phi_q)
+        grad += (a[:, :m] - a[:, m:]).T @ qs + (b[:, :m] - b[:, m:]).T @ ks
     return grad
 
 

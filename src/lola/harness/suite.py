@@ -212,6 +212,8 @@ def validate_config(config, source: str = "<config>") -> None:
                 if field == "variants":
                     _check_ints(at, entry)
                     _check_policy(at, entry)
+                    if not isinstance(entry.get("name", ""), str):
+                        raise ConfigError(f"{at}: 'name' must be a string, got {entry['name']!r}")
                     names.append(entry.get("name", entry.get("policy", "lola")))
                     if names[-1] in names[:-1]:
                         raise ConfigError(
@@ -304,10 +306,6 @@ def _task_from(exp: dict, seed: int) -> SyntheticTaskSpec:
     )
 
 
-def _records_by_name(records: list[ResultRecord]) -> dict[str, ResultRecord]:
-    return {r.name: r for r in records}
-
-
 # Every runner writes one experiment's artifacts into ``out``, appends its
 # graded checks to ``checks_out`` and returns the paths it wrote, in write
 # order, with what the command line reports: the records, or the mean
@@ -332,7 +330,7 @@ def _run_recall(exp: dict, seed: int, out: Path, fmt: str, checks_out: list):
         records.append(eval_recall(cfg, task, name=var.get("name", var.get("policy", "lola"))))
     path = out / f"{exp['name']}.{fmt}"
     _write_records(path, records, fmt)
-    by_name = _records_by_name(records)
+    by_name = {r.name: r for r in records}
     for chk in exp.get("checks", []):
         checks_out.append(_grade_recall_check(exp["name"], chk, by_name))
     return [path], records
@@ -362,7 +360,7 @@ def _grade_recall_check(exp_name: str, chk: dict, by_name: dict) -> dict:
 
 def order_inversions(records: list[ResultRecord], expected: list[str]) -> list[tuple[str, str, int]]:
     """Strict accuracy inversions against an expected ordering, with their span."""
-    by_name = _records_by_name(records)
+    by_name = {r.name: r for r in records}
     bad = []
     for i, hi in enumerate(expected):
         for j in range(i + 1, len(expected)):

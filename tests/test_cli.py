@@ -227,6 +227,10 @@ def test_suite_config_errors_exit_2_naming_experiment_and_field(tmp_path, capsys
             {"kind": "recall", "name": "r", "variants": [{"name": "v"}, {"name": "v", "sparse": 0}]},
             "variants[1]: 'name' 'v' (the policy when unset) repeats variants[0]",
         ),
+        (
+            {"kind": "recall", "name": "r", "variants": [{"name": ["a"], "policy": "lola"}]},
+            "variants[0]: 'name' must be a string, got ['a']",
+        ),
     ],
 )
 def test_suite_config_errors_exit_2_before_any_file_is_written(tmp_path, capsys, second, message):

@@ -49,6 +49,17 @@ def test_gradient_matches_central_differences_randomized(seed):
     assert max_rel_err(grad, fd_gradient(params, cfg, sequences)) < 1e-4
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_gradient_matches_central_differences_on_unequal_sequences(seed):
+    # m > 1 sequences of unequal lengths: the per-sequence terms must sum
+    cfg = AttentionConfig(4, feature_dim=8)
+    gen = SeededRng(200 + seed).generator()
+    sequences = [tuple(gen.normal(size=(3, n, 4))) for n in (3, 8)]
+    params = init_feature_map(SeededRng(201 + seed), cfg)
+    _, grad = distillation_gradient(params, cfg, sequences)
+    assert max_rel_err(grad, fd_gradient(params, cfg, sequences)) < 1e-4
+
+
 def test_zero_steps_returns_initialization():
     cfg, params, sequences = random_instance(7)
     out = distill_feature_map(SeededRng(8), cfg, sequences, steps=0, learning_rate=1e-3, init=params)

@@ -19,7 +19,9 @@ from lola.harness import (
     run_suite,
     validate_config,
 )
-from lola.harness.experiments import decode_answer
+import lola.attention as attention
+from lola import AttentionConfig, SeededRng, init_feature_map, save_feature_map
+from lola.harness.experiments import decode_answer, resolve_feature_map
 from lola.harness.synthetic import KEY_SCALE, NEEDLE_KEY_BOOST, NEEDLE_VALUE_BOOST
 
 
@@ -586,3 +588,23 @@ def test_validate_accepts_every_ablation_strategy():
     names = ["self-recall", "attnerr-sq", "attnerr-abs", "overestimate"]
     for strategies in (None, [], names, names[1:]):
         validate_config({"seed": 0, "experiments": [{"kind": "ablation", "name": "x", "strategies": strategies}]})
+
+
+def test_a_saved_map_is_parsed_once_per_contents(tmp_path, monkeypatch):
+    monkeypatch.setattr(attention, "_parsed_maps", {})
+    parses = []
+    loads = json.loads
+    monkeypatch.setattr(attention.json, "loads", lambda data: parses.append(1) or loads(data))
+    attn = AttentionConfig(4)
+    task = SyntheticTaskSpec(haystack_len=8, head_dim=4, value_codebook_size=4)
+    path = tmp_path / "map.json"
+    exp = ExperimentConfig(feature_map=str(path))
+    for seed in (1, 2):
+        params = init_feature_map(SeededRng(seed), attn)
+        save_feature_map(params, path)  # the second map rewrites the same path
+        for _ in range(3):
+            got = resolve_feature_map(exp, task, attn)
+            np.testing.assert_array_equal(got.weights, params.weights)
+        got.weights[0, 0] += 1.0  # a caller's edit reaches no later call
+    assert len(parses) == 2
+    np.testing.assert_array_equal(resolve_feature_map(exp, task, attn).weights, params.weights)
