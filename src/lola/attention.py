@@ -236,14 +236,46 @@ def save_feature_map(params: FeatureMapParams, path) -> None:
 
 
 def load_feature_map(path) -> FeatureMapParams:
+    """Read a map written by ``save_feature_map``. A malformed file raises
+    ``ValueError`` naming the file and the field at fault."""
     data = Path(path).read_bytes()
     if data not in _parsed_maps:
-        payload = json.loads(data)
-        if payload.get("format") != "paired-exp-feature-map-v1":
-            raise ValueError(f"unrecognized feature map file format in {path}")
-        d, dim = payload["head_dim"], payload["feature_dim"]
-        _parsed_maps[data] = np.asarray(payload["weights"], dtype=np.float64).reshape(dim // 2, d)
+        _parsed_maps[data] = _parse_feature_map(data, path)
     return FeatureMapParams(_parsed_maps[data].copy())
+
+
+def _parse_feature_map(data: bytes, path) -> np.ndarray:
+    try:
+        payload = json.loads(data)
+    except ValueError as exc:
+        raise ValueError(f"feature map {path}: not JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        kind = type(payload).__name__
+        raise ValueError(f"feature map {path}: top level must be an object, got {kind}")
+    if payload.get("format") != "paired-exp-feature-map-v1":
+        raise ValueError(f"feature map {path}: 'format' is not 'paired-exp-feature-map-v1'")
+    d, fdim = payload.get("head_dim"), payload.get("feature_dim")
+    # bool is not a size
+    if type(d) is not int or d < 1:
+        raise ValueError(f"feature map {path}: 'head_dim' {d!r} is not an int >= 1")
+    if type(fdim) is not int or fdim < 2 or fdim % 2:
+        raise ValueError(f"feature map {path}: 'feature_dim' {fdim!r} is not an even int >= 2")
+    weights = payload.get("weights")
+    if not isinstance(weights, list):
+        kind = type(weights).__name__
+        raise ValueError(f"feature map {path}: 'weights' must be a list of numbers, got {kind}")
+    try:
+        weights = np.asarray(weights, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"feature map {path}: 'weights': {exc}") from None
+    if weights.shape != (fdim // 2 * d,):
+        raise ValueError(
+            f"feature map {path}: 'feature_dim' {fdim} and 'head_dim' {d} need {fdim // 2 * d} "
+            f"'weights', got shape {weights.shape}"
+        )
+    if not np.isfinite(weights).all():
+        raise ValueError(f"feature map {path}: 'weights' has non-finite entries")
+    return weights.reshape(fdim // 2, d)
 
 
 def _prepare(config, sequences) -> list:

@@ -1,13 +1,14 @@
 """Command line front end.
 
-Subcommands: recall, ablate-scores, collisions, gram-study, distill, suite.
-Common flags: --seed, --out-dir, --config, --format. Every artifact is a pure
-function of the flags and the seed; re-runs write identical bytes. Each
-subcommand drops a manifest.json next to its artifacts with the flag echo,
-seed, and per-file checksums. recall, ablate-scores, collisions and
-gram-study run as one-entry suites: the experiment their flags denote is
-checked as a suite config is (bad sizes exit 2) and run by the suite's
-runner, so they write the artifacts a one-entry ``lola suite`` would.
+Subcommands: recall, ablate-scores, collisions, gram-study, distill, suite;
+each takes only the flags it reads. Every artifact is a pure function of the
+flags and the seed; re-runs write identical bytes. Each subcommand drops a
+manifest.json next to its artifacts with the flag echo, seed, and per-file
+checksums. recall, ablate-scores, collisions and gram-study run as one-entry
+suites: the experiment their flags denote is checked as a suite config is
+(bad values exit 2) and run by the suite's runner, so they write the
+artifacts a one-entry ``lola suite`` would. distill saves the map
+``--feature-map distill`` fits at the same seed and shape.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ import sys
 from pathlib import Path
 
 from .. import __version__
-from ..attention import AttentionConfig, distill_feature_map, save_feature_map
-from ..numerics import SeededRng
-from .experiments import _distill_corpus
+from ..attention import AttentionConfig, save_feature_map
+from .experiments import ExperimentConfig, resolve_feature_map
 from .io import sha256_file, write_manifest
 from .suite import _RUNNERS, ConfigError, load_config, run_suite, validate_config
 from .synthetic import _KEY_DISTRIBUTIONS, SyntheticTaskSpec
@@ -27,21 +27,27 @@ from .synthetic import _KEY_DISTRIBUTIONS, SyntheticTaskSpec
 __all__ = ["main"]
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
+def _common_flags(p: argparse.ArgumentParser, *, seed: bool = True, records: bool = False) -> None:
+    """--out-dir; --seed unless a config sets it; --format where records are written."""
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=".", help="directory for emitted artifacts")
-    p.add_argument("--config", default=None, help="JSON config file (suite only)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    if records:
+        p.add_argument("--format", choices=("csv", "json"), default="csv", help="record file format")
 
 
-def _task_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=256, help="haystack length")
+def _task_flags(p: argparse.ArgumentParser, *, stream: bool = True) -> None:
+    """The task's flags; a distilled map reads its shape and keys, not the stream."""
+    if stream:
+        p.add_argument("--n", type=int, default=256, help="haystack length")
     p.add_argument("--d", type=int, default=16, help="head dimension")
     p.add_argument("--feature-dim", type=int, default=None, help="feature map width (default 2*d)")
     p.add_argument("--codebook", type=int, default=16, help="value codebook size")
-    p.add_argument("--needles", type=int, default=1)
+    if stream:
+        p.add_argument("--needles", type=int, default=1)
     p.add_argument("--distribution", choices=_KEY_DISTRIBUTIONS, default="clustered")
-    p.add_argument("--feature-map", default="distill", help="distill | random | path to a saved map")
+    if stream:
+        p.add_argument("--feature-map", default="distill", help="distill | random | path to a saved map")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("recall", help="recall accuracy for one policy")
-    _common_flags(p)
+    _common_flags(p, records=True)
     _task_flags(p)
     p.add_argument("--policy", default="lola")
     p.add_argument("--eta", type=int, default=64, help="sliding window capacity")
@@ -58,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
 
     p = sub.add_parser("ablate-scores", help="scoring-rule ablation at a matched budget")
-    _common_flags(p)
+    _common_flags(p, records=True)
     _task_flags(p)
     p.add_argument("--budget", type=int, default=128, help="total full-rank pairs per row")
     p.add_argument("--trials", type=int, default=100)
@@ -75,15 +81,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", default="64,128,256", help="comma-separated sample counts")
     p.add_argument("--d-list", default="8,16", help="comma-separated dimensions")
 
-    p = sub.add_parser("distill", help="train a feature map and save it")
+    p = sub.add_parser("distill", help="save the map --feature-map distill fits")
     _common_flags(p)
-    _task_flags(p)
-    p.add_argument("--steps", type=int, default=40)
-    p.add_argument("--lr", type=float, default=2e-4)
+    _task_flags(p, stream=False)
     p.add_argument("--out", default="feature_map.json")
 
     p = sub.add_parser("suite", help="run a declared experiment suite")
-    _common_flags(p)
+    _common_flags(p, seed=False, records=True)
+    p.add_argument("--config", default=None, help="JSON suite config (default: the built-in suite)")
     return parser
 
 
@@ -156,44 +161,37 @@ def _finish(out_dir: Path, args, files: list[Path]) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out_dir = Path(args.out_dir)
+    # every value is checked before any file is written; a bad one exits 2
+    try:
+        if args.command == "suite":
+            config = load_config(args.config) if args.config else None
+        elif args.command == "distill":
+            # the fit reads the task's key statistics, not its stream length
+            task = SyntheticTaskSpec(
+                1, head_dim=args.d, key_distribution=args.distribution, value_codebook_size=args.codebook
+            )
+            attn = AttentionConfig(args.d, args.feature_dim)
+        else:
+            # recall, ablate-scores, collisions and gram-study run as one-entry suites
+            exp = _one_entry(args)
+            validate_config({"seed": args.seed, "experiments": [exp]}, source=f"lola {args.command}")
+    except ValueError as exc:
+        where = "" if isinstance(exc, ConfigError) else f"lola {args.command}: "
+        print(f"error: {where}{exc}", file=sys.stderr)
+        return 2
 
     if args.command == "suite":
-        try:
-            config = load_config(args.config) if args.config else None
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         return run_suite(config, out_dir=out_dir, fmt=args.format)
-
     if args.command == "distill":
+        params = resolve_feature_map(ExperimentConfig(seed=args.seed), task, attn)
         out_dir.mkdir(parents=True, exist_ok=True)
-        task = SyntheticTaskSpec(
-            haystack_len=args.n,
-            needle_count=args.needles,
-            head_dim=args.d,
-            key_distribution=args.distribution,
-            value_codebook_size=args.codebook,
-            seed=args.seed,
-        )
-        attn = AttentionConfig(args.d, args.feature_dim)
-        corpus = _distill_corpus(task, SeededRng(args.seed).child(1))
-        params = distill_feature_map(
-            SeededRng(args.seed).child(2), attn, corpus, args.steps, args.lr
-        )
         path = out_dir / args.out
         save_feature_map(params, path)
         print(f"wrote {path}")
         return _finish(out_dir, args, [path])
-
-    # recall, ablate-scores, collisions and gram-study run as one-entry suites
-    try:
-        exp = _one_entry(args)
-        validate_config({"seed": args.seed, "experiments": [exp]}, source=f"lola {args.command}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths, result = _RUNNERS[exp["kind"]](exp, args.seed, out_dir, args.format, [])
+    # collision matrices and spectra are always CSV
+    paths, result = _RUNNERS[exp["kind"]](exp, args.seed, out_dir, getattr(args, "format", "csv"), [])
     if args.command == "recall":
         print(f"accuracy {result[0].accuracy:.4f} ({result[0].policy}); wrote {paths[0]}")
     elif args.command == "ablate-scores":

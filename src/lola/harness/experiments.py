@@ -12,7 +12,7 @@ available as a stress configuration.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -100,23 +100,7 @@ class ResultRecord:
 
 
 # wall time stays out of emitted rows so re-runs are byte-identical
-RECORD_COLUMNS = [
-    "name",
-    "policy",
-    "window_capacity",
-    "sparse_capacity",
-    "chunk_size",
-    "haystack_len",
-    "head_dim",
-    "feature_dim",
-    "key_distribution",
-    "value_codebook_size",
-    "trials",
-    "seed",
-    "accuracy",
-    "mean_self_recall_error",
-    "effective_cache_size",
-]
+RECORD_COLUMNS = [f.name for f in fields(ResultRecord) if f.name != "wall_time_s"]
 
 
 _distill_cache: dict[tuple, FeatureMapParams] = {}
@@ -249,9 +233,9 @@ def eval_recall(
     )
 
 
-# row order mirrors the scoring ablation table: the self-recall engine, the
-# three alternative rules, then the plain window extension at the same budget
-ABLATION_ROW_ORDER = ["self-recall", "attnerr-sq", "attnerr-abs", "overestimate", "window-extension"]
+# row order mirrors the scoring ablation table: the rules as the engine names
+# them, self-recall first, then the plain window extension at the same budget
+ABLATION_ROW_ORDER = [*SCORING_STRATEGIES, "window-extension"]
 
 # how the rules are expected to rank by accuracy, best first
 EXPECTED_ACCURACY_ORDER = [

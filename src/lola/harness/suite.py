@@ -30,7 +30,7 @@ from ..analysis import (
     write_collision_csv,
     write_gram_csv,
 )
-from ..attention import AttentionConfig
+from ..attention import AttentionConfig, load_feature_map
 from ..cache import SCORING_STRATEGIES
 from .experiments import (
     _CHUNKED_POLICIES,
@@ -281,6 +281,26 @@ def _check_choices(where: str, exp: dict) -> None:
             raise ConfigError(
                 f"{where}: {key!r} must be a non-empty list of integers >= 1, got {values!r}"
             )
+    fmap = exp.get("feature_map", "distill")
+    if fmap in ("distill", "random"):
+        return
+    if not isinstance(fmap, str):
+        raise ConfigError(
+            f"{where}: 'feature_map' must be 'distill', 'random' or a path to a saved map, got {fmap!r}"
+        )
+    try:
+        params = load_feature_map(fmap)
+    except OSError as exc:
+        raise ConfigError(f"{where}: 'feature_map' cannot be read: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{where}: 'feature_map' is malformed: {exc}") from None
+    d = exp.get("d", 16)
+    shape, want = (params.head_dim, params.feature_dim), (d, fdim or 2 * d)
+    if shape != want:
+        raise ConfigError(
+            f"{where}: 'feature_map' {fmap!r} has head_dim, feature_dim {shape}; "
+            f"the experiment needs {want}"
+        )
 
 
 def _check_policy(where: str, variant: dict) -> None:

@@ -1,5 +1,7 @@
 """Feature map, exact oracle, and linear state contracts."""
 
+import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,6 +24,7 @@ from lola import (
     save_feature_map,
     softmax_attention_oracle,
 )
+from lola import attention
 from lola.analysis import gram_matrix
 from lola.cache import _mix_tiers
 from lola.chunkwise import ChunkConfig, attend_after_prefill
@@ -140,6 +143,41 @@ def test_feature_map_roundtrip(tmp_path, small_map):
     save_feature_map(params, path)
     loaded = load_feature_map(path)
     np.testing.assert_array_equal(loaded.weights, params.weights)
+
+
+_MAP = {"format": "paired-exp-feature-map-v1", "head_dim": 2, "feature_dim": 4, "weights": [0.1] * 4}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{]", "not JSON"),
+        (json.dumps([_MAP]), "top level must be an object, got list"),
+        (json.dumps({**_MAP, "format": "v0"}), "'format' is not 'paired-exp-feature-map-v1'"),
+        (json.dumps({**_MAP, "head_dim": "2"}), "'head_dim' '2' is not an int >= 1"),
+        (json.dumps({**_MAP, "head_dim": True}), "'head_dim' True is not an int >= 1"),
+        (json.dumps({**_MAP, "head_dim": 0, "weights": []}), "'head_dim' 0 is not an int >= 1"),
+        (json.dumps({**_MAP, "feature_dim": 3}), "'feature_dim' 3 is not an even int >= 2"),
+        (json.dumps({**_MAP, "feature_dim": 0}), "'feature_dim' 0 is not an even int >= 2"),
+        (json.dumps({k: v for k, v in _MAP.items() if k != "weights"}), "'weights' must be a list"),
+        (json.dumps({**_MAP, "weights": [0.1, "x", 0.1, 0.1]}), "'weights': could not convert"),
+        (json.dumps({**_MAP, "weights": [0.1] * 3}), "need 4 'weights', got shape (3,)"),
+        (json.dumps({**_MAP, "weights": [[0.1, 0.1], [0.1, 0.1]]}), "got shape (2, 2)"),
+        (json.dumps({**_MAP, "weights": [0.1, float("nan"), 0.1, 0.1]}), "non-finite"),
+    ],
+    ids=[
+        "not-json", "list", "format", "head-dim-str", "head-dim-bool", "head-dim-0",
+        "feature-dim-odd", "feature-dim-0", "weights-missing", "weights-str", "weights-short",
+        "weights-nested", "weights-nan",
+    ],
+)
+def test_malformed_map_file_names_the_file_and_field(tmp_path, text, message):
+    path = tmp_path / "map.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        load_feature_map(path)
+    assert str(path) in str(info.value)
+    assert path.read_bytes() not in attention._parsed_maps  # checked before it is cached
 
 
 def test_oracle_single_token_returns_value():

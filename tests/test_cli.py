@@ -2,9 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from lola.attention import AttentionConfig, FeatureMapParams, save_feature_map
 from lola.harness.cli import main
+from lola.harness.experiments import ExperimentConfig, resolve_feature_map
+from lola.harness.synthetic import SyntheticTaskSpec
 
 
 def test_recall_subcommand(tmp_path, capsys):
@@ -26,24 +30,14 @@ def test_recall_subcommand(tmp_path, capsys):
 
 
 def test_distilled_map_reusable_across_runs(tmp_path):
-    # distill writes a map; recall loads it back via --feature-map <path>
-    assert main(
-        [
-            "distill",
-            "--d", "8", "--steps", "2", "--n", "16", "--codebook", "4",
-            "--out-dir", str(tmp_path), "--out", "m.json",
-        ]
-    ) == 0
-    assert main(
-        [
-            "recall",
-            "--n", "24", "--d", "8", "--codebook", "4",
-            "--eta", "8", "--lam", "4", "--trials", "2",
-            "--feature-map", str(tmp_path / "m.json"),
-            "--out-dir", str(tmp_path / "r"),
-        ]
-    ) == 0
-    assert (tmp_path / "r" / "recall.csv").exists()
+    # a map saved by distill reproduces --feature-map distill at the same seed and shape
+    shape = ["--d", "8", "--codebook", "4", "--seed", "3"]
+    assert main(["distill", *shape, "--out-dir", str(tmp_path), "--out", "m.json"]) == 0
+    recall = ["recall", *shape, "--n", "24", "--eta", "8", "--lam", "4", "--trials", "4"]
+    for fmap, out in ((str(tmp_path / "m.json"), "saved"), ("distill", "fitted")):
+        assert main([*recall, "--feature-map", fmap, "--out-dir", str(tmp_path / out)]) == 0
+    saved = (tmp_path / "saved" / "recall.csv").read_bytes()
+    assert saved == (tmp_path / "fitted" / "recall.csv").read_bytes()
 
 
 def test_recall_json_format(tmp_path):
@@ -231,6 +225,10 @@ def test_suite_config_errors_exit_2_naming_experiment_and_field(tmp_path, capsys
             {"kind": "recall", "name": "r", "variants": [{"name": ["a"], "policy": "lola"}]},
             "variants[0]: 'name' must be a string, got ['a']",
         ),
+        (
+            {"kind": "recall", "name": "r", "feature_map": 5},
+            "'feature_map' must be 'distill', 'random' or a path to a saved map, got 5",
+        ),
     ],
 )
 def test_suite_config_errors_exit_2_before_any_file_is_written(tmp_path, capsys, second, message):
@@ -242,6 +240,38 @@ def test_suite_config_errors_exit_2_before_any_file_is_written(tmp_path, capsys,
     assert status == 2
     assert message in capsys.readouterr().err
     assert list((tmp_path / "runs").rglob("*")) == []
+
+
+@pytest.mark.parametrize(
+    "write, message",
+    [
+        (lambda path: None, "'feature_map' cannot be read"),
+        (
+            lambda path: path.write_text('{"format": "paired-exp-feature-map-v1"}'),
+            "'feature_map' is malformed",
+        ),
+        (
+            lambda path: save_feature_map(FeatureMapParams(np.zeros((4, 4))), path),
+            "has head_dim, feature_dim (4, 8); the experiment needs (8, 16)",
+        ),
+    ],
+    ids=["missing", "malformed", "wrong-d"],
+)
+def test_a_bad_saved_map_exits_2_before_any_file_is_written(tmp_path, capsys, write, message):
+    path = tmp_path / "map.json"
+    write(path)
+    first = {"kind": "gram-study", "name": "g", "n_list": [8], "d_list": [2]}
+    second = {"kind": "recall", "name": "r", "n": 16, "d": 8, "feature_map": str(path)}
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"seed": 0, "experiments": [first, second]}))
+    out_dir = tmp_path / "out"
+    assert main(["suite", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "experiments[1] ('r')" in err and message in err
+    argv = ["recall", "--d", "8", "--feature-map", str(path), "--out-dir", str(out_dir)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_gram_study_subcommand(tmp_path):
@@ -256,13 +286,58 @@ def test_distill_subcommand(tmp_path):
     status = main(
         [
             "distill",
-            "--d", "4", "--steps", "3", "--n", "8", "--codebook", "4",
+            "--d", "4", "--codebook", "4", "--seed", "5",
             "--out-dir", str(tmp_path), "--out", "map.json",
         ]
     )
     assert status == 0
     payload = json.loads((tmp_path / "map.json").read_text())
     assert payload["head_dim"] == 4 and payload["feature_dim"] == 8
+    task = SyntheticTaskSpec(8, head_dim=4, key_distribution="clustered", value_codebook_size=4)
+    attn = AttentionConfig(4)
+    save_feature_map(resolve_feature_map(ExperimentConfig(seed=5), task, attn), tmp_path / "ref.json")
+    assert (tmp_path / "map.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--d", "0"], "head_dim must be >= 1, got 0"),
+        (["--codebook", "1"], "value_codebook_size must be >= 2, got 1"),
+        (["--feature-dim", "3"], "feature_dim must be a positive even integer, got 3"),
+    ],
+    ids=["d-0", "codebook-1", "feature-dim-odd"],
+)
+def test_distill_bad_values_exit_2_before_any_file_is_written(tmp_path, capsys, flags, message):
+    out_dir = tmp_path / "out"
+    assert main(["distill", *flags, "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: lola distill: {message}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(
+            [command, "--config", "c.json"]
+            for command in ("recall", "ablate-scores", "collisions", "gram-study", "distill")
+        ),
+        *([command, "--format", "csv"] for command in ("collisions", "gram-study", "distill")),
+        ["suite", "--seed", "99"],
+        ["distill", "--n", "8"],
+        ["distill", "--needles", "9", "--n", "8"],
+        ["distill", "--feature-map", "random"],
+        ["distill", "--steps", "2"],
+        ["distill", "--lr", "0.1"],
+    ],
+    ids=" ".join,
+)
+def test_a_flag_the_subcommand_does_not_read_is_rejected(tmp_path, argv):
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--out-dir", str(out_dir)])
+    assert info.value.code == 2
+    assert not out_dir.exists()
 
 
 def test_suite_subcommand_with_config(tmp_path):
