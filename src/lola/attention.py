@@ -106,7 +106,7 @@ def init_feature_map(rng: SeededRng, config: AttentionConfig) -> FeatureMapParam
 
 
 def _guard(z: np.ndarray) -> None:
-    peak = float(np.max(np.abs(z))) if z.size else 0.0
+    peak = float(abs(z).max(initial=0.0))
     if peak > DEFAULT_MAX_LOGIT:
         raise OverflowGuardError(
             f"pre-exponential magnitude {peak:.4g} exceeds the bound {DEFAULT_MAX_LOGIT:g}; "

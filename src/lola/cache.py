@@ -189,11 +189,15 @@ def _recall_rows(
     single-row product goes to a matrix-vector kernel with other bits.
     """
     if state.count == 0:
-        r = values
+        r = values * values
     else:
-        r = (phi @ state.hidden) / den[:, None] - values
+        r = phi @ state.hidden
+        r /= den[:, None]
+        r -= values
+        r *= r
     # the operations of ``np.linalg.norm(r, axis=1)`` without its wrapper
-    return np.sqrt(np.add.reduce(r * r, axis=1))
+    out = np.add.reduce(r, axis=1)
+    return np.sqrt(out, out=out)
 
 
 def _mix_tiers(q, phi_q, scale, keys_a, values_a, keys_b, values_b, state: LinearState) -> np.ndarray:
@@ -202,19 +206,30 @@ def _mix_tiers(q, phi_q, scale, keys_a, values_a, keys_b, values_b, state: Linea
     The exponential terms and the hidden-state term share one shift (the
     largest logit, or zero) and one denominator, so the output is a convex
     combination of stored values. A denominator that is not positive (an
-    overflowing logit makes it NaN) raises ``ValueError``.
+    overflowing logit makes it NaN) raises ``ValueError``. Each product's
+    result is worked on in place, in the order of the expression
+    ``(ea @ values_a + eb @ values_b + damp * (phi_q @ hidden)) / den``.
     """
-    logit_a = (keys_a @ q) * scale
-    logit_b = (keys_b @ q) * scale
-    shift = float(max(logit_a.max(initial=0.0), logit_b.max(initial=0.0)))
-    ea = np.exp(logit_a - shift)
-    eb = np.exp(logit_b - shift)
+    ea = keys_a @ q
+    ea *= scale
+    eb = keys_b @ q
+    eb *= scale
+    shift = float(max(ea.max(initial=0.0), eb.max(initial=0.0)))
+    ea -= shift
+    np.exp(ea, out=ea)
+    eb -= shift
+    np.exp(eb, out=eb)
     damp = np.exp(-shift)
-    num = ea @ values_a + eb @ values_b + damp * (phi_q @ state.hidden)
+    num = ea @ values_a
+    num += eb @ values_b
+    hid = phi_q @ state.hidden
+    hid *= damp
+    num += hid
     den = float(ea.sum() + eb.sum()) + damp * float(phi_q @ state.normalizer)
     if not den > 0.0:
         raise ValueError(f"shared denominator {den:g} is not positive")
-    return num / den
+    num /= den
+    return num
 
 
 def _norm(v: np.ndarray) -> float:
@@ -544,9 +559,9 @@ class LolaCache:
         lin, rmax = self.linear, self._rmax
         # the staged row is always scored; its prediction is within rmax of
         # zero, so its score is at most |v| + rmax
-        vnorm[ns] = _norm(vals[ns])
-        lo[ns], hi[ns] = -np.inf, (vnorm[ns] + rmax) * (1.0 + _BOUND_SLACK) + _BOUND_FLOOR
-        rows = np.flatnonzero(lo <= hi.min())
+        vnorm[ns] = norm_s = _norm(vals[ns])
+        lo[ns], hi[ns] = -np.inf, (norm_s + rmax) * (1.0 + _BOUND_SLACK) + _BOUND_FLOOR
+        rows = (lo <= hi.min()).nonzero()[0]
         if rows.size == 1:
             rows = np.array([ns, ns])  # two rows keep the GEMM's bits
         # the denominators come from the (λ+1)-row product of the one-call
@@ -554,7 +569,7 @@ class LolaCache:
         den = phi @ lin.normalizer
         scores = _recall_rows(phi[rows], vals[rows], lin, den[rows])
         k = rows.size - 1 - int(scores[::-1].argmin())
-        drop = int(rows[k])
+        drop = rows.item(k)
         lo[rows] = hi[rows] = scores
         if not scores.max() < np.inf:
             # an overflowing score bounds nothing: leave its row open
@@ -562,19 +577,29 @@ class LolaCache:
             lo[unbounded], hi[unbounded] = -np.inf, np.inf
         # absorbing (phi_a, v_a) moves each prediction p_i to
         # p_i + a_i (v_a - p_i), with a_i = u_i / (s_i + u_i), u_i = phi_i.phi_a
-        # and s_i = phi_i.z, so the score moves by at most a_i |v_a - p_i|
-        phi_a, v_a, norm_a = phi[drop].copy(), vals[drop].copy(), vnorm[drop]
+        # and s_i = phi_i.z, so the score moves by at most a_i |v_a - p_i|.
+        # The widths are worked out in place, each operation in the order of
+        # u / (den + u) * (norm_a + reach) + slack, with
+        # slack = _BOUND_SLACK * (rmax + |v_i|) + _BOUND_FLOOR
+        phi_a, v_a, norm_a = phi[drop].copy(), vals[drop].copy(), vnorm.item(drop)
         u = phi @ phi_a
-        reach = np.minimum(vnorm + hi, rmax)  # bounds |p_i|
-        self._rmax = max(rmax, norm_a)
-        slack = _BOUND_SLACK * (self._rmax + vnorm) + _BOUND_FLOOR
-        width = u / (den + u) * (norm_a + reach) + slack
-        lo -= width
-        hi += width
+        reach = vnorm + hi
+        np.minimum(reach, rmax, out=reach)  # bounds |p_i|
+        self._rmax = rmax = max(rmax, norm_a)
+        slack = vnorm + rmax
+        slack *= _BOUND_SLACK
+        slack += _BOUND_FLOOR
+        den += u
+        u /= den
+        reach += norm_a
+        u *= reach
+        u += slack
+        lo -= u
+        hi += u
         before = (lin.hidden, lin.normalizer, lin.count)
         lin.update(phi_a, v_a)
-        self.absorbed_score_sum += float(scores[k])
-        self._step = (step_index, (phi_a, v_a, before), drop, int(self._sidx[drop]))
+        self.absorbed_score_sum += scores.item(k)
+        self._step = (step_index, (phi_a, v_a, before), drop, self._sidx.item(drop))
         self._close(drop)
 
     @property

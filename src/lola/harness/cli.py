@@ -166,6 +166,8 @@ def main(argv=None) -> int:
         if args.command == "suite":
             config = load_config(args.config) if args.config else None
         elif args.command == "distill":
+            # the seed is checked as a suite config's is
+            validate_config({"seed": args.seed, "experiments": []}, source=f"lola {args.command}")
             # the fit reads the task's key statistics, not its stream length
             task = SyntheticTaskSpec(
                 1, head_dim=args.d, key_distribution=args.distribution, value_codebook_size=args.codebook

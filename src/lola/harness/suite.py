@@ -75,7 +75,7 @@ _INT_KEYS = (
 # the least value of each integer field that a run can use
 _INT_MIN = {
     "n": 1, "d": 1, "codebook": 2, "needles": 1, "window": 0, "sparse": 0,
-    "trials": 1, "budget": 0, "chunk": 1,
+    "trials": 1, "budget": 0, "chunk": 1, "seed": 0,
 }
 _CHECK_KEYS = {"type", "variant", "a", "b", "value", "variants"}
 
@@ -148,8 +148,14 @@ DEFAULT_SUITE = {
 
 
 def load_config(path) -> dict:
-    """Parse and validate a suite config file."""
-    text = Path(path).read_text()
+    """Parse and validate a suite config file; a file that cannot be read
+    as UTF-8 text is a ``ConfigError`` naming it."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot be read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: byte {exc.start} ({exc.reason})") from None
     try:
         config = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -164,8 +170,8 @@ def validate_config(config, source: str = "<config>") -> None:
     unknown = set(config) - {"seed", "experiments"}
     if unknown:
         raise ConfigError(f"{source}: unknown top-level keys {sorted(unknown)}")
-    if not isinstance(config.get("seed", 0), int):
-        raise ConfigError(f"{source}: 'seed' must be an integer")
+    # the one integer field at the top level
+    _check_ints(source, config)
     experiments = config.get("experiments")
     if not isinstance(experiments, list):
         raise ConfigError(f"{source}: 'experiments' must be a list")

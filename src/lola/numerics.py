@@ -20,13 +20,21 @@ __all__ = [
     "gaussian_sample",
 ]
 
+_F64 = np.dtype(np.float64)
+
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
-    """Coerce ``x`` to a finite float64 vector, checking its length when given."""
-    v = np.asarray(x, dtype=np.float64)
+    """Coerce ``x`` to a finite float64 vector, checking its length when given.
+
+    A float64 ndarray is used as it is, since ``np.asarray`` would return it
+    unchanged. Finiteness is checked element-wise: a finite sum would prove
+    it too, but summing warns (or raises, under ``np.errstate``) when finite
+    entries overflow or an inf meets a -inf.
+    """
+    v = x if type(x) is np.ndarray and x.dtype is _F64 else np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector has non-finite entries")
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.shape[0]}")
@@ -34,11 +42,12 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
 
 
 def as_matrix(x, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Coerce ``x`` to a finite float64 matrix, checking its shape when given."""
-    m = np.asarray(x, dtype=np.float64)
+    """Coerce ``x`` to a finite float64 matrix, checking its shape when given;
+    the checks are those of ``as_vector``."""
+    m = x if type(x) is np.ndarray and x.dtype is _F64 else np.asarray(x, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     if rows is not None and m.shape[0] != rows:
         raise ValueError(f"dimension mismatch: expected {rows} rows, got {m.shape[0]}")

@@ -340,6 +340,43 @@ def test_a_flag_the_subcommand_does_not_read_is_rejected(tmp_path, argv):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recall", "--n", "16", "--trials", "1", "--feature-map", "random"],
+        ["ablate-scores", "--n", "16", "--trials", "1", "--feature-map", "random"],
+        ["collisions", "--n", "16", "--feature-map", "random"],
+        ["gram-study"],
+        ["distill"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_negative_seed_exits_2_before_any_file_is_written(tmp_path, capsys, argv):
+    out_dir = tmp_path / "out"
+    assert main([*argv, "--seed", "-1", "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: lola {argv[0]}: 'seed' must be >= 0, got -1\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda path: None, "cannot be read: No such file or directory"),
+        (lambda path: path.mkdir(), "cannot be read: Is a directory"),
+        (lambda path: path.write_bytes(b'{"seed": 7\xff}'), "not UTF-8 text: byte 10"),
+    ],
+    ids=["missing", "unreadable", "not-utf8"],
+)
+def test_a_config_file_that_cannot_be_read_exits_2_and_writes_nothing(tmp_path, capsys, make, message):
+    cfg_path = tmp_path / "suite.json"
+    make(cfg_path)
+    out_dir = tmp_path / "runs"
+    assert main(["suite", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg_path}: {message}") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 def test_suite_subcommand_with_config(tmp_path):
     config = {
         "seed": 1,

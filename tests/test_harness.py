@@ -233,6 +233,26 @@ def test_validate_rejects_non_integer_task_fields(field, bad):
         validate_config(config)
 
 
+_SEED_AT = {
+    "top-level": lambda seed: {"seed": seed, "experiments": []},
+    "experiment": lambda seed: {"seed": 0, "experiments": [_recall("r", seed=seed)]},
+    "gram-study": lambda seed: {"seed": 0, "experiments": [{"kind": "gram-study", "name": "g", "seed": seed}]},
+}
+
+
+@pytest.mark.parametrize("bad", [-1, True, False], ids=["negative", "true", "false"])
+@pytest.mark.parametrize("where", _SEED_AT)
+def test_validate_rejects_a_negative_or_bool_seed(where, bad):
+    # SeededRng cannot take a negative seed, and a bool is not one
+    with pytest.raises(ConfigError, match=r"'seed' must be (>= 0|an integer), got"):
+        validate_config(_SEED_AT[where](bad))
+
+
+def test_validate_accepts_seed_zero_everywhere():
+    gram = {"kind": "gram-study", "name": "g", "seed": 0}
+    validate_config({"seed": 0, "experiments": [_recall("r", seed=0), gram]})
+
+
 @pytest.mark.parametrize(
     "exp, field",
     [
