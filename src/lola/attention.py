@@ -15,6 +15,7 @@ increases between accepted steps).
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -68,16 +69,26 @@ class AttentionConfig:
     scale: float | None = None
 
     def __post_init__(self):
+        if self.feature_dim is None and _is_int(self.head_dim):
+            object.__setattr__(self, "feature_dim", 2 * self.head_dim)
+        for name in ("head_dim", "feature_dim"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.head_dim < 1:
             raise ValueError(f"head_dim must be >= 1, got {self.head_dim}")
-        if self.feature_dim is None:
-            object.__setattr__(self, "feature_dim", 2 * self.head_dim)
         if self.feature_dim < 2 or self.feature_dim % 2 != 0:
             raise ValueError(f"feature_dim must be a positive even integer, got {self.feature_dim}")
         if self.scale is None:
             object.__setattr__(self, "scale", self.head_dim ** -0.5)
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        # bool is not a scale; the comparison is false for NaN
+        real = isinstance(self.scale, numbers.Real) and not isinstance(self.scale, bool)
+        if not (real and 0 < self.scale < np.inf):
+            raise ValueError(f"scale must be a finite positive real, got {self.scale!r}")
+
+
+def _is_int(value) -> bool:
+    # bool is not a size
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -140,10 +151,16 @@ def feature_map_apply(params: FeatureMapParams, x) -> np.ndarray:
 
 
 def _feature_batch(params: FeatureMapParams, xs: np.ndarray) -> np.ndarray:
-    """``feature_map_batch`` on an already validated matrix: one GEMM."""
+    """``feature_map_batch`` on an already validated matrix: one GEMM, both
+    halves exponentiated into the array returned."""
     z = xs @ params.weights.T
     _guard(z)
-    return np.concatenate([np.exp(z), np.exp(-z)], axis=1)
+    half = z.shape[1]
+    phi = np.empty((z.shape[0], 2 * half))
+    np.exp(z, out=phi[:, :half])
+    np.negative(z, out=z)
+    np.exp(z, out=phi[:, half:])
+    return phi
 
 
 def feature_map_batch(params: FeatureMapParams, xs) -> np.ndarray:

@@ -32,8 +32,9 @@ from .attention import (
     LinearState,
     _feature_batch,
     _feature_row,
+    _is_int,
 )
-from .cache import _mix_tiers, _pair_rows, _pair_views, _self_recall_scores
+from .cache import _mix_tiers, _pair_views, _self_recall_scores
 from .numerics import as_matrix, as_vector
 
 __all__ = [
@@ -55,8 +56,7 @@ class ChunkConfig:
     def __post_init__(self):
         for name, least in (("chunk_size", 1), ("sparse_capacity", 0)):
             value = getattr(self, name)
-            # bool is not a size
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+            if not _is_int(value) or value < least:
                 raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
 
 
@@ -115,7 +115,9 @@ def prefill(
     """Run the chunked pass over a full sequence.
 
     Returns one output per input position and the carry-over state. Arrival
-    indices are 1-based, matching the decode path.
+    indices are 1-based, matching the decode path. A chunk whose shared
+    denominator is not positive (an overflowing logit makes it NaN) raises
+    ``ValueError`` naming the chunk.
     """
     # a caller may pass the keys as the queries (``run_trial`` does): map them once
     shared = ks is qs
@@ -132,11 +134,19 @@ def prefill(
     phi_k = phi_q if shared else _feature_batch(params, ks)
     d, fdim = attn.head_dim, attn.feature_dim
     linear = LinearState.zeros(fdim, d)
-    # the residents as pair rows in arrival order, then the chunk staged behind them
+    # the residents as pair rows in arrival order, then the chunk staged behind them;
+    # the score column stays 0
     rows = np.zeros((lam + c, 2 * d + fdim + 2))
     rv, rphi, rk = _pair_views(rows, d, fdim)
     ridx = rows.view(np.int64)[:, -1]
     slen = 0
+    # per-call buffers: [sparse | lookback] keys and values, as contiguous as
+    # a concatenation (gathering the lookback from rows changes the logits'
+    # bits at d <= 2), and each chunk's logits and numerators
+    kbuf = np.empty((3 * c + lam, d))
+    vbuf = np.empty((3 * c + lam, d))
+    lflat = np.empty(c * (3 * c + lam))
+    nbuf = np.empty((c, d))
 
     out = np.empty_like(vs)
     events: list[ChunkEvent] = []
@@ -151,28 +161,54 @@ def prefill(
         c0 = m * c
         c1 = min(n, c0 + c)
         lb0 = max(0, c0 - 2 * c)
-        kb = np.concatenate([rk[:slen], ks[lb0:c1]], axis=0)
-        vb = np.concatenate([rv[:slen], vs[lb0:c1]], axis=0)
-        peak = max(peak, kb.shape[0])
-        if kb.shape[0] > 3 * c + lam:
+        w = slen + (c1 - lb0)
+        peak = max(peak, w)
+        if w > 3 * c + lam:
             raise RuntimeError("full-rank storage exceeded its fixed bound")
+        kb, vb = kbuf[:w], vbuf[:w]
+        kb[:slen] = rk[:slen]
+        kb[slen:] = ks[lb0:c1]
+        vb[:slen] = rv[:slen]
+        vb[slen:] = vs[lb0:c1]
 
-        logits = (qs[c0:c1] @ kb.T) * attn.scale
+        # each step works in place, in the order of the expressions
+        # e = exp(logits * scale - shift), num = e @ vb + damp * (phi_q @ hidden),
+        # den = e.sum(axis=1) + damp * (phi_q @ normalizer), out = num / den
         width = c1 - c0
-        col0 = slen + (c0 - lb0)
-        logits[:, col0:][ahead[:width, :width]] = -np.inf
-        shift = np.maximum(logits.max(axis=1), 0.0)
-        e = np.exp(logits - shift[:, None])
-        damp = np.exp(-shift)
-        num = e @ vb + damp[:, None] * (phi_q[c0:c1] @ linear.hidden)
-        den = e.sum(axis=1) + damp * (phi_q[c0:c1] @ linear.normalizer)
-        out[c0:c1] = num / den[:, None]
+        e = lflat[: width * w].reshape(width, w)
+        np.matmul(qs[c0:c1], kb.T, out=e)
+        e *= attn.scale
+        e[:, slen + (c0 - lb0) :][ahead[:width, :width]] = -np.inf
+        shift = e.max(axis=1)
+        np.maximum(shift, 0.0, out=shift)
+        e -= shift[:, None]
+        np.exp(e, out=e)
+        # damp = exp(-shift), in the shift's array
+        damp = np.exp(np.negative(shift, out=shift), out=shift)
+        pq = phi_q[c0:c1]
+        num = nbuf[:width]
+        np.matmul(e, vb, out=num)
+        hid = pq @ linear.hidden
+        hid *= damp[:, None]
+        num += hid
+        den = e.sum(axis=1)
+        hnorm = pq @ linear.normalizer
+        hnorm *= damp
+        den += hnorm
+        # NaN fails the comparison too
+        least = den.min()
+        if not least > 0.0:
+            raise ValueError(f"chunk {m}: shared denominator {least:g} is not positive")
+        np.divide(num, den[:, None], out=out[c0:c1])
 
         # the chunk two behind just left the lookback: stage it behind the
         # residents and absorb all but the λ highest scores
         if m >= 2:
             e0, e1, ne = (m - 2) * c, (m - 1) * c, slen + c
-            rows[slen:ne] = _pair_rows(vs[e0:e1], phi_k[e0:e1], ks[e0:e1], e0 + 1)
+            rv[slen:ne] = vs[e0:e1]
+            rphi[slen:ne] = phi_k[e0:e1]
+            rk[slen:ne] = ks[e0:e1]
+            ridx[slen:ne] = np.arange(e0 + 1, e1 + 1)
             scores = _self_recall_scores(rphi[:ne], rv[:ne], linear)
             drop = np.zeros(ne, dtype=bool)
             # stable on rows in arrival order: a tie keeps the older pair

@@ -47,6 +47,50 @@ def test_config_rejects_odd_feature_dim():
         AttentionConfig(4, feature_dim=5)
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"head_dim": True}, "head_dim"),
+        ({"head_dim": 4.0}, "head_dim"),
+        ({"head_dim": "4"}, "head_dim"),
+        ({"head_dim": None}, "head_dim"),
+        ({"head_dim": 0}, "head_dim"),
+        ({"head_dim": 4, "feature_dim": 8.0}, "feature_dim"),
+        ({"head_dim": 4, "feature_dim": False}, "feature_dim"),
+        ({"head_dim": 4, "feature_dim": np.float64(8)}, "feature_dim"),
+        ({"head_dim": 4, "scale": float("nan")}, "scale"),
+        ({"head_dim": 4, "scale": float("inf")}, "scale"),
+        ({"head_dim": 4, "scale": -float("inf")}, "scale"),
+        ({"head_dim": 4, "scale": np.float32("nan")}, "scale"),
+        ({"head_dim": 4, "scale": "1"}, "scale"),
+        ({"head_dim": 4, "scale": True}, "scale"),
+        ({"head_dim": 4, "scale": 1 + 0j}, "scale"),
+        ({"head_dim": 4, "scale": 0.0}, "scale"),
+        ({"head_dim": 4, "scale": -0.5}, "scale"),
+    ],
+)
+def test_config_rejects_fields_of_the_wrong_kind(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        AttentionConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "feature_dim, message",
+    [(5, "feature_dim must be a positive even integer, got 5"),
+     (0, "feature_dim must be a positive even integer, got 0")],
+)
+def test_config_keeps_its_feature_dim_messages(feature_dim, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        AttentionConfig(4, feature_dim=feature_dim)
+
+
+def test_config_takes_numpy_ints_and_reals():
+    cfg = AttentionConfig(np.int64(4), np.int32(8), np.float64(0.5))
+    assert (cfg.head_dim, cfg.feature_dim, cfg.scale) == (4, 8, 0.5)
+    assert AttentionConfig(np.int16(4)).feature_dim == 8
+    assert AttentionConfig(4, scale=1).scale == 1
+
+
 def test_feature_map_zero_input_gives_ones(small_map):
     cfg, params = small_map
     np.testing.assert_array_equal(feature_map_apply(params, np.zeros(2)), np.ones(4))
@@ -135,6 +179,20 @@ def test_feature_map_batch_matches_single(small_map):
     batch = feature_map_batch(params, xs)
     for i in range(6):
         np.testing.assert_allclose(batch[i], feature_map_apply(params, xs[i]), rtol=1e-14)
+
+
+@pytest.mark.parametrize("n, d, half", [(1, 1, 1), (7, 3, 5), (512, 16, 16), (33, 64, 64)])
+def test_feature_map_batch_keeps_the_bits_of_the_concatenated_halves(n, d, half):
+    gen = SeededRng(n + d).generator()
+    params = FeatureMapParams(gen.normal(size=(half, d)) * d ** -0.5)
+    xs = gen.normal(size=(n, d)) * 3.0
+    before = xs.copy()
+    z = xs @ params.weights.T
+    want = np.concatenate([np.exp(z), np.exp(-z)], axis=1)
+    got = feature_map_batch(params, xs)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    assert xs.tobytes() == before.tobytes()
 
 
 def test_feature_map_roundtrip(tmp_path, small_map):

@@ -1,5 +1,7 @@
 """Prefill path: oracle degeneration, policy conservation, slow reference."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from lola import (
     AttentionConfig,
+    FeatureMapParams,
     SeededRng,
     compression_rate,
     effective_cache_size,
@@ -15,7 +18,7 @@ from lola import (
     prefill,
     softmax_attention_oracle,
 )
-from lola.chunkwise import ChunkConfig, attend_after_prefill
+from lola.chunkwise import ChunkConfig, ChunkEvent, PrefillState, attend_after_prefill
 
 
 @pytest.fixture
@@ -239,6 +242,53 @@ def test_attend_after_prefill_rejects_a_non_finite_denominator(setup):
     state.linear.normalizer[:] = np.nan
     with pytest.raises(ValueError, match="shared denominator nan"):
         attend_after_prefill(state, qs[0], cfg, params)
+
+
+def test_prefill_rejects_a_non_finite_denominator():
+    # logits of 1e320 overflow: the shift is inf and every exponential NaN
+    cfg = AttentionConfig(4, feature_dim=4)
+    params = FeatureMapParams(np.zeros((2, 4)))
+    ks, vs = SeededRng(11).generator().normal(size=(2, 40, 4))
+    ks *= 1e160
+    with np.errstate(all="ignore"), pytest.raises(
+        ValueError, match=r"^chunk 0: shared denominator nan is not positive$"
+    ):
+        prefill(ks, ks, vs, ChunkConfig(8, 4), cfg, params)
+
+
+def test_prefill_returns_arrays_it_does_not_reuse(setup):
+    cfg, params = setup
+    gen = SeededRng(12).generator()
+    runs = []
+    for _ in range(2):
+        qs, ks, vs = gen.normal(size=(3, 45, 4))
+        out, state = prefill(qs, ks, vs, ChunkConfig(4, 3), cfg, params)
+        runs.append((qs, ks, vs, out, state))
+
+    def arrays(out, state):
+        got = [out, state.linear.hidden, state.linear.normalizer]
+        for f in dataclasses.fields(PrefillState):
+            value = getattr(state, f.name)
+            if isinstance(value, np.ndarray):
+                got.append(value)
+        for event in state.events:
+            got += [getattr(event, f.name) for f in dataclasses.fields(ChunkEvent)[1:]]
+        return got
+
+    first, second = (arrays(r[3], r[4]) for r in runs)
+    assert len(first) == 10 + 4 * len(runs[0][4].events)
+    every = first + second + [a for r in runs for a in r[:3]]
+    for i, a in enumerate(first + second):
+        for b in every[i + 1 :]:
+            assert not np.shares_memory(a, b)
+
+    kept = [a.copy() for a in first]
+    for qs, ks, vs, *_ in runs:
+        qs[:] = np.nan
+        ks[:] = 7.0
+        vs[:] = -7.0
+    for a, b in zip(first, kept):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_keys_passed_as_queries_are_mapped_once(setup, monkeypatch):
