@@ -12,7 +12,6 @@ in full rank, and pairs not yet seen stay blank.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +146,37 @@ class CollisionMatrix:
     errors: np.ndarray
     absorbed_at: np.ndarray
 
+    def __post_init__(self):
+        errors, absorbed = self.errors, self.absorbed_at
+        if not (
+            isinstance(errors, np.ndarray)
+            and errors.dtype == np.float64
+            and errors.ndim == 2
+            and errors.shape[0] == errors.shape[1] >= 1
+        ):
+            raise ValueError(
+                f"errors must be a non-empty square float64 array, got {_array_kind(errors)}"
+            )
+        n = errors.shape[0]
+        if not (
+            isinstance(absorbed, np.ndarray)
+            and np.issubdtype(absorbed.dtype, np.integer)
+            and absorbed.shape == (n,)
+        ):
+            raise ValueError(
+                f"absorbed_at must be an int array of shape ({n},), got {_array_kind(absorbed)}"
+            )
+        if absorbed.min() < 0 or absorbed.max() > n:
+            raise ValueError(
+                f"absorbed_at entries must be in [0, {n}], got {absorbed.min()} to {absorbed.max()}"
+            )
+
+
+def _array_kind(x) -> str:
+    if isinstance(x, np.ndarray):
+        return f"shape {x.shape} dtype {x.dtype}"
+    return type(x).__name__
+
 
 def collision_matrix(
     keys,
@@ -207,27 +237,39 @@ def mean_absorbed_error(cm: CollisionMatrix) -> float:
 # -- emission ----------------------------------------------------------------
 
 
+# Rows are assembled as text, in the bytes ``csv.writer`` would write: a
+# float's ``repr`` (digits, ".", "e", "+", "-", "inf", "nan") never needs
+# quoting, and lines end in "\r\n".
+
+
+def _reprs(values: np.ndarray) -> str:
+    """``repr`` of every entry, comma-joined, from one C-level list ``repr``."""
+    return repr(values.tolist())[1:-1].replace(", ", ",")
+
+
 def write_collision_csv(cm: CollisionMatrix, path) -> None:
     """Row per time step, column per pair; blank cells mean the pair had not
     arrived yet. Float formatting is repr-exact, so re-runs are byte-identical."""
-    t_total = cm.errors.shape[0]
+    errors = cm.errors
+    t_total = errors.shape[0]
+    # each row's filled length: one past its last non-NaN cell, 0 if it has none
+    filled = ~np.isnan(errors)
+    lengths = np.where(filled.any(axis=1), t_total - filled[:, ::-1].argmax(axis=1), 0).tolist()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time"] + [f"pair_{j}" for j in range(1, t_total + 1)])
-        for i in range(t_total):
-            # per row, not per cell (a numpy scalar each) nor per matrix (a
-            # second full copy of the matrix as Python floats)
-            cells = cm.errors[i, :t_total].tolist()
-            writer.writerow([str(i + 1)] + ["" if x != x else repr(x) for x in cells])
+        fh.write(",".join(["time", *(f"pair_{j}" for j in range(1, t_total + 1))]) + "\r\n")
+        for i, k in enumerate(lengths):
+            # one row at a time, never a second full copy of the matrix as
+            # Python floats; a NaN hole inside the prefix formats as "nan"
+            cells = _reprs(errors[i, :k]).replace("nan", "")
+            fh.write(f"{i + 1},{cells}{',' * (t_total - max(k, 1))}\r\n")
 
 
 def write_gram_csv(results: list[GramStudyResult], path) -> None:
     """Long-format curves: one row per (n, d, rank); the singular value column
     is blank at rank 0."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "d", "rank", "singular_value", "truncated_error"])
+        fh.write("n,d,rank,singular_value,truncated_error\r\n")
         for res in results:
-            svs = [""] + [repr(x) for x in res.singular_values.tolist()]
-            for r, err in enumerate(res.truncated_errors.tolist()):
-                writer.writerow([res.n, res.d, r, svs[r], repr(err)])
+            svs = ["", *_reprs(res.singular_values).split(",")]
+            errs = _reprs(res.truncated_errors).split(",")
+            fh.write("".join(f"{res.n},{res.d},{r},{svs[r]},{err}\r\n" for r, err in enumerate(errs)))

@@ -19,6 +19,7 @@ import numpy as np
 from ..attention import (
     AttentionConfig,
     FeatureMapParams,
+    _is_int,
     distill_feature_map,
     init_feature_map,
     load_feature_map,
@@ -69,6 +70,16 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("window_capacity", "sparse_capacity", "trials", "seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        for name in ("chunk_size", "feature_dim"):
+            value = getattr(self, name)
+            if value is not None and not _is_int(value):
+                raise ValueError(f"{name} must be None or an int, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.window_capacity < 0 or self.sparse_capacity < 0:
             raise ValueError("budgets must be >= 0")
         if self.chunk_size is not None and self.chunk_size < 1:

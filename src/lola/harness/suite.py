@@ -511,6 +511,8 @@ def run_suite(config: dict | str | Path | None = None, out_dir=".", fmt: str = "
     expectation fails, and each experiment's artifacts land on disk as soon
     as the experiment completes.
     """
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"fmt must be 'csv' or 'json', got {fmt!r}")
     if config is None:
         config = DEFAULT_SUITE
     elif not isinstance(config, dict):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..attention import _is_int
 from ..numerics import SeededRng
 
 __all__ = [
@@ -51,6 +52,12 @@ class SyntheticTaskSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("haystack_len", "needle_count", "head_dim", "value_codebook_size", "seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.haystack_len < 1:
             raise ValueError(f"haystack_len must be >= 1, got {self.haystack_len}")
         if not 1 <= self.needle_count <= self.haystack_len:

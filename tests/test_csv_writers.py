@@ -1,29 +1,32 @@
-"""Byte parity of the row-at-a-time CSV writers with the per-cell writers
-they replaced.
+"""Byte parity of the CSV writers with the per-cell writers they replaced,
+and the input checks of the records they write.
 
 The reference functions below are verbatim copies of the earlier
 ``write_collision_csv`` and ``write_gram_csv``, which formatted every cell
-through a numpy scalar (``np.isnan(x)``, ``repr(float(x))``). The current
-writers take each row out of numpy with one ``tolist()`` call; the bytes on
-disk must not change, including blanks, signed zeros, subnormals and
-infinities.
+through a numpy scalar (``np.isnan(x)``, ``repr(float(x))``) and a
+``csv.writer``. The current writers build each row as one string from a
+single ``repr`` of the row's values; the bytes on disk must not change,
+including blanks, NaN holes, signed zeros, subnormals and infinities.
 """
 
 import csv
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lola import AttentionConfig, SeededRng, init_feature_map
 from lola.analysis import (
     CollisionMatrix,
+    GramStudyResult,
     collision_matrix,
     rank_study,
     relative_to_absorption,
     write_collision_csv,
     write_gram_csv,
 )
-from lola.harness import SyntheticTaskSpec, gen_niah
+from lola.harness import ExperimentConfig, SyntheticTaskSpec, gen_niah, run_suite
 
 
 def reference_collision_csv(cm: CollisionMatrix, path) -> None:
@@ -111,3 +114,159 @@ def test_rank_study_curves(tmp_path):
     text = same_bytes(tmp_path, write_gram_csv, reference_gram_csv, results).decode()
     first = text.split("\r\n")[1].split(",")
     assert first[:4] == ["1", "2", "0", ""]  # rank 0 has no singular value
+
+
+# -- fuzzed parity ------------------------------------------------------------
+
+# NaN on its own as well, so holes inside a row's filled prefix are common
+CELLS = st.one_of(
+    st.just(np.nan), st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False)
+)
+# the writers overwrite the same two files on every example
+fuzz = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def collision_matrices(draw):
+    """Square matrices of n <= 8 whose rows are a filled prefix of random
+    length (0 is an all-blank row) followed by a NaN tail."""
+    n = draw(st.integers(1, 8))
+    errors = np.full((n, n), np.nan)
+    for i in range(n):
+        k = draw(st.integers(0, n))
+        errors[i, :k] = draw(st.lists(CELLS, min_size=k, max_size=k))
+    absorbed_at = np.array(draw(st.lists(st.integers(0, n), min_size=n, max_size=n)), dtype=np.int64)
+    return CollisionMatrix("fuzz", errors, absorbed_at)
+
+
+@fuzz
+@given(cm=collision_matrices())
+def test_collision_writer_matches_the_reference_on_fuzzed_matrices(tmp_path, cm):
+    text = same_bytes(tmp_path, write_collision_csv, reference_collision_csv, cm).decode()
+    n = cm.errors.shape[0]
+    assert all(line.count(",") == n for line in text.split("\r\n")[:-1])
+
+
+@st.composite
+def gram_results(draw):
+    results = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 6))
+        sv = draw(st.lists(CELLS, min_size=n, max_size=n))
+        errs = draw(st.lists(CELLS, min_size=n + 1, max_size=n + 1))
+        results.append(GramStudyResult(n, draw(st.integers(1, 64)), np.array(sv), np.array(errs)))
+    return results
+
+
+@fuzz
+@given(results=gram_results())
+def test_gram_writer_matches_the_reference_on_fuzzed_curves(tmp_path, results):
+    same_bytes(tmp_path, write_gram_csv, reference_gram_csv, results)
+
+
+def test_nan_holes_and_blank_rows(tmp_path):
+    nan = np.nan
+    errors = np.array([[nan, nan, nan], [0.5, nan, -0.0], [nan, 1e-7, nan]])
+    cm = CollisionMatrix("holes", errors, np.array([0, 3, 1]))
+    text = same_bytes(tmp_path, write_collision_csv, reference_collision_csv, cm).decode()
+    assert text.split("\r\n")[1:4] == ["1,,,", "2,0.5,,-0.0", "3,,1e-07,"]
+
+
+# -- input checks --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "errors, message",
+    [
+        (np.zeros((3, 2)), r"errors must be .*square.*\(3, 2\)"),
+        (np.zeros(3), r"errors must be .*\(3,\)"),
+        (np.zeros((0, 0)), r"errors must be a non-empty .*\(0, 0\)"),
+        (np.zeros((2, 2), dtype=np.float32), r"errors must be .*float64.*float32"),
+        (np.zeros((2, 2), dtype=np.int64), r"errors must be .*float64.*int64"),
+        ([[0.0]], r"errors must be .*, got list"),
+    ],
+    ids=["3x2", "1-d", "0x0", "float32", "int", "list"],
+)
+def test_collision_matrix_rejects_a_bad_errors_array(errors, message):
+    with pytest.raises(ValueError, match=message):
+        CollisionMatrix("bad", errors, np.zeros(3, dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "absorbed_at, message",
+    [
+        (np.zeros(3, dtype=np.int64), r"absorbed_at must be an int array of shape \(2,\), got shape \(3,\)"),
+        (np.zeros((2, 1), dtype=np.int64), r"absorbed_at .*got shape \(2, 1\)"),
+        (np.zeros(2), r"absorbed_at must be an int array .*float64"),
+        (np.zeros(2, dtype=bool), r"absorbed_at must be an int array .*bool"),
+        ([0, 0], r"absorbed_at .*, got list"),
+        (np.array([5, 0]), r"absorbed_at entries must be in \[0, 2\], got 0 to 5"),
+        (np.array([0, -1]), r"absorbed_at entries must be in \[0, 2\], got -1 to 0"),
+    ],
+    ids=["long", "2-d", "float", "bool", "list", "past-end", "negative"],
+)
+def test_collision_matrix_rejects_a_bad_absorbed_at(absorbed_at, message):
+    with pytest.raises(ValueError, match=message):
+        CollisionMatrix("bad", np.zeros((2, 2)), absorbed_at)
+
+
+def test_collision_matrix_accepts_any_int_dtype_and_the_full_range():
+    cm = CollisionMatrix("ok", np.zeros((2, 2)), np.array([2, 0], dtype=np.int32))
+    assert relative_to_absorption(cm).absorbed_at.tolist() == [2, 0]
+
+
+def test_run_suite_rejects_an_unknown_format_before_writing(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="fmt must be 'csv' or 'json', got 'xml'"):
+        run_suite({"seed": 0, "experiments": []}, out_dir=out, fmt="xml")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"haystack_len": 2.5}, "haystack_len must be an int, got 2.5"),
+        ({"haystack_len": 8, "needle_count": True}, "needle_count must be an int, got True"),
+        ({"haystack_len": 8, "head_dim": "4"}, "head_dim must be an int, got '4'"),
+        ({"haystack_len": 8, "value_codebook_size": 4.0}, "value_codebook_size must be an int"),
+        ({"haystack_len": 8, "seed": None}, "seed must be an int, got None"),
+        ({"haystack_len": 8, "seed": -1}, "seed must be >= 0, got -1"),
+    ],
+)
+def test_task_spec_rejects_bad_sizes_and_seeds(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SyntheticTaskSpec(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"trials": True, "window_capacity": 2.5, "seed": -1}, "window_capacity must be an int, got 2.5"),
+        ({"trials": True}, "trials must be an int, got True"),
+        ({"sparse_capacity": None}, "sparse_capacity must be an int, got None"),
+        ({"seed": 1.0}, "seed must be an int, got 1.0"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"chunk_size": 8.0}, "chunk_size must be None or an int, got 8.0"),
+        ({"feature_dim": "32"}, "feature_dim must be None or an int, got '32'"),
+        ({"feature_dim": False}, "feature_dim must be None or an int, got False"),
+    ],
+)
+def test_experiment_config_rejects_bad_sizes_and_seeds(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**kwargs)
+
+
+def test_specs_accept_numpy_ints_and_keep_their_range_messages():
+    task = SyntheticTaskSpec(np.int64(8), head_dim=np.int32(4), seed=np.uint64(3))
+    assert task.haystack_len == 8
+    exp = ExperimentConfig(chunk_size=np.int64(4), feature_dim=np.int64(8), seed=np.int64(0))
+    assert exp.chunk_size == 4
+    for kwargs, message in (
+        ({"window_capacity": -1}, "budgets must be >= 0"),
+        ({"chunk_size": 0}, "chunk_size must be >= 1 when set"),
+        ({"trials": 0}, "trials must be >= 1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**kwargs)
+    with pytest.raises(ValueError, match="haystack_len must be >= 1, got 0"):
+        SyntheticTaskSpec(0)
