@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionConfig, FeatureMapParams, _guard, feature_map_batch
+from .attention import (
+    AttentionConfig,
+    FeatureMapParams,
+    _check_size,
+    _guard,
+    _is_int,
+    feature_map_batch,
+)
 from .cache import SCORING_STRATEGIES, LolaCache, _self_recall_scores
 from .numerics import SeededRng, as_matrix, gaussian_sample
 
@@ -65,8 +72,32 @@ def truncated_errors(sv: np.ndarray) -> np.ndarray:
 class GramStudyResult:
     n: int
     d: int
-    singular_values: np.ndarray
+    singular_values: np.ndarray   # length n, descending
     truncated_errors: np.ndarray  # length n + 1, indexed by retained rank
+
+    def __post_init__(self):
+        _check_size("n", self.n, 1)
+        _check_size("d", self.d, 1)
+        for name, size in (("singular_values", self.n), ("truncated_errors", self.n + 1)):
+            curve = getattr(self, name)
+            floats = isinstance(curve, np.ndarray) and curve.dtype == np.float64
+            if not (floats and curve.shape == (size,)):
+                raise ValueError(
+                    f"{name} must be a float64 array of shape ({size},), got {_array_kind(curve)}"
+                )
+            if not np.isfinite(curve).all():
+                raise ValueError(f"{name} has non-finite entries")
+
+
+def _study_grid(n_list, d_list, seed) -> tuple[list[int], list[int]]:
+    """The sample counts and dimensions ``rank_study`` runs, checked: each a
+    non-empty list of ints >= 1 (bool is not a size), and a seed >= 0."""
+    for name, values in (("n_list", n_list), ("d_list", d_list)):
+        sizes = isinstance(values, (list, tuple)) and all(_is_int(v) and v >= 1 for v in values)
+        if not (sizes and values):
+            raise ValueError(f"{name} must be a non-empty list of integers >= 1, got {values!r}")
+    _check_size("seed", seed, 0)
+    return [int(n) for n in n_list], [int(d) for d in d_list]
 
 
 def rank_study(n_list, d_list, seed: int) -> list[GramStudyResult]:
@@ -78,10 +109,7 @@ def rank_study(n_list, d_list, seed: int) -> list[GramStudyResult]:
     scale is ``d ** -0.25`` per entry, which keeps pairwise dot products of
     comparable size across dimensions.
     """
-    n_list = [int(n) for n in n_list]
-    d_list = [int(d) for d in d_list]
-    if not n_list or min(n_list) < 1 or not d_list or min(d_list) < 1:
-        raise ValueError("n_list and d_list must contain positive integers")
+    n_list, d_list = _study_grid(n_list, d_list, seed)
     rng = SeededRng(seed)
     results = []
     for d in d_list:

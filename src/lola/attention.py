@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -69,26 +70,48 @@ class AttentionConfig:
     scale: float | None = None
 
     def __post_init__(self):
-        if self.feature_dim is None and _is_int(self.head_dim):
+        _check_size("head_dim", self.head_dim, 1)
+        _check_feature_dim(self.feature_dim)
+        if self.feature_dim is None:
             object.__setattr__(self, "feature_dim", 2 * self.head_dim)
-        for name in ("head_dim", "feature_dim"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
-        if self.head_dim < 1:
-            raise ValueError(f"head_dim must be >= 1, got {self.head_dim}")
-        if self.feature_dim < 2 or self.feature_dim % 2 != 0:
-            raise ValueError(f"feature_dim must be a positive even integer, got {self.feature_dim}")
         if self.scale is None:
             object.__setattr__(self, "scale", self.head_dim ** -0.5)
         # bool is not a scale; the comparison is false for NaN
         real = isinstance(self.scale, numbers.Real) and not isinstance(self.scale, bool)
-        if not (real and 0 < self.scale < np.inf):
+        if not (real and 0 < self.scale <= sys.float_info.max):
             raise ValueError(f"scale must be a finite positive real, got {self.scale!r}")
 
 
 def _is_int(value) -> bool:
     # bool is not a size
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_size(name: str, value, least: int) -> None:
+    """The rule for every size: an int of at least ``least``."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def _check_feature_dim(value) -> None:
+    """The rule for a feature width, one exponential pair per weight row;
+    None takes the default of twice the head dimension."""
+    if value is None:
+        return
+    if not _is_int(value):
+        raise ValueError(f"feature_dim must be None or an int, got {value!r}")
+    if value < 2 or value % 2:
+        raise ValueError(f"feature_dim must be a positive even integer, got {value}")
+
+
+def _rekey(exc: ValueError, keys: dict | None = None) -> str:
+    """A spec's ``"<field> <rule>"`` error as ``"'<key>' <rule>"``, the field
+    renamed through ``keys`` where the caller calls it something else. Every
+    spec's error text starts with the name of the field at fault."""
+    name, rule = str(exc).split(" ", 1)
+    return f"{(keys or {}).get(name, name)!r} {rule}"
 
 
 @dataclass(frozen=True)

@@ -68,8 +68,10 @@ from .attention import (
     AttentionConfig,
     FeatureMapParams,
     LinearState,
+    _check_size,
     _feature_row,
     _feature_rows,
+    _rekey,
 )
 from .numerics import as_matrix, as_vector
 
@@ -269,8 +271,6 @@ _SNAPSHOT_FIELDS = (
 _CONFIG_FIELDS = (
     "head_dim", "feature_dim", "scale", "window_capacity", "sparse_capacity", "max_logit", "scoring"
 )
-# the config sizes, each an int of at least this value
-_CONFIG_INTS = (("head_dim", 1), ("feature_dim", 2), ("window_capacity", 0), ("sparse_capacity", 0))
 _EMPTY_IDX = np.empty(0, dtype=np.int64)
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
 _ZERO = np.zeros(1)
@@ -307,8 +307,8 @@ class LolaCache:
         *,
         scoring: ScoringStrategy | None = None,
     ):
-        if window_capacity < 0 or sparse_capacity < 0:
-            raise ValueError("capacities must be >= 0")
+        _check_size("window_capacity", window_capacity, 0)
+        _check_size("sparse_capacity", sparse_capacity, 0)
         if params.head_dim != config.head_dim or params.feature_dim != config.feature_dim:
             raise ValueError(
                 f"feature map is {params.feature_dim}x{params.head_dim}, "
@@ -761,16 +761,7 @@ class LolaCache:
         _require(snap, _SNAPSHOT_FIELDS[: None if version == _SNAPSHOT_V2 else -1], "snapshot")
         cfg = snap["config"]
         _require(cfg, _CONFIG_FIELDS, "snapshot 'config'")
-        for name, least in _CONFIG_INTS:
-            # bool is not a size
-            if type(cfg[name]) is not int or cfg[name] < least:
-                raise ValueError(f"snapshot {name!r} {cfg[name]!r} is not an int >= {least}")
-        fdim, d, t, scale = cfg["feature_dim"], cfg["head_dim"], snap["t"], cfg["scale"]
-        if fdim % 2:
-            raise ValueError(f"snapshot 'feature_dim' {fdim} is not even")
-        # the comparison is exact for ints, and false for NaN
-        if type(scale) not in (int, float) or not 0 < scale <= sys.float_info.max:
-            raise ValueError(f"snapshot 'scale' {scale!r} is not a finite positive number")
+        t = snap["t"]
         if type(t) is not int or t < 0:
             raise ValueError(f"snapshot 't' {t!r} is not an int >= 0")
         if cfg["max_logit"] != DEFAULT_MAX_LOGIT:
@@ -780,7 +771,15 @@ class LolaCache:
         if cfg["scoring"] not in tuple(SCORING_STRATEGIES):  # a list is unknown, not a TypeError
             names = list(SCORING_STRATEGIES)
             raise ValueError(f"snapshot 'scoring' {cfg['scoring']!r} is not one of {names}")
-        config = AttentionConfig(d, fdim, scale)
+        for name in ("feature_dim", "scale"):
+            # null would take AttentionConfig's default, not the saved engine's value
+            if cfg[name] is None:
+                raise ValueError(f"snapshot {name!r} is null, not the saved engine's value")
+        try:
+            config = AttentionConfig(cfg["head_dim"], cfg["feature_dim"], cfg["scale"])
+        except ValueError as exc:
+            raise ValueError(f"snapshot {_rekey(exc)}") from None
+        d, fdim = config.head_dim, config.feature_dim
         try:
             weights = np.asarray(snap["weights"], dtype=np.float64)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -795,7 +794,10 @@ class LolaCache:
         except ValueError as exc:
             raise ValueError(f"snapshot 'weights': {exc}") from None
         rule = SCORING_STRATEGIES[cfg["scoring"]]()
-        cache = cls(config, params, cfg["window_capacity"], cfg["sparse_capacity"], scoring=rule)
+        try:
+            cache = cls(config, params, cfg["window_capacity"], cfg["sparse_capacity"], scoring=rule)
+        except ValueError as exc:
+            raise ValueError(f"snapshot {_rekey(exc)}") from None
         hidden = np.asarray(snap["hidden"], dtype=np.float64)
         normalizer = np.asarray(snap["normalizer"], dtype=np.float64)
         for name, arr, n in (("hidden", hidden, fdim * d), ("normalizer", normalizer, fdim)):

@@ -30,9 +30,9 @@ from .attention import (
     AttentionConfig,
     FeatureMapParams,
     LinearState,
+    _check_size,
     _feature_batch,
     _feature_row,
-    _is_int,
 )
 from .cache import _mix_tiers, _pair_views, _self_recall_scores
 from .numerics import as_matrix, as_vector
@@ -54,10 +54,8 @@ class ChunkConfig:
     sparse_capacity: int = 0
 
     def __post_init__(self):
-        for name, least in (("chunk_size", 1), ("sparse_capacity", 0)):
-            value = getattr(self, name)
-            if not _is_int(value) or value < least:
-                raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+        _check_size("chunk_size", self.chunk_size, 1)
+        _check_size("sparse_capacity", self.sparse_capacity, 0)
 
 
 @dataclass(frozen=True)

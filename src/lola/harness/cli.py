@@ -3,12 +3,14 @@
 Subcommands: recall, ablate-scores, collisions, gram-study, distill, suite;
 each takes only the flags it reads. Every artifact is a pure function of the
 flags and the seed; re-runs write identical bytes. Each subcommand drops a
-manifest.json next to its artifacts with the flag echo, seed, and per-file
-checksums. recall, ablate-scores, collisions and gram-study run as one-entry
-suites: the experiment their flags denote is checked as a suite config is
-(bad values exit 2) and run by the suite's runner, so they write the
-artifacts a one-entry ``lola suite`` would. distill saves the map
-``--feature-map distill`` fits at the same seed and shape.
+manifest.json next to its artifacts with the flag echo (null for a flag
+left unset, which takes the config's default), seed, and per-file checksums.
+recall, ablate-scores, collisions and gram-study run as one-entry suites: the
+experiment their flags denote is checked as a suite config is (bad values
+exit 2) and run by the suite's runner, so they write the artifacts a
+one-entry ``lola suite`` would. distill saves the map ``--feature-map
+distill`` fits at the same seed and shape; its flags are checked by the same
+specs, so a bad value prints the rule a one-entry subcommand prints.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ import sys
 from pathlib import Path
 
 from .. import __version__
-from ..attention import AttentionConfig, save_feature_map
+from ..attention import save_feature_map
 from .experiments import ExperimentConfig, resolve_feature_map
 from .io import sha256_file, write_manifest
-from .suite import _RUNNERS, ConfigError, load_config, run_suite, validate_config
-from .synthetic import _KEY_DISTRIBUTIONS, SyntheticTaskSpec
+from .suite import _RUNNERS, ConfigError, _keyed, _task, load_config, run_suite, validate_config
+from .synthetic import _KEY_DISTRIBUTIONS
 
 __all__ = ["main"]
 
@@ -39,15 +41,15 @@ def _common_flags(p: argparse.ArgumentParser, *, seed: bool = True, records: boo
 def _task_flags(p: argparse.ArgumentParser, *, stream: bool = True) -> None:
     """The task's flags; a distilled map reads its shape and keys, not the stream."""
     if stream:
-        p.add_argument("--n", type=int, default=256, help="haystack length")
-    p.add_argument("--d", type=int, default=16, help="head dimension")
-    p.add_argument("--feature-dim", type=int, default=None, help="feature map width (default 2*d)")
-    p.add_argument("--codebook", type=int, default=16, help="value codebook size")
+        p.add_argument("--n", type=int, help="haystack length")
+    p.add_argument("--d", type=int, help="head dimension")
+    p.add_argument("--feature-dim", type=int, help="feature map width (default 2*d)")
+    p.add_argument("--codebook", type=int, help="value codebook size")
     if stream:
-        p.add_argument("--needles", type=int, default=1)
-    p.add_argument("--distribution", choices=_KEY_DISTRIBUTIONS, default="clustered")
+        p.add_argument("--needles", type=int)
+    p.add_argument("--distribution", choices=_KEY_DISTRIBUTIONS)
     if stream:
-        p.add_argument("--feature-map", default="distill", help="distill | random | path to a saved map")
+        p.add_argument("--feature-map", help="distill | random | path to a saved map")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,29 +59,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recall", help="recall accuracy for one policy")
     _common_flags(p, records=True)
     _task_flags(p)
-    p.add_argument("--policy", default="lola")
-    p.add_argument("--eta", type=int, default=64, help="sliding window capacity")
-    p.add_argument("--lam", type=int, default=64, help="sparse cache capacity")
-    p.add_argument("--chunk", type=int, default=None, help="chunk size; enables the prefill path")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--policy")
+    p.add_argument("--eta", type=int, help="sliding window capacity")
+    p.add_argument("--lam", type=int, help="sparse cache capacity")
+    p.add_argument("--chunk", type=int, help="chunk size; enables the prefill path")
+    p.add_argument("--trials", type=int)
 
     p = sub.add_parser("ablate-scores", help="scoring-rule ablation at a matched budget")
     _common_flags(p, records=True)
     _task_flags(p)
-    p.add_argument("--budget", type=int, default=128, help="total full-rank pairs per row")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--budget", type=int, help="total full-rank pairs per row")
+    p.add_argument("--trials", type=int)
 
     p = sub.add_parser("collisions", help="collision matrices for the three policies")
     _common_flags(p)
     _task_flags(p)
-    p.add_argument("--eta", type=int, default=32)
-    p.add_argument("--lam", type=int, default=32)
+    p.add_argument("--eta", type=int)
+    p.add_argument("--lam", type=int)
     p.add_argument("--relative", action="store_true", help="also emit relative-error matrices")
 
     p = sub.add_parser("gram-study", help="exponential-kernel spectra over (n, d) grids")
     _common_flags(p)
-    p.add_argument("--n-list", default="64,128,256", help="comma-separated sample counts")
-    p.add_argument("--d-list", default="8,16", help="comma-separated dimensions")
+    p.add_argument("--n-list", help="comma-separated sample counts")
+    p.add_argument("--d-list", help="comma-separated dimensions")
 
     p = sub.add_parser("distill", help="save the map --feature-map distill fits")
     _common_flags(p)
@@ -101,49 +103,35 @@ def _int_list(flag: str, text: str) -> list[int]:
         ) from None
 
 
+def _set(**flags) -> dict:
+    """The flags set on the command line; the rest take the config's defaults."""
+    return {key: value for key, value in flags.items() if value is not None}
+
+
 def _one_entry(args) -> dict:
     """The one-entry suite experiment that an analysis subcommand's flags denote."""
     if args.command == "gram-study":
-        return {
-            "kind": "gram-study",
-            "name": "gram_study",
-            "n_list": _int_list("--n-list", args.n_list),
-            "d_list": _int_list("--d-list", args.d_list),
-        }
-    task = {
-        "n": args.n,
-        "d": args.d,
-        "feature_dim": args.feature_dim,
-        "distribution": args.distribution,
-        "codebook": args.codebook,
-        "needles": args.needles,
-        "feature_map": args.feature_map,
-    }
+        lists = _set(n_list=args.n_list, d_list=args.d_list)
+        lists = {key: _int_list(f"--{key.replace('_', '-')}", text) for key, text in lists.items()}
+        return {"kind": "gram-study", "name": "gram_study", **lists}
+    task = _set(
+        n=args.n,
+        d=args.d,
+        feature_dim=args.feature_dim,
+        distribution=args.distribution,
+        codebook=args.codebook,
+        needles=args.needles,
+        feature_map=args.feature_map,
+    )
     if args.command == "recall":
-        variant = {
-            "name": "recall",
-            "policy": args.policy,
-            "window": args.eta,
-            "sparse": args.lam,
-            "chunk": args.chunk,
-        }
-        return {"kind": "recall", "name": "recall", **task, "trials": args.trials, "variants": [variant]}
+        variant = _set(policy=args.policy, window=args.eta, sparse=args.lam, chunk=args.chunk)
+        entry = {"kind": "recall", "name": "recall", **task, **_set(trials=args.trials)}
+        return {**entry, "variants": [{"name": "recall", **variant}]}
     if args.command == "ablate-scores":
-        return {
-            "kind": "ablation",
-            "name": "score_ablation",
-            **task,
-            "budget": args.budget,
-            "trials": args.trials,
-        }
-    return {
-        "kind": "collisions",
-        "name": "collisions",
-        **task,
-        "window": args.eta,
-        "sparse": args.lam,
-        "relative": args.relative,
-    }
+        budget = _set(budget=args.budget, trials=args.trials)
+        return {"kind": "ablation", "name": "score_ablation", **task, **budget}
+    window = _set(window=args.eta, sparse=args.lam)
+    return {"kind": "collisions", "name": "collisions", **task, **window, "relative": args.relative}
 
 
 def _finish(out_dir: Path, args, files: list[Path]) -> int:
@@ -166,20 +154,22 @@ def main(argv=None) -> int:
         if args.command == "suite":
             config = load_config(args.config) if args.config else None
         elif args.command == "distill":
-            # the seed is checked as a suite config's is
-            validate_config({"seed": args.seed, "experiments": []}, source=f"lola {args.command}")
-            # the fit reads the task's key statistics, not its stream length
-            task = SyntheticTaskSpec(
-                1, head_dim=args.d, key_distribution=args.distribution, value_codebook_size=args.codebook
+            # the fit reads the task's key statistics, not its stream
+            flags = _set(
+                d=args.d,
+                feature_dim=args.feature_dim,
+                codebook=args.codebook,
+                distribution=args.distribution,
             )
-            attn = AttentionConfig(args.d, args.feature_dim)
+            with _keyed(f"lola {args.command}"):
+                task, attn = _task(flags, args.seed)
         else:
             # recall, ablate-scores, collisions and gram-study run as one-entry suites
             exp = _one_entry(args)
-            validate_config({"seed": args.seed, "experiments": [exp]}, source=f"lola {args.command}")
-    except ValueError as exc:
-        where = "" if isinstance(exc, ConfigError) else f"lola {args.command}: "
-        print(f"error: {where}{exc}", file=sys.stderr)
+            config = {"seed": args.seed, "experiments": [exp]}
+            (plan,) = validate_config(config, source=f"lola {args.command}")
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
     if args.command == "suite":
@@ -193,7 +183,7 @@ def main(argv=None) -> int:
         return _finish(out_dir, args, [path])
     out_dir.mkdir(parents=True, exist_ok=True)
     # collision matrices and spectra are always CSV
-    paths, result = _RUNNERS[exp["kind"]](exp, args.seed, out_dir, getattr(args, "format", "csv"), [])
+    paths, result = _RUNNERS[exp["kind"]](exp, plan, out_dir, getattr(args, "format", "csv"), [])
     if args.command == "recall":
         print(f"accuracy {result[0].accuracy:.4f} ({result[0].policy}); wrote {paths[0]}")
     elif args.command == "ablate-scores":

@@ -12,19 +12,20 @@ available as a stress configuration.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from ..attention import (
     AttentionConfig,
     FeatureMapParams,
-    _is_int,
+    _check_feature_dim,
+    _check_size,
     distill_feature_map,
     init_feature_map,
     load_feature_map,
 )
-from ..analysis import engine_for_policy
+from ..analysis import _DECODE_POLICIES, engine_for_policy
 from ..cache import SCORING_STRATEGIES, SelfRecallScoring
 from ..chunkwise import ChunkConfig, attend_after_prefill, effective_cache_size, prefill
 from ..numerics import SeededRng
@@ -70,22 +71,20 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("window_capacity", "sparse_capacity", "trials", "seed"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        for name in ("chunk_size", "feature_dim"):
-            value = getattr(self, name)
-            if value is not None and not _is_int(value):
-                raise ValueError(f"{name} must be None or an int, got {value!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.window_capacity < 0 or self.sparse_capacity < 0:
-            raise ValueError("budgets must be >= 0")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1 when set")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        _check_size("window_capacity", self.window_capacity, 0)
+        _check_size("sparse_capacity", self.sparse_capacity, 0)
+        chunked = self.chunk_size is not None
+        if chunked:
+            _check_size("chunk_size", self.chunk_size, 1)
+        allowed = _CHUNKED_POLICIES if chunked else _DECODE_POLICIES
+        if self.policy not in allowed:
+            path = "the chunked path" if chunked else "the decode path"
+            raise ValueError(
+                f"policy {self.policy!r} is not a policy {path} runs; have {list(allowed)}"
+            )
+        _check_size("trials", self.trials, 1)
+        _check_feature_dim(self.feature_dim)
+        _check_size("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -174,11 +173,6 @@ def run_trial(
 ) -> tuple[bool, float, int]:
     """Run one stream + probe. Returns (hit, absorbed score sum, absorbed count)."""
     if exp.chunk_size is not None:
-        if exp.policy not in _CHUNKED_POLICIES:
-            raise ValueError(
-                f"policy {exp.policy!r} runs on the decode path only; "
-                "the chunked path supports 'lola' and 'window-only'"
-            )
         lam = 0 if exp.policy == "window-only" else exp.sparse_capacity
         cc = ChunkConfig(exp.chunk_size, lam)
         # queries equal keys on these streams: only the probe's answer matters
@@ -248,6 +242,9 @@ def eval_recall(
 # them, self-recall first, then the plain window extension at the same budget
 ABLATION_ROW_ORDER = [*SCORING_STRATEGIES, "window-extension"]
 
+# full-rank pairs per ablation row unless set: half window, half sparse cache
+_BUDGET = 128
+
 # how the rules are expected to rank by accuracy, best first
 EXPECTED_ACCURACY_ORDER = [
     "self-recall",
@@ -261,7 +258,7 @@ EXPECTED_ACCURACY_ORDER = [
 def run_ablation(
     task: SyntheticTaskSpec,
     strategies: list[str] | None = None,
-    budget: int = 128,
+    budget: int = _BUDGET,
     trials: int = 100,
     seed: int = 0,
     feature_map: str = "distill",
@@ -274,38 +271,32 @@ def run_ablation(
     streams are reused across rows, and the ``lola`` policy's own rule is
     always one of them.
     """
+    base = ExperimentConfig(trials=trials, feature_map=feature_map, feature_dim=feature_dim, seed=seed)
+    return [eval_recall(exp, task, name=name) for name, exp in _ablation_rows(base, strategies, budget)]
+
+
+def _ablation_rows(
+    base: ExperimentConfig, strategies: list[str] | None, budget: int
+) -> list[tuple[str, ExperimentConfig]]:
+    """The (row name, experiment) pairs ``run_ablation`` evaluates, in
+    ``ABLATION_ROW_ORDER``; ``base`` sets the trials, map and seed."""
+    # a tuple, not the dict: an unhashable entry is then unknown, not a TypeError
     names = tuple(SCORING_STRATEGIES)
     if strategies is None:
-        strategies = list(names)
-    if any(s not in names or strategies.count(s) > 1 for s in strategies):
-        raise ValueError(f"strategies {strategies!r} are not distinct names from {list(names)}")
-    own = SelfRecallScoring.name
-    if own not in strategies:
-        strategies = [own, *strategies]
-    half = budget // 2
-    records = []
-    for strat in strategies:
-        policy = "lola" if strat == own else f"lola-altscore:{strat}"
-        exp = ExperimentConfig(
-            policy=policy,
-            window_capacity=half,
-            sparse_capacity=budget - half,
-            trials=trials,
-            feature_map=feature_map,
-            feature_dim=feature_dim,
-            seed=seed,
+        strategies = names
+    elif not isinstance(strategies, (list, tuple)) or any(
+        s not in names or strategies.count(s) > 1 for s in strategies
+    ):
+        raise ValueError(
+            f"strategies must be a list of distinct names from {list(names)}, got {strategies!r}"
         )
-        records.append(eval_recall(exp, task, name=strat))
-    baseline = ExperimentConfig(
-        policy="window-only",
-        window_capacity=budget,
-        sparse_capacity=0,
-        trials=trials,
-        feature_map=feature_map,
-        feature_dim=feature_dim,
-        seed=seed,
-    )
-    records.append(eval_recall(baseline, task, name="window-extension"))
-    order = {name: i for i, name in enumerate(ABLATION_ROW_ORDER)}
-    records.sort(key=lambda r: order.get(r.name, len(order)))
-    return records
+    _check_size("budget", budget, 0)
+    own, half = SelfRecallScoring.name, budget // 2
+    rows = [
+        (s, replace(base, policy="lola" if s == own else f"lola-altscore:{s}",
+                    window_capacity=half, sparse_capacity=budget - half))
+        for s in names
+        if s == own or s in strategies
+    ]
+    baseline = replace(base, policy="window-only", window_capacity=budget, sparse_capacity=0)
+    return [*rows, ("window-extension", baseline)]

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict
+from contextlib import contextmanager
+from dataclasses import asdict, replace
 from datetime import datetime
 from pathlib import Path
 
@@ -21,8 +22,8 @@ import numpy as np
 
 from .. import __version__
 from ..analysis import (
-    _DECODE_POLICIES,
     POLICIES,
+    _study_grid,
     collision_matrix,
     mean_absorbed_error,
     rank_study,
@@ -30,20 +31,19 @@ from ..analysis import (
     write_collision_csv,
     write_gram_csv,
 )
-from ..attention import AttentionConfig, load_feature_map
-from ..cache import SCORING_STRATEGIES
+from ..attention import AttentionConfig, _check_size, _rekey, load_feature_map
 from .experiments import (
-    _CHUNKED_POLICIES,
     EXPECTED_ACCURACY_ORDER,
     RECORD_COLUMNS,
     ExperimentConfig,
     ResultRecord,
+    _BUDGET,
+    _ablation_rows,
     eval_recall,
     resolve_feature_map,
-    run_ablation,
 )
 from .io import sha256_file, write_manifest, write_rows_csv, write_rows_json
-from .synthetic import _KEY_DISTRIBUTIONS, SyntheticTaskSpec, gen_niah
+from .synthetic import SyntheticTaskSpec, gen_niah
 
 __all__ = [
     "DEFAULT_SUITE",
@@ -68,15 +68,18 @@ _ALLOWED = {
     "gram-study": {"kind", "name", "n_list", "d_list", "check_dominance", "seed"},
 }
 _VARIANT_KEYS = {"name", "policy", "window", "sparse", "chunk"}
-# integer fields, wherever they appear; a null chunk means the decode path
-_INT_KEYS = (
-    "n", "d", "codebook", "needles", "window", "sparse", "trials", "budget", "chunk", "seed"
-)
-# the least value of each integer field that a run can use
-_INT_MIN = {
-    "n": 1, "d": 1, "codebook": 2, "needles": 1, "window": 0, "sparse": 0,
-    "trials": 1, "budget": 0, "chunk": 1, "seed": 0,
+# config key -> the spec field it sets, where the two names differ
+_FIELDS = {
+    "n": "haystack_len",
+    "needles": "needle_count",
+    "d": "head_dim",
+    "distribution": "key_distribution",
+    "codebook": "value_codebook_size",
+    "window": "window_capacity",
+    "sparse": "sparse_capacity",
+    "chunk": "chunk_size",
 }
+_KEYS = {field: key for key, field in _FIELDS.items()}
 _CHECK_KEYS = {"type", "variant", "a", "b", "value", "variants"}
 
 
@@ -164,17 +167,22 @@ def load_config(path) -> dict:
     return config
 
 
-def validate_config(config, source: str = "<config>") -> None:
+def validate_config(config, source: str = "<config>") -> list[tuple]:
+    """Check a suite config and return each experiment's plan, in order: the
+    specs its runner takes. Each value is checked by the spec that holds it,
+    and a spec's error is raised as a ``ConfigError`` naming the config key."""
     if not isinstance(config, dict):
         raise ConfigError(f"{source}: top level must be an object")
     unknown = set(config) - {"seed", "experiments"}
     if unknown:
         raise ConfigError(f"{source}: unknown top-level keys {sorted(unknown)}")
-    # the one integer field at the top level
-    _check_ints(source, config)
+    seed = config.get("seed", 0)
+    with _keyed(source):
+        _check_size("seed", seed, 0)
     experiments = config.get("experiments")
     if not isinstance(experiments, list):
         raise ConfigError(f"{source}: 'experiments' must be a list")
+    plans = []
     seen: dict[str, int] = {}
     # artifact file name -> the experiment that writes it, under either format
     written: dict[str, int] = {"manifest.json": -1}
@@ -198,16 +206,10 @@ def validate_config(config, source: str = "<config>") -> None:
         unknown = set(exp) - _ALLOWED[kind]
         if unknown:
             raise ConfigError(f"{where}: unknown keys {sorted(unknown)} for kind {kind!r}")
-        _check_ints(where, exp)
-        _check_choices(where, exp)
-        if exp.get("needles", 1) > exp.get("n", 256):
-            raise ConfigError(f"{where}: 'needles' {exp['needles']} exceeds 'n' {exp.get('n', 256)}")
         for field, allowed in (("variants", _VARIANT_KEYS), ("checks", _CHECK_KEYS)):
             entries = exp.get(field, [])
             if not isinstance(entries, list):
                 raise ConfigError(f"{where}: {field!r} must be a list")
-            # variant names as ``_run_recall`` takes them; checks find records by name
-            names = []
             for j, entry in enumerate(entries):
                 at = f"{where}.{field}[{j}]"
                 if not isinstance(entry, dict):
@@ -215,23 +217,16 @@ def validate_config(config, source: str = "<config>") -> None:
                 bad = set(entry) - allowed
                 if bad:
                     raise ConfigError(f"{at}: unknown keys {sorted(bad)}")
-                if field == "variants":
-                    _check_ints(at, entry)
-                    _check_policy(at, entry)
-                    if not isinstance(entry.get("name", ""), str):
-                        raise ConfigError(f"{at}: 'name' must be a string, got {entry['name']!r}")
-                    names.append(entry.get("name", entry.get("policy", "lola")))
-                    if names[-1] in names[:-1]:
-                        raise ConfigError(
-                            f"{at}: 'name' {names[-1]!r} (the policy when unset) repeats "
-                            f"variants[{names.index(names[-1])}]"
-                        )
+                if field == "variants" and not isinstance(entry.get("name", ""), str):
+                    raise ConfigError(f"{at}: 'name' must be a string, got {entry['name']!r}")
+        plans.append(_plan(exp, seed, where))
         for artifact in _artifacts(exp):
             if artifact in written:
                 owner = written[artifact]
                 by = "the manifest" if owner < 0 else f"experiments[{owner}]"
                 raise ConfigError(f"{where}: artifact {artifact!r} is also written by {by}")
             written[artifact] = i
+    return plans
 
 
 def _artifacts(exp: dict) -> list[str]:
@@ -247,47 +242,69 @@ def _artifacts(exp: dict) -> list[str]:
     return [f"{name}{tail}.csv" for tail in tails]
 
 
-def _check_ints(where: str, entry: dict) -> None:
-    for key in _INT_KEYS:
-        value = entry.get(key)
-        if value is None and (key == "chunk" or key not in entry):
-            continue
-        if type(value) is not int:
-            raise ConfigError(f"{where}: {key!r} must be an integer, got {value!r}")
-        if key in _INT_MIN and value < _INT_MIN[key]:
-            raise ConfigError(f"{where}: {key!r} must be >= {_INT_MIN[key]}, got {value}")
+@contextmanager
+def _keyed(where: str):
+    """Raise a spec's ``ValueError`` as a ``ConfigError`` at ``where`` that
+    names the config key."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {_rekey(exc, _KEYS)}") from None
 
 
-def _check_choices(where: str, exp: dict) -> None:
-    """The fields besides sizes that a run would reject partway through."""
-    fdim = exp.get("feature_dim")
-    if fdim is not None and (type(fdim) is not int or fdim < 2 or fdim % 2):
-        raise ConfigError(
-            f"{where}: 'feature_dim' must be null or an even integer >= 2, got {fdim!r}"
-        )
-    dist = exp.get("distribution", "clustered")
-    if dist not in _KEY_DISTRIBUTIONS:
-        raise ConfigError(
-            f"{where}: 'distribution' must be one of {list(_KEY_DISTRIBUTIONS)}, got {dist!r}"
-        )
-    strategies = exp.get("strategies")
-    # a tuple, not the dict: an unhashable entry is then unknown, not a TypeError
-    names = tuple(SCORING_STRATEGIES)
-    if strategies is not None and (
-        not isinstance(strategies, list)
-        or any(s not in names or s in strategies[:j] for j, s in enumerate(strategies))
-    ):
-        raise ConfigError(
-            f"{where}: 'strategies' must be null or a list of distinct names from {list(names)}, "
-            f"got {strategies!r}"
-        )
-    for key in ("n_list", "d_list"):
-        values = exp.get(key, [1])
-        if not isinstance(values, list) or not values or any(type(v) is not int or v < 1 for v in values):
-            raise ConfigError(
-                f"{where}: {key!r} must be a non-empty list of integers >= 1, got {values!r}"
-            )
-    fmap = exp.get("feature_map", "distill")
+def _given(entry: dict, *keys: str, **defaults) -> dict:
+    """Spec arguments, under the spec's field names, for the ``keys`` and
+    ``defaults`` that ``entry`` sets. A key it leaves out takes its value in
+    ``defaults``, or else the spec's own default."""
+    values = {**defaults, **{key: entry[key] for key in (*keys, *defaults) if key in entry}}
+    return {_FIELDS.get(key, key): value for key, value in values.items()}
+
+
+def _task(exp: dict, seed: int) -> tuple[SyntheticTaskSpec, AttentionConfig]:
+    """The task and head shape that an entry's task keys denote."""
+    task = SyntheticTaskSpec(
+        **_given(exp, "needles", "d", "codebook", n=256, distribution="clustered"), seed=seed
+    )
+    return task, AttentionConfig(task.head_dim, **_given(exp, "feature_dim"))
+
+
+def _plan(exp: dict, seed: int, where: str) -> tuple:
+    """What an experiment's runner takes, built once: a Gram study's grid and
+    seed, or the task, head shape and runs of the other kinds. A default that
+    no spec holds is written here."""
+    seed = exp.get("seed", seed)
+    with _keyed(where):
+        if exp["kind"] == "gram-study":
+            n_list, d_list = _study_grid(exp.get("n_list", [64, 128, 256]), exp.get("d_list", [8, 16]), seed)
+            return sorted(n_list), sorted(d_list), seed
+        task, attn = _task(exp, seed)
+        base = ExperimentConfig(**_given(exp, "trials", "feature_map", "feature_dim"), seed=seed)
+        if exp["kind"] == "collisions":
+            base = replace(base, **_given(exp, window=32, sparse=32))
+        elif exp["kind"] == "ablation":
+            runs = _ablation_rows(base, exp.get("strategies"), exp.get("budget", _BUDGET))
+    _check_feature_map(where, base.feature_map, attn)
+    if exp["kind"] == "collisions":
+        return task, attn, base
+    if exp["kind"] == "recall":
+        runs = []
+        for j, var in enumerate(exp.get("variants", [{}])):
+            with _keyed(f"{where}.variants[{j}]"):
+                run = replace(base, **_given(var, "policy", "window", "sparse", "chunk"))
+            # checks find records by name
+            names = [name for name, _ in runs]
+            name = var.get("name", run.policy)
+            if name in names:
+                raise ConfigError(
+                    f"{where}.variants[{j}]: 'name' {name!r} (the policy when unset) repeats "
+                    f"variants[{names.index(name)}]"
+                )
+            runs.append((name, run))
+    return task, attn, runs
+
+
+def _check_feature_map(where: str, fmap, attn: AttentionConfig) -> None:
+    """A saved map must parse and have the experiment's shape."""
     if fmap in ("distill", "random"):
         return
     if not isinstance(fmap, str):
@@ -300,8 +317,7 @@ def _check_choices(where: str, exp: dict) -> None:
         raise ConfigError(f"{where}: 'feature_map' cannot be read: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"{where}: 'feature_map' is malformed: {exc}") from None
-    d = exp.get("d", 16)
-    shape, want = (params.head_dim, params.feature_dim), (d, fdim or 2 * d)
+    shape, want = (params.head_dim, params.feature_dim), (attn.head_dim, attn.feature_dim)
     if shape != want:
         raise ConfigError(
             f"{where}: 'feature_map' {fmap!r} has head_dim, feature_dim {shape}; "
@@ -309,56 +325,34 @@ def _check_choices(where: str, exp: dict) -> None:
         )
 
 
-def _check_policy(where: str, variant: dict) -> None:
-    policy = variant.get("policy", "lola")
-    if variant.get("chunk") is not None:
-        allowed, path = _CHUNKED_POLICIES, "the chunked path"
-    else:
-        allowed, path = _DECODE_POLICIES, "the decode path"
-    if policy not in allowed:
-        raise ConfigError(
-            f"{where}: 'policy' {policy!r} is not a policy {path} runs; have {list(allowed)}"
-        )
+# Every runner takes an experiment and the plan ``validate_config`` built for
+# it, writes the experiment's artifacts into ``out``, appends its graded
+# checks to ``checks_out`` and returns the paths it wrote, in write order,
+# with what the command line reports: the records, or the mean absorbed
+# error by policy, or the spectra.
 
 
-def _task_from(exp: dict, seed: int) -> SyntheticTaskSpec:
-    return SyntheticTaskSpec(
-        haystack_len=exp.get("n", 256),
-        needle_count=exp.get("needles", 1),
-        head_dim=exp.get("d", 16),
-        key_distribution=exp.get("distribution", "clustered"),
-        value_codebook_size=exp.get("codebook", 16),
-        seed=exp.get("seed", seed),
-    )
-
-
-# Every runner writes one experiment's artifacts into ``out``, appends its
-# graded checks to ``checks_out`` and returns the paths it wrote, in write
-# order, with what the command line reports: the records, or the mean
-# absorbed error by policy, or the spectra.
-
-
-def _run_recall(exp: dict, seed: int, out: Path, fmt: str, checks_out: list):
-    seed = exp.get("seed", seed)
-    task = _task_from(exp, seed)
-    records = []
-    for var in exp.get("variants", [{"name": "lola", "policy": "lola"}]):
-        cfg = ExperimentConfig(
-            policy=var.get("policy", "lola"),
-            window_capacity=var.get("window", 64),
-            sparse_capacity=var.get("sparse", 64),
-            chunk_size=var.get("chunk"),
-            trials=exp.get("trials", 100),
-            feature_map=exp.get("feature_map", "distill"),
-            feature_dim=exp.get("feature_dim"),
-            seed=seed,
-        )
-        records.append(eval_recall(cfg, task, name=var.get("name", var.get("policy", "lola"))))
+def _run_records(exp: dict, plan: tuple, out: Path, fmt: str, checks_out: list):
+    """A recall or ablation experiment: one record per planned run."""
+    task, _, runs = plan
+    records = [eval_recall(run, task, name=name) for name, run in runs]
     path = out / f"{exp['name']}.{fmt}"
-    _write_records(path, records, fmt)
+    rows = [asdict(r) for r in records]
+    (write_rows_json if fmt == "json" else write_rows_csv)(path, RECORD_COLUMNS, rows)
     by_name = {r.name: r for r in records}
     for chk in exp.get("checks", []):
         checks_out.append(_grade_recall_check(exp["name"], chk, by_name))
+    if exp.get("check_order"):
+        # adjacent swaps tolerated; a strict inversion spanning 2+ ranks fails
+        bad = [t for t in order_inversions(records, EXPECTED_ACCURACY_ORDER) if t[2] >= 2]
+        checks_out.append(
+            {
+                "experiment": exp["name"],
+                "check": "score-ordering",
+                "passed": not bad,
+                "detail": "no long-range inversions" if not bad else f"inversions {bad}",
+            }
+        )
     return [path], records
 
 
@@ -396,45 +390,14 @@ def order_inversions(records: list[ResultRecord], expected: list[str]) -> list[t
     return bad
 
 
-def _run_ablation(exp: dict, seed: int, out: Path, fmt: str, checks_out: list):
-    seed = exp.get("seed", seed)
-    task = _task_from(exp, seed)
-    records = run_ablation(
-        task,
-        strategies=exp.get("strategies"),
-        budget=exp.get("budget", 128),
-        trials=exp.get("trials", 100),
-        seed=seed,
-        feature_map=exp.get("feature_map", "distill"),
-        feature_dim=exp.get("feature_dim"),
-    )
-    path = out / f"{exp['name']}.{fmt}"
-    _write_records(path, records, fmt)
-    if exp.get("check_order"):
-        # adjacent swaps tolerated; a strict inversion spanning 2+ ranks fails
-        bad = [t for t in order_inversions(records, EXPECTED_ACCURACY_ORDER) if t[2] >= 2]
-        checks_out.append(
-            {
-                "experiment": exp["name"],
-                "check": "score-ordering",
-                "passed": not bad,
-                "detail": "no long-range inversions" if not bad else f"inversions {bad}",
-            }
-        )
-    return [path], records
-
-
-def _run_collisions(exp: dict, seed: int, out: Path, fmt: str, checks_out: list):
+def _run_collisions(exp: dict, plan: tuple, out: Path, fmt: str, checks_out: list):
     """Replay the task's stream once under each policy and write
     ``<name>-<policy>.csv``, plus ``<name>-<policy>-relative.csv`` when
     ``relative``."""
-    task = _task_from(exp, seed)
+    task, attn, run = plan
     inst = gen_niah(task)
-    attn = AttentionConfig(task.head_dim, exp.get("feature_dim"))
-    params = resolve_feature_map(
-        ExperimentConfig(feature_map=exp.get("feature_map", "distill"), seed=task.seed), task, attn
-    )
-    window, sparse = exp.get("window", 32), exp.get("sparse", 32)
+    params = resolve_feature_map(run, task, attn)
+    window, sparse = run.window_capacity, run.sparse_capacity
     paths = []
     means = {}
     for policy in POLICIES:
@@ -459,10 +422,8 @@ def _run_collisions(exp: dict, seed: int, out: Path, fmt: str, checks_out: list)
     return paths, means
 
 
-def _run_gram(exp: dict, seed: int, out: Path, fmt: str, checks_out: list):
-    seed = exp.get("seed", seed)
-    n_list = sorted(exp.get("n_list", [64, 128, 256]))
-    d_list = sorted(exp.get("d_list", [8, 16]))
+def _run_gram(exp: dict, plan: tuple, out: Path, fmt: str, checks_out: list):
+    n_list, d_list, seed = plan
     results = rank_study(n_list, d_list, seed)
     path = out / f"{exp['name']}.csv"
     write_gram_csv(results, path)
@@ -488,17 +449,9 @@ def _run_gram(exp: dict, seed: int, out: Path, fmt: str, checks_out: list):
     return [path], results
 
 
-def _write_records(path: Path, records: list[ResultRecord], fmt: str) -> None:
-    rows = [asdict(r) for r in records]
-    if fmt == "json":
-        write_rows_json(path, RECORD_COLUMNS, rows)
-    else:
-        write_rows_csv(path, RECORD_COLUMNS, rows)
-
-
 _RUNNERS = {
-    "recall": _run_recall,
-    "ablation": _run_ablation,
+    "recall": _run_records,
+    "ablation": _run_records,
     "collisions": _run_collisions,
     "gram-study": _run_gram,
 }
@@ -517,8 +470,7 @@ def run_suite(config: dict | str | Path | None = None, out_dir=".", fmt: str = "
         config = DEFAULT_SUITE
     elif not isinstance(config, dict):
         config = load_config(config)
-    else:
-        validate_config(config)
+    plans = validate_config(config)
     seed = config.get("seed", 0)
     stamp = datetime.now().strftime("%Y%m%d-%H%M%S-%f")
     out = Path(out_dir) / f"suite-{stamp}"
@@ -528,9 +480,9 @@ def run_suite(config: dict | str | Path | None = None, out_dir=".", fmt: str = "
     checks: list[dict] = []
     timings: dict[str, float] = {}
     try:
-        for exp in config.get("experiments", []):
+        for exp, plan in zip(config["experiments"], plans):
             t0 = time.perf_counter()
-            paths, _ = _RUNNERS[exp["kind"]](exp, seed, out, fmt, checks)
+            paths, _ = _RUNNERS[exp["kind"]](exp, plan, out, fmt, checks)
             files.update((p.name, sha256_file(p)) for p in paths)
             timings[exp["name"]] = time.perf_counter() - t0
     finally:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..attention import _is_int
+from ..attention import _check_size
 from ..numerics import SeededRng
 
 __all__ = [
@@ -52,26 +52,21 @@ class SyntheticTaskSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("haystack_len", "needle_count", "head_dim", "value_codebook_size", "seed"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.haystack_len < 1:
-            raise ValueError(f"haystack_len must be >= 1, got {self.haystack_len}")
-        if not 1 <= self.needle_count <= self.haystack_len:
+        _check_size("haystack_len", self.haystack_len, 1)
+        _check_size("needle_count", self.needle_count, 1)
+        if self.needle_count > self.haystack_len:
             raise ValueError(
-                f"needle_count must be in [1, {self.haystack_len}], got {self.needle_count}"
+                f"needle_count must be <= the haystack length {self.haystack_len}, "
+                f"got {self.needle_count}"
             )
-        if self.head_dim < 1:
-            raise ValueError(f"head_dim must be >= 1, got {self.head_dim}")
+        _check_size("head_dim", self.head_dim, 1)
         if self.key_distribution not in _KEY_DISTRIBUTIONS:
-            raise ValueError(f"unknown key_distribution {self.key_distribution!r}")
-        if self.value_codebook_size < 2:
             raise ValueError(
-                f"value_codebook_size must be >= 2, got {self.value_codebook_size}"
+                f"key_distribution must be one of {list(_KEY_DISTRIBUTIONS)}, "
+                f"got {self.key_distribution!r}"
             )
+        _check_size("value_codebook_size", self.value_codebook_size, 2)
+        _check_size("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

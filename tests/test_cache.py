@@ -553,22 +553,23 @@ def _set_config(field, value):
 
 
 BAD_SNAPSHOT_CONFIGS = {
-    "window-capacity-string": (_set_config("window_capacity", "3"), "'window_capacity' '3' is not an int"),
-    "window-capacity-bool": (_set_config("window_capacity", True), "'window_capacity' True is not an int"),
-    "window-capacity-negative": (_set_config("window_capacity", -1), "'window_capacity' -1 is not an int >= 0"),
-    "sparse-capacity-float": (_set_config("sparse_capacity", 2.0), "'sparse_capacity' 2.0 is not an int"),
-    "head-dim-string": (_set_config("head_dim", "4"), "'head_dim' '4' is not an int >= 1"),
-    "head-dim-zero": (_set_config("head_dim", 0), "'head_dim' 0 is not an int >= 1"),
-    "feature-dim-bool": (_set_config("feature_dim", False), "'feature_dim' False is not an int >= 2"),
-    "feature-dim-odd": (_set_config("feature_dim", 7), "'feature_dim' 7 is not even"),
+    "window-capacity-string": (_set_config("window_capacity", "3"), "'window_capacity' must be an int, got '3'"),
+    "window-capacity-bool": (_set_config("window_capacity", True), "'window_capacity' must be an int, got True"),
+    "window-capacity-negative": (_set_config("window_capacity", -1), "'window_capacity' must be >= 0, got -1"),
+    "sparse-capacity-float": (_set_config("sparse_capacity", 2.0), "'sparse_capacity' must be an int, got 2.0"),
+    "head-dim-string": (_set_config("head_dim", "4"), "'head_dim' must be an int, got '4'"),
+    "head-dim-zero": (_set_config("head_dim", 0), "'head_dim' must be >= 1, got 0"),
+    "feature-dim-bool": (_set_config("feature_dim", False), "'feature_dim' must be None or an int, got False"),
+    "feature-dim-odd": (_set_config("feature_dim", 7), "'feature_dim' must be a positive even integer, got 7"),
+    "feature-dim-null": (_set_config("feature_dim", None), "'feature_dim' is null, not the saved engine's value"),
     "feature-dim-mismatch": (_set_config("feature_dim", 6), "'feature_dim' 6 and 'head_dim' 4 need 12 'weights'"),
-    "scale-null": (_set_config("scale", None), "'scale' None is not a finite positive number"),
-    "scale-string": (_set_config("scale", "0.5"), "'scale' '0.5' is not a finite positive number"),
-    "scale-bool": (_set_config("scale", True), "'scale' True is not a finite positive number"),
-    "scale-zero": (_set_config("scale", 0.0), "'scale' 0.0 is not a finite positive number"),
-    "scale-negative": (_set_config("scale", -0.5), "'scale' -0.5 is not a finite positive number"),
-    "scale-nan": (_set_config("scale", float("nan")), "'scale' nan is not a finite positive number"),
-    "scale-inf": (_set_config("scale", float("inf")), "'scale' inf is not a finite positive number"),
+    "scale-null": (_set_config("scale", None), "'scale' is null, not the saved engine's value"),
+    "scale-string": (_set_config("scale", "0.5"), "'scale' must be a finite positive real, got '0.5'"),
+    "scale-bool": (_set_config("scale", True), "'scale' must be a finite positive real, got True"),
+    "scale-zero": (_set_config("scale", 0.0), "'scale' must be a finite positive real, got 0.0"),
+    "scale-negative": (_set_config("scale", -0.5), "'scale' must be a finite positive real, got -0.5"),
+    "scale-nan": (_set_config("scale", float("nan")), "'scale' must be a finite positive real, got nan"),
+    "scale-inf": (_set_config("scale", float("inf")), "'scale' must be a finite positive real, got inf"),
     "scoring-unknown": (_set_config("scoring", "nope"), "'scoring' 'nope' is not one of"),
     # a test fake's rule is not in the table either
     "scoring-fake": (_set_config("scoring", "constant"), "'scoring' 'constant' is not one of"),
@@ -598,3 +599,30 @@ def test_snapshot_restores_the_recorded_scale(setup):
     assert restored.config.scale == 0.25 != cfg.scale
     q = gen.normal(size=4)
     assert restored.attend(q).tobytes() == eng.attend(q).tobytes()
+
+
+@pytest.mark.parametrize(
+    "eta, lam, field",
+    [
+        (True, 2, "window_capacity"),
+        (2.5, 2, "window_capacity"),
+        ("3", 2, "window_capacity"),
+        (2, True, "sparse_capacity"),
+        (2, 2.5, "sparse_capacity"),
+        (2, "3", "sparse_capacity"),
+        (-1, 2, "window_capacity"),
+        (2, -1, "sparse_capacity"),
+    ],
+)
+def test_capacities_that_are_not_sizes_raise_naming_the_field(setup, eta, lam, field):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        make_engine(setup, eta, lam)
+
+
+def test_numpy_int_capacities_run_as_ints(setup):
+    gen = SeededRng(41).generator()
+    ks, vs = gen.normal(size=(2, 12, 4))
+    a, b = make_engine(setup, np.int64(3), np.int32(2)), make_engine(setup, 3, 2)
+    a.ingest(ks, vs)
+    b.ingest(ks, vs)
+    assert a.attend(ks[0]).tobytes() == b.attend(ks[0]).tobytes()

@@ -165,7 +165,7 @@ def test_analysis_subcommands_write_what_a_one_entry_suite_writes(tmp_path, cli_
     [
         (["--trials", "0"], "'trials' must be >= 1, got 0"),
         (["--n", "-5"], "'n' must be >= 1, got -5"),
-        (["--needles", "30", "--n", "24"], "'needles' 30 exceeds 'n' 24"),
+        (["--needles", "30", "--n", "24"], "'needles' must be <= the haystack length 24, got 30"),
     ],
     ids=["trials-0", "n-negative", "needles-over-n"],
 )
@@ -183,7 +183,7 @@ def test_recall_bad_sizes_exit_2_before_any_file_is_written(tmp_path, capsys, fl
     [
         (["gram-study", "--n-list", "0,8"], "'n_list' must be a non-empty list of integers >= 1"),
         (["gram-study", "--n-list", "a,8"], "--n-list must be comma-separated integers, got 'a,8'"),
-        (["recall", "--feature-dim", "3"], "'feature_dim' must be null or an even integer >= 2, got 3"),
+        (["recall", "--feature-dim", "3"], "'feature_dim' must be a positive even integer, got 3"),
         (["recall", "--policy", "nope"], "'policy' 'nope' is not a policy the decode path runs"),
         (["recall", "--chunk", "4", "--policy", "linear-only"],
          "'policy' 'linear-only' is not a policy the chunked path runs"),
@@ -206,7 +206,7 @@ def test_suite_config_errors_exit_2_naming_experiment_and_field(tmp_path, capsys
     status = main(["suite", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
     assert status == 2
     err = capsys.readouterr().err
-    assert "'r'" in err and "'n' must be an integer" in err
+    assert "'r'" in err and "'n' must be an int, got '12'" in err
     assert list(tmp_path.glob("suite-*")) == []
 
 
@@ -302,9 +302,9 @@ def test_distill_subcommand(tmp_path):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--d", "0"], "head_dim must be >= 1, got 0"),
-        (["--codebook", "1"], "value_codebook_size must be >= 2, got 1"),
-        (["--feature-dim", "3"], "feature_dim must be a positive even integer, got 3"),
+        (["--d", "0"], "'d' must be >= 1, got 0"),
+        (["--codebook", "1"], "'codebook' must be >= 2, got 1"),
+        (["--feature-dim", "3"], "'feature_dim' must be a positive even integer, got 3"),
     ],
     ids=["d-0", "codebook-1", "feature-dim-odd"],
 )
@@ -313,6 +313,18 @@ def test_distill_bad_values_exit_2_before_any_file_is_written(tmp_path, capsys, 
     assert main(["distill", *flags, "--out-dir", str(out_dir)]) == 2
     assert capsys.readouterr().err == f"error: lola distill: {message}\n"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flags", [["--d", "0"], ["--codebook", "1"], ["--feature-dim", "3"]], ids=" ".join)
+def test_distill_and_recall_print_the_same_rule_for_a_flag(tmp_path, capsys, flags):
+    rules = []
+    for command in ("distill", "recall"):
+        assert main([command, *flags, "--out-dir", str(tmp_path / command)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: lola {command}: ")
+        rules.append(err.rsplit(": ", 1)[1])
+    assert rules[0] == rules[1]
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(

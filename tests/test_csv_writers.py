@@ -147,13 +147,20 @@ def test_collision_writer_matches_the_reference_on_fuzzed_matrices(tmp_path, cm)
     assert all(line.count(",") == n for line in text.split("\r\n")[:-1])
 
 
+# GramStudyResult takes only finite curves
+FINITE_CELLS = st.one_of(
+    st.sampled_from([x for x in EDGE_VALUES if np.isfinite(x)]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
 @st.composite
 def gram_results(draw):
     results = []
     for _ in range(draw(st.integers(1, 3))):
         n = draw(st.integers(1, 6))
-        sv = draw(st.lists(CELLS, min_size=n, max_size=n))
-        errs = draw(st.lists(CELLS, min_size=n + 1, max_size=n + 1))
+        sv = draw(st.lists(FINITE_CELLS, min_size=n, max_size=n))
+        errs = draw(st.lists(FINITE_CELLS, min_size=n + 1, max_size=n + 1))
         results.append(GramStudyResult(n, draw(st.integers(1, 64)), np.array(sv), np.array(errs)))
     return results
 
@@ -210,6 +217,51 @@ def test_collision_matrix_rejects_a_bad_absorbed_at(absorbed_at, message):
         CollisionMatrix("bad", np.zeros((2, 2)), absorbed_at)
 
 
+@pytest.mark.parametrize(
+    "n, d, sv, errs, message",
+    [
+        # the writer raised a bare IndexError on this one
+        (3, 2, np.array([1.0]), np.array([1.0, 2.0, 3.0, 4.0]),
+         r"singular_values must be a float64 array of shape \(3,\), got shape \(1,\)"),
+        # and silently wrote a single row for this one
+        (5, 2, np.ones(5), np.ones(1), r"truncated_errors must be a float64 array of shape \(6,\), got shape \(1,\)"),
+        (0, 2, np.ones(0), np.ones(1), "n must be >= 1, got 0"),
+        (True, 2, np.ones(1), np.ones(2), "n must be an int, got True"),
+        (2.0, 2, np.ones(2), np.ones(3), "n must be an int, got 2.0"),
+        (1, 0, np.ones(1), np.ones(2), "d must be >= 1, got 0"),
+        (1, "2", np.ones(1), np.ones(2), "d must be an int, got '2'"),
+        (1, 2, [1.0], np.ones(2), r"singular_values must be .*, got list"),
+        (1, 2, np.ones(1, dtype=np.int64), np.ones(2), "singular_values must be a float64 array .*int64"),
+        (1, 2, np.ones(1), np.ones((2, 1)), r"truncated_errors must be .*got shape \(2, 1\)"),
+        (2, 2, np.array([1.0, np.nan]), np.ones(3), "singular_values has non-finite entries"),
+        (1, 2, np.ones(1), np.array([np.inf, 0.0]), "truncated_errors has non-finite entries"),
+    ],
+    ids=["short-sv", "short-errors", "n-0", "n-bool", "n-float", "d-0", "d-string", "sv-list",
+         "sv-int", "errors-2d", "sv-nan", "errors-inf"],
+)
+def test_gram_result_checks_its_fields(n, d, sv, errs, message):
+    with pytest.raises(ValueError, match=message):
+        GramStudyResult(n, d, sv, errs)
+
+
+@pytest.mark.parametrize(
+    "n_list, d_list, field",
+    [([4.7], [2], "n_list"), (["8"], [2], "n_list"), ([True], [2], "n_list"),
+     ([8], [2.0], "d_list"), ([8], [False], "d_list"), ([8], "8", "d_list")],
+    ids=["float", "string", "bool", "d-float", "d-bool", "d-string"],
+)
+def test_rank_study_rejects_entries_that_are_not_ints(n_list, d_list, field):
+    # int() used to run [4.7] as n=4, ["8"] as 8 and [True] as 1
+    with pytest.raises(ValueError, match=f"^{field} must be a non-empty list of integers >= 1"):
+        rank_study(n_list, d_list, seed=0)
+
+
+def test_rank_study_takes_numpy_ints_as_plain_ints():
+    (res,) = rank_study([np.int64(4)], [np.int32(2)], seed=0)
+    assert (type(res.n), type(res.d)) == (int, int)
+    assert res.singular_values.tobytes() == rank_study([4], [2], seed=0)[0].singular_values.tobytes()
+
+
 def test_collision_matrix_accepts_any_int_dtype_and_the_full_range():
     cm = CollisionMatrix("ok", np.zeros((2, 2)), np.array([2, 0], dtype=np.int32))
     assert relative_to_absorption(cm).absorbed_at.tolist() == [2, 0]
@@ -246,7 +298,7 @@ def test_task_spec_rejects_bad_sizes_and_seeds(kwargs, message):
         ({"sparse_capacity": None}, "sparse_capacity must be an int, got None"),
         ({"seed": 1.0}, "seed must be an int, got 1.0"),
         ({"seed": -1}, "seed must be >= 0, got -1"),
-        ({"chunk_size": 8.0}, "chunk_size must be None or an int, got 8.0"),
+        ({"chunk_size": 8.0}, "chunk_size must be an int, got 8.0"),
         ({"feature_dim": "32"}, "feature_dim must be None or an int, got '32'"),
         ({"feature_dim": False}, "feature_dim must be None or an int, got False"),
     ],
@@ -262,8 +314,8 @@ def test_specs_accept_numpy_ints_and_keep_their_range_messages():
     exp = ExperimentConfig(chunk_size=np.int64(4), feature_dim=np.int64(8), seed=np.int64(0))
     assert exp.chunk_size == 4
     for kwargs, message in (
-        ({"window_capacity": -1}, "budgets must be >= 0"),
-        ({"chunk_size": 0}, "chunk_size must be >= 1 when set"),
+        ({"window_capacity": -1}, "window_capacity must be >= 0, got -1"),
+        ({"chunk_size": 0}, "chunk_size must be >= 1, got 0"),
         ({"trials": 0}, "trials must be >= 1"),
     ):
         with pytest.raises(ValueError, match=message):

@@ -21,6 +21,7 @@ from lola.harness import (
 )
 import lola.attention as attention
 from lola import AttentionConfig, SeededRng, init_feature_map, save_feature_map
+from lola.analysis import engine_for_policy, rank_study
 from lola.harness.experiments import decode_answer, resolve_feature_map
 from lola.harness.synthetic import KEY_SCALE, NEEDLE_KEY_BOOST, NEEDLE_VALUE_BOOST
 
@@ -173,9 +174,8 @@ def test_effective_cache_size_reporting(small_task):
 
 
 def test_altscore_policy_requires_decode_path(small_task):
-    exp = ExperimentConfig(policy="lola-altscore:overestimate", chunk_size=8, trials=1)
-    with pytest.raises(ValueError, match="decode path"):
-        eval_recall(exp, small_task)
+    with pytest.raises(ValueError, match="is not a policy the chunked path runs"):
+        eval_recall(ExperimentConfig(policy="lola-altscore:overestimate", chunk_size=8, trials=1), small_task)
 
 
 def test_run_ablation_rows_and_determinism(small_task):
@@ -229,7 +229,7 @@ def test_validate_rejects_names_that_are_not_plain_file_names(name):
 )
 def test_validate_rejects_non_integer_task_fields(field, bad):
     config = {"seed": 0, "experiments": [_recall("r", **{field: bad})]}
-    with pytest.raises(ConfigError, match=rf"experiments\[0\] \('r'\): '{field}' must be an integer"):
+    with pytest.raises(ConfigError, match=rf"experiments\[0\] \('r'\): '{field}' must be an int, got"):
         validate_config(config)
 
 
@@ -244,7 +244,7 @@ _SEED_AT = {
 @pytest.mark.parametrize("where", _SEED_AT)
 def test_validate_rejects_a_negative_or_bool_seed(where, bad):
     # SeededRng cannot take a negative seed, and a bool is not one
-    with pytest.raises(ConfigError, match=r"'seed' must be (>= 0|an integer), got"):
+    with pytest.raises(ConfigError, match=r"'seed' must be (>= 0|an int), got"):
         validate_config(_SEED_AT[where](bad))
 
 
@@ -265,7 +265,7 @@ def test_validate_accepts_seed_zero_everywhere():
     ],
 )
 def test_validate_rejects_non_integer_budget_fields(exp, field):
-    with pytest.raises(ConfigError, match=rf"experiments\[0\] \('x'\).*'{field}' must be an integer"):
+    with pytest.raises(ConfigError, match=rf"experiments\[0\] \('x'\).*'{field}' must be an int, got"):
         validate_config({"seed": 0, "experiments": [exp]})
 
 
@@ -334,9 +334,9 @@ def test_validate_rejects_out_of_range_sizes(exp, field):
         ({"kind": "gram-study", "name": "x", "n_list": []}, "'n_list' must be a non-empty list"),
         ({"kind": "gram-study", "name": "x", "d_list": [4.0]}, "'d_list' must be a non-empty list"),
         ({"kind": "gram-study", "name": "x", "d_list": "8,16"}, "'d_list' must be a non-empty list"),
-        (_recall("x", feature_dim=3), "'feature_dim' must be null or an even integer >= 2"),
-        (_recall("x", feature_dim=0), "'feature_dim' must be null or an even integer >= 2"),
-        ({"kind": "ablation", "name": "x", "feature_dim": "8"}, "'feature_dim' must be null"),
+        (_recall("x", feature_dim=3), "'feature_dim' must be a positive even integer, got 3"),
+        (_recall("x", feature_dim=0), "'feature_dim' must be a positive even integer, got 0"),
+        ({"kind": "ablation", "name": "x", "feature_dim": "8"}, "'feature_dim' must be None or an int, got '8'"),
         ({"kind": "collisions", "name": "x", "distribution": "nope"}, "'distribution' must be one of"),
         (_recall("x", variants=[{"name": "v", "policy": "nope"}]), "'policy' 'nope' is not a policy"),
         (_recall("x", variants=[{"name": "v", "policy": "lola-altscore:nope"}]), "the decode path"),
@@ -363,7 +363,7 @@ def test_validate_accepts_every_policy_on_its_path():
 
 
 def test_validate_rejects_more_needles_than_tokens():
-    with pytest.raises(ConfigError, match="'needles' 9 exceeds 'n' 8"):
+    with pytest.raises(ConfigError, match="'needles' must be <= the haystack length 8, got 9"):
         validate_config({"seed": 0, "experiments": [_recall("x", n=8, needles=9)]})
 
 
@@ -598,9 +598,9 @@ def test_validate_accepts_variants_named_apart_on_one_policy():
 
 
 def test_run_ablation_rejects_repeated_strategies(small_task):
-    with pytest.raises(ValueError, match="are not distinct names"):
+    with pytest.raises(ValueError, match="strategies must be a list of distinct names"):
         run_ablation(small_task, strategies=["overestimate", "overestimate"], trials=1)
-    with pytest.raises(ValueError, match="are not distinct names"):
+    with pytest.raises(ValueError, match="strategies must be a list of distinct names"):
         run_ablation(small_task, strategies=["nope"], trials=1)
 
 
@@ -628,3 +628,74 @@ def test_a_saved_map_is_parsed_once_per_contents(tmp_path, monkeypatch):
         got.weights[0, 0] += 1.0  # a caller's edit reaches no later call
     assert len(parses) == 2
     np.testing.assert_array_equal(resolve_feature_map(exp, task, attn).weights, params.weights)
+
+
+# -- the API rejects what the config rejects -------------------------------------
+
+_TINY = SyntheticTaskSpec(8, head_dim=4, value_codebook_size=4)
+_ATTN = AttentionConfig(4)
+_MAP = init_feature_map(SeededRng(0), _ATTN)
+_COLLISIONS = {"kind": "collisions", "name": "x"}
+_ABLATION = {"kind": "ablation", "name": "x"}
+_GRAM = {"kind": "gram-study", "name": "x"}
+
+
+def _variant(**fields):
+    return _recall("x", variants=[{"name": "v", **fields}])
+
+
+# (bad config entry, the spec or function call that holds the same value);
+# the entries are those of the config tables above
+API_EQUIVALENTS = {
+    "n-negative": (_recall("x", n=-5), lambda: SyntheticTaskSpec(-5)),
+    "n-zero": (_recall("x", n=0), lambda: SyntheticTaskSpec(0)),
+    "n-string": (_recall("x", n="12"), lambda: SyntheticTaskSpec("12")),
+    "d-zero": (_recall("x", d=0), lambda: SyntheticTaskSpec(8, head_dim=0)),
+    "d-float": (_recall("x", d=12.0), lambda: SyntheticTaskSpec(8, head_dim=12.0)),
+    "codebook-one": (_recall("x", codebook=1), lambda: SyntheticTaskSpec(8, value_codebook_size=1)),
+    "codebook-bool": (_recall("x", codebook=True), lambda: SyntheticTaskSpec(8, value_codebook_size=True)),
+    "needles-zero": (_recall("x", needles=0), lambda: SyntheticTaskSpec(8, needle_count=0)),
+    "needles-null": (_recall("x", needles=None), lambda: SyntheticTaskSpec(8, needle_count=None)),
+    "needles-over-n": (_recall("x", n=8, needles=9), lambda: SyntheticTaskSpec(8, needle_count=9)),
+    "seed-string": (_recall("x", seed="3"), lambda: SyntheticTaskSpec(8, seed="3")),
+    "distribution": (_recall("x", distribution="nope"), lambda: SyntheticTaskSpec(8, key_distribution="nope")),
+    "feature-dim-odd": (_recall("x", feature_dim=3), lambda: AttentionConfig(16, 3)),
+    "feature-dim-string": (_ABLATION | {"feature_dim": "8"}, lambda: AttentionConfig(16, "8")),
+    "trials-zero": (_recall("x", trials=0), lambda: ExperimentConfig(trials=0)),
+    "trials-list": (_recall("x", trials=[12]), lambda: ExperimentConfig(trials=[12])),
+    "window-negative": (_variant(window=-1), lambda: ExperimentConfig(window_capacity=-1)),
+    "window-string": (_variant(window="8"), lambda: ExperimentConfig(window_capacity="8")),
+    "sparse-negative": (_variant(sparse=-3), lambda: ExperimentConfig(sparse_capacity=-3)),
+    "sparse-float": (_variant(sparse=8.5), lambda: ExperimentConfig(sparse_capacity=8.5)),
+    "chunk-zero": (_variant(chunk=0), lambda: ExperimentConfig(chunk_size=0)),
+    "chunk-string": (_variant(chunk="32"), lambda: ExperimentConfig(chunk_size="32")),
+    "policy-unknown": (_variant(policy="nope"), lambda: ExperimentConfig(policy="nope")),
+    "altscore-unknown": (_variant(policy="lola-altscore:nope"), lambda: ExperimentConfig(policy="lola-altscore:nope")),
+    "chunked-linear-only": (_variant(policy="linear-only", chunk=4),
+                            lambda: ExperimentConfig(policy="linear-only", chunk_size=4)),
+    "chunked-altscore": (_variant(policy="lola-altscore:overestimate", chunk=4),
+                         lambda: ExperimentConfig(policy="lola-altscore:overestimate", chunk_size=4)),
+    "budget-negative": (_ABLATION | {"budget": -2}, lambda: run_ablation(_TINY, budget=-2, trials=1)),
+    "budget-string": (_ABLATION | {"budget": "64"}, lambda: run_ablation(_TINY, budget="64", trials=1)),
+    "strategies": (_ABLATION | {"strategies": ["nope"]}, lambda: run_ablation(_TINY, strategies=["nope"], trials=1)),
+    "strategies-object": (_ABLATION | {"strategies": {}}, lambda: run_ablation(_TINY, strategies={}, trials=1)),
+    "collisions-window-negative": (_COLLISIONS | {"window": -1}, lambda: engine_for_policy("lola", _ATTN, _MAP, -1, 4)),
+    "collisions-window-float": (_COLLISIONS | {"window": 4.0}, lambda: engine_for_policy("lola", _ATTN, _MAP, 4.0, 4)),
+    "collisions-sparse-negative": (_COLLISIONS | {"sparse": -1}, lambda: engine_for_policy("lola", _ATTN, _MAP, 4, -1)),
+    "collisions-sparse-string": (_COLLISIONS | {"sparse": "4"}, lambda: engine_for_policy("lola", _ATTN, _MAP, 4, "4")),
+    "n-list-zero": (_GRAM | {"n_list": [0, 8]}, lambda: rank_study([0, 8], [4], seed=0)),
+    "d-list-float": (_GRAM | {"d_list": [4.0]}, lambda: rank_study([8], [4.0], seed=0)),
+    "gram-seed-negative": (_GRAM | {"seed": -1}, lambda: rank_study([8], [4], seed=-1)),
+}
+
+
+@pytest.mark.parametrize("exp, call", API_EQUIVALENTS.values(), ids=API_EQUIVALENTS.keys())
+def test_the_api_rejects_what_the_config_rejects_with_the_same_rule(exp, call):
+    with pytest.raises(ConfigError) as config_error:
+        validate_config({"seed": 0, "experiments": [exp]})
+    with pytest.raises(ValueError) as api_error:
+        call()
+    assert not isinstance(api_error.value, ConfigError)
+    # the spec names its own field; the config error names the key, with the same rule
+    field, rule = str(api_error.value).split(" ", 1)
+    assert str(config_error.value).endswith(f"' {rule}"), (field, str(config_error.value))
