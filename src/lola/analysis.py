@@ -20,11 +20,12 @@ from .attention import (
     AttentionConfig,
     FeatureMapParams,
     _check_size,
+    _feature_rows,
     _guard,
     _is_int,
     feature_map_batch,
 )
-from .cache import SCORING_STRATEGIES, LolaCache, _self_recall_scores
+from .cache import SCORING_STRATEGIES, LolaCache, _pair_rows, _self_recall_scores
 from .numerics import SeededRng, as_matrix, gaussian_sample
 
 __all__ = [
@@ -215,28 +216,42 @@ def collision_matrix(
     attn: AttentionConfig,
     params: FeatureMapParams,
 ) -> CollisionMatrix:
-    """Replay a stream under ``policy`` and score every stored pair at every step."""
+    """Replay a stream under ``policy`` and score every stored pair at every step.
+
+    The pairs are checked and feature-mapped once, and admitted as the rows
+    ``LolaCache.ingest`` builds, through the engine's one admission step.
+    The residents at step t are the window's arrival range (t - η, t] and the
+    sparse cache. Until the first absorption every arrived pair is resident,
+    so those rows are zeros and nothing is scored.
+    """
     keys = as_matrix(keys, cols=attn.head_dim)
     values = as_matrix(values, rows=keys.shape[0], cols=attn.head_dim)
     t_total = keys.shape[0]
     if t_total < 1:
         raise ValueError("need at least one pair")
     engine = engine_for_policy(policy, attn, params, window_capacity, sparse_capacity)
+    # the scores take the batch map's bits; the engine's rows take ``update``'s
     phi = feature_map_batch(params, keys)
+    pairs = _pair_rows(values, _feature_rows(params, keys), keys, 1)
     errors = np.full((t_total, t_total), np.nan)
     absorbed_at = np.zeros(t_total, dtype=np.int64)
+    resident = np.empty(t_total, dtype=bool)
+    eta = engine.window_capacity
     for t in range(1, t_total + 1):
-        engine.update(keys[t - 1], values[t - 1])
-        scores = _self_recall_scores(phi[:t], values[:t], engine.linear)
-        resident = np.concatenate([engine.window_indices, engine.sparse_indices])
-        resident = resident.astype(np.int64) - 1
-        scores[resident] = 0.0
-        errors[t - 1, :t] = scores
+        engine._admit(pairs[t - 1])
+        if engine.linear.count == 0:
+            errors[t - 1, :t] = 0.0
+            continue
+        held = resident[:t]
+        held.fill(False)
+        held[max(0, t - eta) :] = True
+        held[engine.sparse_indices - 1] = True
+        row = errors[t - 1, :t]
+        row[...] = _self_recall_scores(phi[:t], values[:t], engine.linear)
+        row[held] = 0.0
         # an arrived pair outside both full-rank tiers sits in the hidden
         # state, and it never leaves: the first such step is its absorption
-        unabsorbed = absorbed_at[:t] == 0
-        unabsorbed[resident] = False
-        absorbed_at[:t][unabsorbed] = t
+        absorbed_at[:t][~held & (absorbed_at[:t] == 0)] = t
     return CollisionMatrix(policy, errors, absorbed_at)
 
 
@@ -244,12 +259,17 @@ def relative_to_absorption(cm: CollisionMatrix) -> CollisionMatrix:
     """``cm`` with each absorbed pair's error measured relative to its error
     at absorption time; entries can go negative when a pair becomes easier
     to recall after later updates."""
-    rel = cm.errors.copy()
-    for j in range(rel.shape[1]):
-        ta = int(cm.absorbed_at[j])
-        if ta > 0:
-            rel[ta - 1 :, j] -= cm.errors[ta - 1, j]
-    return CollisionMatrix(cm.policy, rel, cm.absorbed_at)
+    errors, at = cm.errors, cm.absorbed_at
+    n = errors.shape[0]
+    cols = np.flatnonzero(at)
+    # each cell from a pair's absorption row ta on is the one subtraction
+    # errors[i, j] - errors[ta - 1, j], so its bits do not depend on the layout
+    base = np.zeros(n)
+    base[cols] = errors[at[cols] - 1, cols]
+    since = (at > 0) & (np.arange(1, n + 1)[:, None] >= at)
+    rel = errors.copy()
+    np.subtract(errors, base, out=rel, where=since)
+    return CollisionMatrix(cm.policy, rel, at)
 
 
 def mean_absorbed_error(cm: CollisionMatrix) -> float:
@@ -270,9 +290,9 @@ def mean_absorbed_error(cm: CollisionMatrix) -> float:
 # quoting, and lines end in "\r\n".
 
 
-def _reprs(values: np.ndarray) -> str:
-    """``repr`` of every entry, comma-joined, from one C-level list ``repr``."""
-    return repr(values.tolist())[1:-1].replace(", ", ",")
+def _reprs(values: np.ndarray) -> map:
+    """``repr`` of every entry, from one conversion to Python floats."""
+    return map(repr, values.tolist())
 
 
 def write_collision_csv(cm: CollisionMatrix, path) -> None:
@@ -282,13 +302,17 @@ def write_collision_csv(cm: CollisionMatrix, path) -> None:
     t_total = errors.shape[0]
     # each row's filled length: one past its last non-NaN cell, 0 if it has none
     filled = ~np.isnan(errors)
-    lengths = np.where(filled.any(axis=1), t_total - filled[:, ::-1].argmax(axis=1), 0).tolist()
+    lengths = np.where(filled.any(axis=1), t_total - filled[:, ::-1].argmax(axis=1), 0)
+    # rows with a NaN hole inside that prefix, which must format as blank
+    holes = (~filled & (np.arange(t_total) < lengths[:, None])).any(axis=1).tolist()
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["time", *(f"pair_{j}" for j in range(1, t_total + 1))]) + "\r\n")
-        for i, k in enumerate(lengths):
+        for i, k in enumerate(lengths.tolist()):
             # one row at a time, never a second full copy of the matrix as
-            # Python floats; a NaN hole inside the prefix formats as "nan"
-            cells = _reprs(errors[i, :k]).replace("nan", "")
+            # Python floats
+            cells = ",".join(_reprs(errors[i, :k]))
+            if holes[i]:
+                cells = cells.replace("nan", "")
             fh.write(f"{i + 1},{cells}{',' * (t_total - max(k, 1))}\r\n")
 
 
@@ -298,6 +322,6 @@ def write_gram_csv(results: list[GramStudyResult], path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("n,d,rank,singular_value,truncated_error\r\n")
         for res in results:
-            svs = ["", *_reprs(res.singular_values).split(",")]
-            errs = _reprs(res.truncated_errors).split(",")
+            svs = ["", *_reprs(res.singular_values)]
+            errs = _reprs(res.truncated_errors)
             fh.write("".join(f"{res.n},{res.d},{r},{svs[r]},{err}\r\n" for r, err in enumerate(errs)))

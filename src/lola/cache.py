@@ -713,20 +713,21 @@ class LolaCache:
         worder = np.argsort(self._widx[: self._wlen])
         return {
             "format": _SNAPSHOT_V2,
+            # the sizes may be numpy ints, which JSON cannot write
             "config": {
-                "head_dim": self.config.head_dim,
-                "feature_dim": self.config.feature_dim,
-                "scale": self.config.scale,
-                "window_capacity": self.window_capacity,
-                "sparse_capacity": self.sparse_capacity,
+                "head_dim": int(self.config.head_dim),
+                "feature_dim": int(self.config.feature_dim),
+                "scale": float(self.config.scale),
+                "window_capacity": int(self.window_capacity),
+                "sparse_capacity": int(self.sparse_capacity),
                 "max_logit": DEFAULT_MAX_LOGIT,
                 "scoring": self.scoring.name,
             },
             "weights": self.params.weights.reshape(-1).tolist(),
-            "t": self.t,
+            "t": int(self.t),
             "hidden": self.linear.hidden.reshape(-1).tolist(),
             "normalizer": self.linear.normalizer.tolist(),
-            "absorbed_count": self.linear.count,
+            "absorbed_count": int(self.linear.count),
             "absorbed_score_sum": self.absorbed_score_sum,
             "window": [
                 {

@@ -23,7 +23,7 @@ from .. import __version__
 from ..attention import save_feature_map
 from .experiments import ExperimentConfig, resolve_feature_map
 from .io import sha256_file, write_manifest
-from .suite import _RUNNERS, ConfigError, _keyed, _task, load_config, run_suite, validate_config
+from .suite import _RUNNERS, ConfigError, _keyed, _task, run_suite, validate_config
 from .synthetic import _KEY_DISTRIBUTIONS
 
 __all__ = ["main"]
@@ -152,8 +152,9 @@ def main(argv=None) -> int:
     # every value is checked before any file is written; a bad one exits 2
     try:
         if args.command == "suite":
-            config = load_config(args.config) if args.config else None
-        elif args.command == "distill":
+            # run_suite checks the whole config before it writes a file
+            return run_suite(args.config or None, out_dir=out_dir, fmt=args.format)
+        if args.command == "distill":
             # the fit reads the task's key statistics, not its stream
             flags = _set(
                 d=args.d,
@@ -172,8 +173,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.command == "suite":
-        return run_suite(config, out_dir=out_dir, fmt=args.format)
     if args.command == "distill":
         params = resolve_feature_map(ExperimentConfig(seed=args.seed), task, attn)
         out_dir.mkdir(parents=True, exist_ok=True)

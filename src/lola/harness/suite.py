@@ -153,6 +153,13 @@ DEFAULT_SUITE = {
 def load_config(path) -> dict:
     """Parse and validate a suite config file; a file that cannot be read
     as UTF-8 text is a ``ConfigError`` naming it."""
+    config = _read_config(path)
+    validate_config(config, source=str(path))
+    return config
+
+
+def _read_config(path):
+    """``load_config`` without the validation."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -163,7 +170,6 @@ def load_config(path) -> dict:
         config = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
-    validate_config(config, source=str(path))
     return config
 
 
@@ -466,11 +472,13 @@ def run_suite(config: dict | str | Path | None = None, out_dir=".", fmt: str = "
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"fmt must be 'csv' or 'json', got {fmt!r}")
+    source = "<config>"
     if config is None:
         config = DEFAULT_SUITE
     elif not isinstance(config, dict):
-        config = load_config(config)
-    plans = validate_config(config)
+        # a file is read once and validated once, under its own name
+        config, source = _read_config(config), str(config)
+    plans = validate_config(config, source=source)
     seed = config.get("seed", 0)
     stamp = datetime.now().strftime("%Y%m%d-%H%M%S-%f")
     out = Path(out_dir) / f"suite-{stamp}"

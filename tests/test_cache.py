@@ -1,6 +1,7 @@
 """Engine contracts: scoring, eviction, conservation, tier-combined outputs."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -626,3 +627,28 @@ def test_numpy_int_capacities_run_as_ints(setup):
     a.ingest(ks, vs)
     b.ingest(ks, vs)
     assert a.attend(ks[0]).tobytes() == b.attend(ks[0]).tobytes()
+
+
+@pytest.mark.parametrize("feed", ["update", "ingest"])
+def test_numpy_int_sizes_save_and_load_as_plain_numbers(tmp_path, feed):
+    # numpy ints are sizes, so a snapshot of such an engine is still JSON
+    cfg = AttentionConfig(np.int64(4))
+    params = init_feature_map(SeededRng(0), cfg)
+    eng = LolaCache(cfg, params, np.int64(3), np.int64(2))
+    gen = SeededRng(43).generator()
+    ks, vs = gen.normal(size=(2, 12, 4))
+    if feed == "ingest":
+        eng.ingest(ks, vs)
+    else:
+        for k, v in zip(ks, vs):
+            eng.update(k, v)
+    path = tmp_path / "state.json"
+    save_snapshot(eng, path)
+    header = json.loads(path.read_text())["config"]
+    assert [type(header[name]) for name in ("head_dim", "feature_dim", "window_capacity")] == [int] * 3
+    assert type(header["sparse_capacity"]) is int and type(header["scale"]) is float
+    restored = load_snapshot(path)
+    assert (restored.t, restored.linear.count) == (eng.t, eng.linear.count)
+    assert restored.window_indices.tolist() == eng.window_indices.tolist()
+    assert restored.sparse_indices.tolist() == eng.sparse_indices.tolist()
+    assert restored.attend(ks[0]).tobytes() == eng.attend(ks[0]).tobytes()

@@ -438,6 +438,29 @@ def test_load_config_reports_line_and_column(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("entry", ["run_suite", "cli"])
+def test_a_config_file_is_validated_once(tmp_path, monkeypatch, entry):
+    import lola.harness.suite as suite
+    from lola.harness.cli import main
+
+    calls = []
+
+    def counted(config, source="<config>"):
+        calls.append(source)
+        return validate_config(config, source)
+
+    monkeypatch.setattr(suite, "validate_config", counted)
+    path = tmp_path / "c.json"
+    gram = {"kind": "gram-study", "name": "g", "n_list": [4], "d_list": [2]}
+    path.write_text(json.dumps({"seed": 0, "experiments": [gram]}))
+    out = tmp_path / "out"
+    if entry == "cli":
+        assert main(["suite", "--config", str(path), "--out-dir", str(out)]) == 0
+    else:
+        assert run_suite(path, out_dir=out) == 0
+    assert calls == [str(path)]
+
+
 def test_empty_suite_succeeds(tmp_path):
     status = run_suite({"seed": 0, "experiments": []}, out_dir=tmp_path)
     assert status == 0
