@@ -4,8 +4,8 @@ collision matrices, and the policy names that build decode engines.
 The spectral study builds exponential-kernel Gram matrices over sampled
 inputs and reports how much squared Frobenius error ANY rank-D factorization
 must leave behind (the tail of squared singular values). Collision matrices
-replay a stream under a chosen policy and record, at every step, the
-self-recall error of every pair in the hidden state; window- and
+replay a stream under one of the three base policies and record, at every
+step, the self-recall error of every pair in the hidden state; window- and
 sparse-resident pairs are recorded as exact zeros since they are retrievable
 in full rank, and pairs not yet seen stay blank.
 """
@@ -218,12 +218,17 @@ def collision_matrix(
 ) -> CollisionMatrix:
     """Replay a stream under ``policy`` and score every stored pair at every step.
 
-    The pairs are checked and feature-mapped once, and admitted as the rows
-    ``LolaCache.ingest`` builds, through the engine's one admission step.
-    The residents at step t are the window's arrival range (t - η, t] and the
-    sparse cache. Until the first absorption every arrived pair is resident,
-    so those rows are zeros and nothing is scored.
+    ``policy`` is one of ``POLICIES``: a ``lola-altscore`` rule is scored from
+    queries, and a replay has none, so each of its scores would stay 0.0 and
+    every eviction into a full cache would be a tie. The pairs are checked
+    and feature-mapped once, and admitted as the rows ``LolaCache.ingest``
+    builds, through the engine's one admission step. The residents at step t
+    are the window's arrival range (t - η, t] and the sparse cache. Until the
+    first absorption every arrived pair is resident, so those rows are zeros
+    and nothing is scored.
     """
+    if policy.startswith("lola-altscore:"):
+        raise ValueError(f"collision_matrix cannot replay {policy!r}: it has no queries to score")
     keys = as_matrix(keys, cols=attn.head_dim)
     values = as_matrix(values, rows=keys.shape[0], cols=attn.head_dim)
     t_total = keys.shape[0]

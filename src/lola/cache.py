@@ -261,9 +261,8 @@ _BOUND_SLACK = 1e-9
 _BOUND_FLOOR = 1e-150
 
 
-_SNAPSHOT_V1 = "lola-cache-snapshot-v1"
-_SNAPSHOT_V2 = "lola-cache-snapshot-v2"  # v1 plus absorbed_score_sum
-# what ``from_snapshot`` reads; v1 lacks the last field
+_SNAPSHOT_FORMAT = "lola-cache-snapshot-v2"
+# what ``from_snapshot`` reads
 _SNAPSHOT_FIELDS = (
     "config", "weights", "t", "hidden", "normalizer", "absorbed_count", "window", "sparse",
     "absorbed_score_sum",
@@ -316,8 +315,9 @@ class LolaCache:
             )
         self.config = config
         self.params = params
-        self.window_capacity = window_capacity
-        self.sparse_capacity = sparse_capacity
+        # plain ints, so that t, ring slots and event indices stay plain ints
+        self.window_capacity = eta = int(window_capacity)
+        self.sparse_capacity = lam = int(sparse_capacity)
         self.scoring = scoring if scoring is not None else SelfRecallScoring()
         self.linear = LinearState.zeros(config.feature_dim, config.head_dim)
         self.t = 0
@@ -325,10 +325,8 @@ class LolaCache:
         # that ``last_event`` builds one from when read
         self._step: StepEvent | tuple | None = None
         # scores of the pairs this engine absorbed, summed in absorption order
-        # (a cache restored from a v1 snapshot starts from zero)
         self.absorbed_score_sum = 0.0
         d, fdim = config.head_dim, config.feature_dim
-        eta, lam = window_capacity, sparse_capacity
         # a pair is one row of [value | φ(key) | key | score | index]: the
         # score is the window's accumulated static score, frozen into the
         # sparse tier, and the arrival index is an int64 column over the same
@@ -712,19 +710,19 @@ class LolaCache:
         sparse pairs with their scores."""
         worder = np.argsort(self._widx[: self._wlen])
         return {
-            "format": _SNAPSHOT_V2,
-            # the sizes may be numpy ints, which JSON cannot write
+            "format": _SNAPSHOT_FORMAT,
+            # the head's sizes may be numpy ints, which JSON cannot write
             "config": {
                 "head_dim": int(self.config.head_dim),
                 "feature_dim": int(self.config.feature_dim),
                 "scale": float(self.config.scale),
-                "window_capacity": int(self.window_capacity),
-                "sparse_capacity": int(self.sparse_capacity),
+                "window_capacity": self.window_capacity,
+                "sparse_capacity": self.sparse_capacity,
                 "max_logit": DEFAULT_MAX_LOGIT,
                 "scoring": self.scoring.name,
             },
             "weights": self.params.weights.reshape(-1).tolist(),
-            "t": int(self.t),
+            "t": self.t,
             "hidden": self.linear.hidden.reshape(-1).tolist(),
             "normalizer": self.linear.normalizer.tolist(),
             "absorbed_count": int(self.linear.count),
@@ -751,15 +749,14 @@ class LolaCache:
 
     @classmethod
     def from_snapshot(cls, snap: dict) -> "LolaCache":
-        """Restore a cache from ``to_snapshot`` output, v1 or v2, under the
-        scoring rule it names. A malformed snapshot raises ``ValueError``
-        naming the field at fault."""
+        """Restore a cache from ``to_snapshot`` output under the scoring rule
+        it names. A malformed snapshot raises ``ValueError`` naming the field
+        at fault."""
         if not isinstance(snap, dict):
             raise ValueError(f"snapshot must be an object, got {type(snap).__name__}")
-        version = snap.get("format")
-        if version not in (_SNAPSHOT_V1, _SNAPSHOT_V2):
+        if snap.get("format") != _SNAPSHOT_FORMAT:
             raise ValueError("unrecognized snapshot format")
-        _require(snap, _SNAPSHOT_FIELDS[: None if version == _SNAPSHOT_V2 else -1], "snapshot")
+        _require(snap, _SNAPSHOT_FIELDS, "snapshot")
         cfg = snap["config"]
         _require(cfg, _CONFIG_FIELDS, "snapshot 'config'")
         t = snap["t"]
@@ -781,10 +778,7 @@ class LolaCache:
         except ValueError as exc:
             raise ValueError(f"snapshot {_rekey(exc)}") from None
         d, fdim = config.head_dim, config.feature_dim
-        try:
-            weights = np.asarray(snap["weights"], dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"snapshot 'weights': {exc}") from None
+        weights = _float_array(snap, "weights")
         if weights.shape != (fdim // 2 * d,):
             raise ValueError(
                 f"snapshot 'feature_dim' {fdim} and 'head_dim' {d} need {fdim // 2 * d} 'weights', "
@@ -799,8 +793,7 @@ class LolaCache:
             cache = cls(config, params, cfg["window_capacity"], cfg["sparse_capacity"], scoring=rule)
         except ValueError as exc:
             raise ValueError(f"snapshot {_rekey(exc)}") from None
-        hidden = np.asarray(snap["hidden"], dtype=np.float64)
-        normalizer = np.asarray(snap["normalizer"], dtype=np.float64)
+        hidden, normalizer = _float_array(snap, "hidden"), _float_array(snap, "normalizer")
         for name, arr, n in (("hidden", hidden, fdim * d), ("normalizer", normalizer, fdim)):
             if arr.shape != (n,):
                 raise ValueError(f"snapshot {name!r} has shape {arr.shape}, expected ({n},)")
@@ -825,13 +818,18 @@ class LolaCache:
         finite = np.isfinite(hidden).all() and np.isfinite(normalizer).all()
         if count and not (finite and (normalizer > 0.0).all()):
             raise ValueError("snapshot 'hidden' must be finite and 'normalizer' positive and finite")
+        total = snap["absorbed_score_sum"]
+        # every score is >= 0, so a sum of none is 0
+        if not _finite_number(total) or total < 0 or (not count and total != 0):
+            raise ValueError(
+                f"snapshot 'absorbed_score_sum' {total!r} is not a finite number >= 0 "
+                "(0 when 'absorbed_count' is 0)"
+            )
         cache.t = t
         cache.linear.hidden = hidden.reshape(fdim, d)
         cache.linear.normalizer = normalizer
         cache.linear.count = count
-        # a v1 snapshot does not carry the sum, so it restarts from zero
-        if version == _SNAPSHOT_V2:
-            cache.absorbed_score_sum = float(snap["absorbed_score_sum"])
+        cache.absorbed_score_sum = float(total)
         if count:
             # |sum_k phi_k H_k| / sum_k phi_k z_k <= max_k |H_k| / z_k bounds
             # every prediction, without knowing the absorbed values
@@ -870,6 +868,19 @@ def _require(obj, names, where: str) -> None:
         raise ValueError(f"{where} is missing {', '.join(map(repr, missing))}")
 
 
+def _finite_number(x) -> bool:
+    """An int or float (bool is not a number here) of finite value; the
+    comparison is exact for ints, and false for NaN."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
+def _float_array(snap: dict, name: str) -> np.ndarray:
+    try:
+        return np.asarray(snap[name], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"snapshot {name!r}: {exc}") from None
+
+
 def _tier_entries(snap: dict, name: str, extra: str, capacity: int, d: int) -> list:
     """The (index, key, value, acc or score) of each snapshot pair in tier
     ``name``, checked: an int index, two finite length-``d`` vectors and a
@@ -892,8 +903,7 @@ def _tier_entries(snap: dict, name: str, extra: str, capacity: int, d: int) -> l
                 vectors.append(as_vector(entry[field_name], d))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{where} {field_name!r}: {exc}") from None
-        # the comparison is exact for ints, and false for NaN
-        if type(number) not in (int, float) or not abs(number) <= sys.float_info.max:
+        if not _finite_number(number):
             raise ValueError(f"{where} {extra!r} {number!r} is not a finite number")
         checked.append((index, *vectors, number))
     return checked

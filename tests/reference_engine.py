@@ -1,0 +1,214 @@
+"""The paper's decode rule, written once and plainly, to check every fast path.
+
+Per token: the new pair enters a window of the η most recent pairs. The pair
+it evicts joins the sparse residents. Of those rows, ``keep_highest`` keeps
+the λ highest scores, a tie keeping the older pair, and the one row it drops
+is absorbed into the linear hidden state. Under the self-recall rule the
+scores are computed against the current state in one call over all rows;
+under a static rule they are the sums a pair's window queries left on it. A
+query mixes the window, the sparse residents and the hidden state over one
+shared denominator.
+
+``ReferenceEngine`` holds no staging row, no score bounds, no deferred event
+and no snapshot; its only ring arithmetic is the slot rule, pair i in slot
+(i - 1) mod η. It keeps its pairs as the engine's pair rows and calls the
+engine's kernels (``_feature_row``, ``_self_recall_scores``, ``_mix_tiers``,
+``LinearState.update``) on them, so every product sees the engine's memory
+layout and a correct path matches it bit for bit. The slot rule is needed
+for that too: a matrix-vector row's bits depend on the row's slot.
+
+Sharing those kernels means the reference cannot check them. The frozen
+copies of earlier kernel bodies therefore stay, in ``test_lean_decode.py``,
+``test_tier_mix.py``, ``test_prefill_row_store.py``, ``test_csv_writers.py``
+and ``test_distill_equivalence.py``.
+"""
+
+import numpy as np
+
+from lola import AttentionConfig, SeededRng
+from lola.attention import LinearState, _feature_row
+from lola.cache import (
+    SCORING_STRATEGIES,
+    SelfRecallScoring,
+    StepEvent,
+    _mix_tiers,
+    _pair_rows,
+    _pair_views,
+    _self_recall_scores,
+)
+
+RULES = sorted(SCORING_STRATEGIES)
+EVENT_FIELDS = (
+    "eligible_indices",
+    "eligible_scores",
+    "kept_indices",
+    "absorbed_indices",
+    "absorbed_scores",
+)
+
+
+def bits(a) -> tuple:
+    """An array's dtype, shape and bytes: equal only when bit for bit equal."""
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def scoring_for(name):
+    return SCORING_STRATEGIES[name]()
+
+
+def stream(seed, d, pool, n):
+    """``n`` rows of (queries, keys, values), drawn with repeats from ``pool``
+    triples when ``pool`` is set, so that scores tie exactly."""
+    gen = SeededRng(seed + 1).generator()
+    if pool:
+        qs, ks, vs = gen.normal(size=(3, pool, d))
+        picks = gen.integers(0, pool, size=n)
+        return qs[picks], ks[picks], vs[picks]
+    return gen.normal(size=(3, n, d)) * 0.5
+
+
+def keep_highest(scores, lam: int) -> np.ndarray:
+    """Which rows stay: the ``lam`` highest scores, a tie keeping the older
+    row. Rows are in arrival order."""
+    scores = list(map(float, scores))
+    ranked = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    kept = np.zeros(len(scores), dtype=bool)
+    kept[ranked[:lam]] = True
+    return kept
+
+
+class ReferenceEngine:
+    """The three tiers of one stream, per token, read like ``LolaCache``."""
+
+    def __init__(self, config: AttentionConfig, params, eta: int, lam: int, *, scoring=None):
+        self.config, self.params, self.eta, self.lam = config, params, eta, lam
+        self.scoring = scoring if scoring is not None else SelfRecallScoring()
+        d, fdim = config.head_dim, config.feature_dim
+        self.linear = LinearState.zeros(fdim, d)
+        self.t = 0
+        self.absorbed_score_sum = 0.0
+        self.last_event = None
+        self.window = np.zeros((eta, 2 * d + fdim + 2))
+        self.sparse = self.window[:0].copy()
+
+    def _views(self, rows):
+        """Value, φ(key), key, score and index columns of pair rows."""
+        d, fdim = self.config.head_dim, self.config.feature_dim
+        return (*_pair_views(rows, d, fdim), rows[:, -2], rows.view(np.int64)[:, -1])
+
+    def update(self, key, value) -> None:
+        i = self.t = self.t + 1
+        key, value = np.asarray(key, dtype=float), np.asarray(value, dtype=float)
+        row = _pair_rows(value[None], _feature_row(self.params, key)[None], key[None], i)[0]
+        if self.eta == 0:
+            evicted = row
+        else:
+            slot = (i - 1) % self.eta
+            evicted = self.window[slot].copy() if i > self.eta else None
+            self.window[slot] = row
+        if evicted is None:
+            self.last_event = StepEvent(i, None)
+            return
+        rows = np.concatenate((self.sparse, evicted[None]))
+        v, phi, _, frozen, idx = self._views(rows)
+        if self.scoring.dynamic:
+            scores = _self_recall_scores(phi, v, self.linear)
+        else:
+            scores = frozen.copy()
+        kept = keep_highest(scores, self.lam)
+        for j in np.flatnonzero(~kept):
+            self.linear.update(phi[j], v[j])
+            self.absorbed_score_sum += float(scores[j])
+        self.last_event = StepEvent(
+            index=i,
+            evicted_index=i - self.eta,
+            eligible_indices=idx.copy(),
+            eligible_scores=scores,
+            kept_indices=idx[kept],
+            absorbed_indices=idx[~kept],
+            absorbed_scores=scores[~kept],
+        )
+        self.sparse = rows[kept]
+
+    def accumulate_window_scores(self, query) -> None:
+        """Under a static rule, add the query's term to every window pair's
+        sum, over the window rows in slot order."""
+        nw = min(self.t, self.eta)
+        if self.scoring.dynamic or nw == 0:
+            return
+        _, phi, k, acc, _ = self._views(self.window[:nw])
+        q = np.asarray(query, dtype=float)
+        e = np.exp((k @ q) * self.config.scale)
+        acc += self.scoring.term(e, phi @ _feature_row(self.params, q))
+
+    def attend(self, query) -> np.ndarray:
+        q = np.asarray(query, dtype=float)
+        wv, _, wk, _, _ = self._views(self.window[: min(self.t, self.eta)])
+        sv, _, sk, _, _ = self._views(self.sparse)
+        return _mix_tiers(
+            q, _feature_row(self.params, q), self.config.scale, wk, wv, sk, sv, self.linear
+        )
+
+    def decode_step(self, query, key, value) -> np.ndarray:
+        self.update(key, value)
+        self.accumulate_window_scores(query)
+        return self.attend(query)
+
+    @property
+    def window_indices(self) -> np.ndarray:
+        return np.arange(max(1, self.t - self.eta + 1), self.t + 1, dtype=np.int64)
+
+    @property
+    def sparse_indices(self) -> np.ndarray:
+        return self._views(self.sparse)[4].copy()
+
+    @property
+    def sparse_scores(self) -> np.ndarray:
+        v, phi, _, frozen, _ = self._views(self.sparse)
+        if self.scoring.dynamic and len(v):
+            return _self_recall_scores(phi, v, self.linear)
+        return frozen.copy()
+
+
+def assert_same_event(a: StepEvent | None, b: StepEvent | None) -> None:
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert (a.index, a.evicted_index) == (b.index, b.evicted_index)
+        for name in EVENT_FIELDS:
+            assert bits(getattr(a, name)) == bits(getattr(b, name)), name
+
+
+def assert_same_tiers(eng, ref) -> None:
+    """What a step leaves behind, bit for bit: ``t``, both tiers' members
+    and scores, the hidden state and the absorbed-score total."""
+    assert eng.t == ref.t
+    assert bits(eng.window_indices) == bits(ref.window_indices)
+    assert bits(eng.sparse_indices) == bits(ref.sparse_indices)
+    assert bits(eng.sparse_scores) == bits(ref.sparse_scores)
+    assert bits(eng.linear.hidden) == bits(ref.linear.hidden)
+    assert bits(eng.linear.normalizer) == bits(ref.linear.normalizer)
+    assert eng.linear.count == ref.linear.count
+    assert eng.absorbed_score_sum.hex() == ref.absorbed_score_sum.hex()
+
+
+def assert_same_engine(a, b) -> None:
+    """Two engines alike, internals included: the snapshot, the ring's slot
+    bytes and next slot, every resident's row and score bounds, and the
+    tiers and last event."""
+    assert a.to_snapshot() == b.to_snapshot()
+    assert bits(a._wrows) == bits(b._wrows)
+    assert a._wnext == b._wnext
+    ns = a.sparse_size
+    for name in ("_srows", "_slo", "_shi", "_svnorm"):
+        assert bits(getattr(a, name)[:ns]) == bits(getattr(b, name)[:ns]), name
+    assert a._rmax.hex() == b._rmax.hex()
+    assert_same_tiers(a, b)
+    assert_same_event(a.last_event, b.last_event)
+
+
+def assert_same_step(eng, ref, out_eng, out_ref) -> None:
+    """One decode step of two engines: the output, the event and the tiers."""
+    assert bits(out_eng) == bits(out_ref)
+    assert_same_event(eng.last_event, ref.last_event)
+    assert_same_tiers(eng, ref)

@@ -2,9 +2,10 @@
 
 At large shapes an eviction into a full sparse cache under the self-recall
 rule scores exactly only the rows whose lower score bound does not exceed the
-least upper bound. It must absorb the same pair with the same bits as
-``ReferenceCache``, keep every bound sound, pad a lone candidate to two rows,
-and be taken only where the shape makes it pay.
+least upper bound. It must absorb the same pair with the same bits as the
+reference engine (checked on every path in ``test_reference_engine.py``),
+keep every bound sound, pad a lone candidate to two rows, and be taken only
+where the shape makes it pay.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from lola import AttentionConfig, LolaCache, SeededRng, init_feature_map
 from lola.cache import _BOUND_FLOOR, _BOUND_SLACK, _norm, _recall_rows, _self_recall_scores
 from lola.harness.suite import DEFAULT_SUITE
 from lola.harness.synthetic import SyntheticTaskSpec, gen_niah
-from test_settle_equivalence import ReferenceCache, assert_same_step, bits
+from reference_engine import ReferenceEngine, assert_same_step, bits, stream
 
 
 def bounded_engine(make, *args, **kwargs):
@@ -25,39 +26,6 @@ def bounded_engine(make, *args, **kwargs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cache_mod, "_BOUNDED_MIN_WORK", 0)
         return make(*args, **kwargs)
-
-
-def stream(seed, d, n, pool):
-    """``n`` steps, drawn with repeats from ``pool`` triples when ``pool`` is
-    set, so that scores tie exactly."""
-    gen = SeededRng(seed + 1).generator()
-    if pool:
-        qs, ks, vs = gen.normal(size=(3, pool, d))
-        picks = gen.integers(0, pool, size=n)
-        return qs[picks], ks[picks], vs[picks]
-    return gen.normal(size=(3, n, d)) * 0.5
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    eta=st.integers(0, 5),
-    lam=st.integers(1, 64),
-    d=st.sampled_from([1, 4, 16, 64]),
-    pool=st.sampled_from([None, 1, 2, 3, 6]),
-    extra=st.integers(1, 60),
-    seed=st.integers(0, 2**16),
-)
-def test_bounded_settle_matches_reference_bit_for_bit(eta, lam, d, pool, extra, seed):
-    cfg = AttentionConfig(head_dim=d)
-    params = init_feature_map(SeededRng(seed), cfg)
-    qs, ks, vs = stream(seed, d, eta + lam + extra, pool)
-    new = bounded_engine(LolaCache, cfg, params, eta, lam)
-    assert new._bounded
-    ref = ReferenceCache(cfg, params, eta, lam)
-    for q, k, v in zip(qs, ks, vs):
-        out_new, out_ref = new.decode_step(q, k, v), ref.decode_step(q, k, v)
-        assert_same_step(new, ref, out_new, out_ref)
-    assert bits(new.attend(qs[0])) == bits(ref.attend(qs[0]))
 
 
 class CheckedCache(LolaCache):
@@ -90,7 +58,7 @@ class CheckedCache(LolaCache):
 def test_bounds_hold_at_every_bounded_settle(eta, lam, d, pool, scale, extra, seed):
     cfg = AttentionConfig(head_dim=d)
     params = init_feature_map(SeededRng(seed), cfg)
-    qs, ks, vs = stream(seed, d, eta + lam + extra, pool)
+    qs, ks, vs = stream(seed, d, pool, eta + lam + extra)
     eng = bounded_engine(CheckedCache, cfg, params, eta, lam)
     eng.ingest(ks, vs * scale)
     assert eng.settles == extra
@@ -99,7 +67,7 @@ def test_bounds_hold_at_every_bounded_settle(eta, lam, d, pool, scale, extra, se
 def test_bounds_hold_after_a_restore():
     cfg = AttentionConfig(head_dim=16)
     params = init_feature_map(SeededRng(4), cfg)
-    qs, ks, vs = stream(4, 16, 300, None)
+    qs, ks, vs = stream(4, 16, None, 300)
     first = bounded_engine(LolaCache, cfg, params, 4, 24)
     first.ingest(ks[:100], vs[:100])
     restored = bounded_engine(CheckedCache.from_snapshot, first.to_snapshot())
@@ -127,7 +95,7 @@ def test_a_lone_candidate_is_padded_to_two_rows(monkeypatch):
         return _recall_rows(phi, values, state, den)
 
     new = bounded_engine(LolaCache, cfg, params, eta, lam)
-    ref = ReferenceCache(cfg, params, eta, lam)
+    ref = ReferenceEngine(cfg, params, eta, lam)
     one_call = LolaCache(cfg, params, eta, lam)
     assert not one_call._bounded
     monkeypatch.setattr(cache_mod, "_recall_rows", spy)

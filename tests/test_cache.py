@@ -391,15 +391,33 @@ def test_snapshot_carries_the_absorbed_score_sum(setup):
     assert restored.absorbed_score_sum.hex() == float(snap["absorbed_score_sum"]).hex()
 
 
-def test_snapshot_v1_is_still_read(setup):
+def test_a_v1_snapshot_is_rejected(setup):
     snap = snapshot_after(setup, eta=3, lam=2, n=20)
     v1 = {k: v for k, v in snap.items() if k != "absorbed_score_sum"}
     v1["format"] = "lola-cache-snapshot-v1"
-    restored = LolaCache.from_snapshot(v1)
-    # v1 does not carry the sum, so it restarts from zero; the tiers do not
-    assert restored.absorbed_score_sum == 0.0
-    assert restored.to_snapshot()["sparse"] == snap["sparse"]
-    assert restored.to_snapshot()["hidden"] == snap["hidden"]
+    with pytest.raises(ValueError, match="unrecognized snapshot format"):
+        LolaCache.from_snapshot(v1)
+
+
+@pytest.mark.parametrize(
+    "total, n", [(None, 20), ([1.0], 20), ("x", 20), (float("nan"), 20), (float("inf"), 20),
+                 (-1.0, 20), (True, 20), (10**400, 20), (0.5, 4)],
+)
+def test_snapshot_absorbed_score_sum_must_be_a_finite_total(setup, total, n):
+    # n=4 leaves every pair in a tier, so the only total that fits is 0
+    snap = snapshot_after(setup, eta=3, lam=2, n=n)
+    snap["absorbed_score_sum"] = total
+    with pytest.raises(ValueError, match="'absorbed_score_sum'"):
+        LolaCache.from_snapshot(snap)
+
+
+@pytest.mark.parametrize("field", ["hidden", "normalizer"])
+@pytest.mark.parametrize("bad", [["x", 1.0], [[1.0], [2.0, 3.0]], {"a": 1}])
+def test_snapshot_state_that_is_not_numbers_raises_naming_the_field(setup, field, bad):
+    snap = snapshot_after(setup, eta=3, lam=2, n=20)
+    snap[field] = bad
+    with pytest.raises(ValueError, match=f"^snapshot '{field}'"):
+        LolaCache.from_snapshot(snap)
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
@@ -627,6 +645,25 @@ def test_numpy_int_capacities_run_as_ints(setup):
     a.ingest(ks, vs)
     b.ingest(ks, vs)
     assert a.attend(ks[0]).tobytes() == b.attend(ks[0]).tobytes()
+
+
+@pytest.mark.parametrize("feed", ["update", "ingest", "restore"])
+def test_numpy_int_capacities_keep_t_and_event_indices_plain_ints(setup, feed):
+    eng = make_engine(setup, np.int64(3), np.int64(2))
+    ks, vs = SeededRng(42).generator().normal(size=(2, 12, 4))
+    if feed == "update":
+        for k, v in zip(ks, vs):
+            eng.update(k, v)
+    else:
+        eng.ingest(ks[:11], vs[:11])
+    if feed == "restore":
+        eng = LolaCache.from_snapshot(eng.to_snapshot())
+        assert type(eng.t) is int
+        eng.update(ks[11], vs[11])
+    elif feed == "ingest":
+        eng.ingest(ks[11:], vs[11:])
+    assert type(eng.t) is int and type(eng.last_event.index) is int
+    assert eng.t == eng.last_event.index == 12
 
 
 @pytest.mark.parametrize("feed", ["update", "ingest"])

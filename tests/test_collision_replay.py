@@ -1,89 +1,36 @@
-"""The collision replay and the relative matrix against their plain definitions.
+"""The relative collision matrix against its plain definition, and the
+policies a collision replay takes.
 
-``collision_matrix`` maps the stream once and admits each pair row through the
-engine's admission step; it takes the residents from the window's arrival
-range and the sparse cache, and skips the scoring call while nothing has been
-absorbed. ``reference_replay`` below is the loop it replaced: public
-``update``, then ``window_indices``/``sparse_indices``, then
-``_self_recall_scores`` over the whole prefix at every step. Both must give
-the same ``errors`` and ``absorbed_at`` bit for bit. ``relative_to_absorption``
-must match its per-column definition bit for bit, on any matrix the record
-type accepts.
+``collision_matrix`` itself is checked against the per-token reference
+engine in ``test_reference_engine.py``. ``relative_to_absorption`` must match
+its per-column definition bit for bit, on any matrix the record type
+accepts. A replay has no queries, so it rejects the static ``lola-altscore``
+rules, whose scores would all stay 0.0.
 """
 
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lola import AttentionConfig, SeededRng, feature_map_batch, init_feature_map
+from lola import AttentionConfig, SeededRng, init_feature_map
 from lola.analysis import (
-    _DECODE_POLICIES,
+    _ALTSCORE_RULES,
     CollisionMatrix,
     collision_matrix,
-    engine_for_policy,
     relative_to_absorption,
 )
-from lola.cache import _self_recall_scores
-from lola.harness import ExperimentConfig, SyntheticTaskSpec
-from lola.harness.experiments import resolve_feature_map
-
-D = 4
-ATTN = AttentionConfig(D)
-MAPS = {
-    "random": init_feature_map(SeededRng(3), ATTN),
-    "distilled": resolve_feature_map(
-        ExperimentConfig(seed=3), SyntheticTaskSpec(haystack_len=16, head_dim=D, seed=3), ATTN
-    ),
-}
+from reference_engine import bits
 
 
-def reference_replay(keys, values, policy, eta, lam, params):
-    engine = engine_for_policy(policy, ATTN, params, eta, lam)
-    phi = feature_map_batch(params, keys)
-    n = keys.shape[0]
-    errors = np.full((n, n), np.nan)
-    absorbed_at = np.zeros(n, dtype=np.int64)
-    for t in range(1, n + 1):
-        engine.update(keys[t - 1], values[t - 1])
-        scores = _self_recall_scores(phi[:t], values[:t], engine.linear)
-        resident = np.concatenate([engine.window_indices, engine.sparse_indices])
-        resident = resident.astype(np.int64) - 1
-        scores[resident] = 0.0
-        errors[t - 1, :t] = scores
-        unabsorbed = absorbed_at[:t] == 0
-        unabsorbed[resident] = False
-        absorbed_at[:t][unabsorbed] = t
-    return errors, absorbed_at
-
-
-def bits(a) -> bytes:
-    return a.dtype.str.encode() + repr(a.shape).encode() + a.tobytes()
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    policy=st.sampled_from(_DECODE_POLICIES),
-    fmap=st.sampled_from(sorted(MAPS)),
-    eta=st.integers(0, 5),
-    lam=st.integers(0, 5),
-    n=st.integers(1, 40),
-    pool=st.integers(1, 6),
-    seed=st.integers(0, 2**16),
-)
-@example(policy="lola-altscore:overestimate", fmap="distilled", eta=2, lam=3, n=40, pool=3, seed=0)
-@example(policy="linear-only", fmap="random", eta=0, lam=0, n=1, pool=1, seed=0)
-@example(policy="lola", fmap="random", eta=5, lam=5, n=10, pool=2, seed=1)
-def test_replay_matches_the_update_loop_bit_for_bit(policy, fmap, eta, lam, n, pool, seed):
-    gen = SeededRng(seed).generator()
-    # keys drawn from a small pool, so equal keys (and equal scores) recur
-    keys = gen.normal(size=(pool, D))[gen.integers(0, pool, n)]
-    values = gen.normal(size=(n, D))
-    params = MAPS[fmap]
-    cm = collision_matrix(keys, values, policy, eta, lam, ATTN, params)
-    errors, absorbed_at = reference_replay(keys, values, policy, eta, lam, params)
-    assert bits(cm.errors) == bits(errors)
-    assert bits(cm.absorbed_at) == bits(absorbed_at)
+@pytest.mark.parametrize("rule", _ALTSCORE_RULES)
+def test_a_replay_rejects_a_static_rule(rule):
+    attn = AttentionConfig(4)
+    keys, values = SeededRng(0).generator().normal(size=(2, 12, 4))
+    policy = f"lola-altscore:{rule}"
+    with pytest.raises(ValueError, match=f"cannot replay '{policy}'"):
+        collision_matrix(keys, values, policy, 2, 2, attn, init_feature_map(SeededRng(1), attn))
 
 
 def reference_relative(cm: CollisionMatrix) -> np.ndarray:

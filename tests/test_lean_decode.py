@@ -21,6 +21,7 @@ from lola.attention import DEFAULT_MAX_LOGIT, LinearState, OverflowGuardError
 from lola.cache import _BOUND_FLOOR, _BOUND_SLACK, SCORING_STRATEGIES, StepEvent, _norm
 from lola.harness.experiments import ExperimentConfig, resolve_feature_map
 from lola.harness.synthetic import SyntheticTaskSpec, gen_niah
+from reference_engine import bits
 
 # -- the earlier bodies, verbatim -------------------------------------------
 
@@ -198,11 +199,6 @@ class ReferenceCache(LolaCache):
 
 
 # -- comparison --------------------------------------------------------------
-
-
-def bits(a) -> bytes:
-    a = np.asarray(a)
-    return a.dtype.str.encode() + repr(a.shape).encode() + a.tobytes()
 
 
 def event_bits(event: StepEvent) -> tuple:
