@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import SeededRng, as_matrix, as_vector
+from .numerics import SeededRng, _number_array, as_matrix, as_vector
 
 __all__ = [
     "DEFAULT_MAX_LOGIT",
@@ -304,10 +304,7 @@ def _parse_feature_map(data: bytes, path) -> np.ndarray:
     if not isinstance(weights, list):
         kind = type(weights).__name__
         raise ValueError(f"feature map {path}: 'weights' must be a list of numbers, got {kind}")
-    try:
-        weights = np.asarray(weights, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"feature map {path}: 'weights': {exc}") from None
+    weights = _number_array(weights, f"feature map {path}: 'weights'")
     if weights.shape != (fdim // 2 * d,):
         raise ValueError(
             f"feature map {path}: 'feature_dim' {fdim} and 'head_dim' {d} need {fdim // 2 * d} "

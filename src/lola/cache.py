@@ -29,7 +29,9 @@ A pair is one float64 row of [value | φ(key) | key | score | index]; the
 arrival index is an int64 column over the same memory. The window ring and
 the sparse tier each keep their pairs as such rows, so staging an evicted
 pair is one row copy and closing the gap an absorption leaves is one block
-move.
+move. The ring's offset is state, not a function of ``t``: each new pair
+goes to slot ``_wnext``. A restore and a chunked prefill's hand-off fill the
+tiers through ``_load``, the window in ring-slot order from slot 0.
 
 Selection details, fixed for determinism:
   * an eviction into a full sparse cache scores the evicted pair and the
@@ -73,7 +75,7 @@ from .attention import (
     _feature_rows,
     _rekey,
 )
-from .numerics import as_matrix, as_vector
+from .numerics import _number_array, as_matrix, as_vector
 
 __all__ = [
     "SCORING_STRATEGIES",
@@ -261,7 +263,7 @@ _BOUND_SLACK = 1e-9
 _BOUND_FLOOR = 1e-150
 
 
-_SNAPSHOT_FORMAT = "lola-cache-snapshot-v2"
+_SNAPSHOT_FORMAT = "lola-cache-snapshot-v3"
 # what ``from_snapshot`` reads
 _SNAPSHOT_FIELDS = (
     "config", "weights", "t", "hidden", "normalizer", "absorbed_count", "window", "sparse",
@@ -332,8 +334,10 @@ class LolaCache:
         # sparse tier, and the arrival index is an int64 column over the same
         # memory, so one row copy moves the whole pair
         w = 2 * d + fdim + 2
-        # window ring buffer; once full, slot _wnext always holds the oldest
-        # pair, and pair i sits in slot (i - 1) % eta
+        # window ring buffer, filled from slot 0: each pair goes to slot
+        # _wnext, which then moves on by one, so a ring with room holds its
+        # pairs in slots [0, _wlen) and a full one holds the oldest at _wnext.
+        # A fresh engine puts pair i in slot (i - 1) % eta
         self._wrows = np.zeros((eta, w))
         self._wv, self._wphi, self._wk = _pair_views(self._wrows, d, fdim)
         self._wacc = self._wrows[:, w - 2]
@@ -441,17 +445,19 @@ class LolaCache:
         the rest of the first η rows go through ``_admit``. From then on row
         j evicts row j - η, staged straight from ``pairs``: evictions into a
         sparse cache with room are one block, each later one settles as
-        ``_admit`` would, and only the last η rows are written into the ring,
-        in the slots a loop of ``_admit`` leaves them in."""
+        ``_admit`` would, and only the last η rows are written into the ring.
+        Row j goes to slot (``_wnext`` + j) mod η, where a loop of ``_admit``
+        leaves it."""
         eta = self.window_capacity
         n, width = pairs.shape
+        first = self._wnext
         fill = max(0, min(n, eta - self._wlen))
         if fill:
-            # the window has evicted nothing yet: pair i goes to slot (i - 1) % η
-            self._wrows[np.arange(self.t, self.t + fill) % eta, :width] = pairs[:fill]
+            # a ring with room is free from _wnext to its end
+            self._wrows[first : first + fill, :width] = pairs[:fill]
             self._wlen += fill
             self.t += fill
-            self._wnext = self.t % eta
+            self._wnext = (first + fill) % eta
             self._step = StepEvent(self.t, None)
         for t in range(fill, min(n, eta)):
             self._admit(pairs[t])
@@ -468,9 +474,9 @@ class LolaCache:
             staged[...] = row
             self._settle(step)
         if eta:
-            slots = np.arange(base + n - eta, base + n) % eta
+            slots = np.arange(first + n - eta, first + n) % eta
             self._wrows[slots, :width] = pairs[n - eta :]
-            self._wnext = (base + n) % eta
+            self._wnext = (first + n) % eta
         self.t = base + n
         self._assert_conserved()
 
@@ -706,9 +712,8 @@ class LolaCache:
 
     def to_snapshot(self) -> dict:
         """JSON-ready snapshot: config header, map weights (row-major), hidden
-        state (row-major) with its normalizer, window pairs oldest first, and
-        sparse pairs with their scores."""
-        worder = np.argsort(self._widx[: self._wlen])
+        state (row-major) with its normalizer, window pairs in ring-slot
+        order from slot 0, and sparse pairs with their scores."""
         return {
             "format": _SNAPSHOT_FORMAT,
             # the head's sizes may be numpy ints, which JSON cannot write
@@ -727,25 +732,17 @@ class LolaCache:
             "normalizer": self.linear.normalizer.tolist(),
             "absorbed_count": int(self.linear.count),
             "absorbed_score_sum": self.absorbed_score_sum,
-            "window": [
-                {
-                    "index": int(self._widx[i]),
-                    "key": self._wk[i].tolist(),
-                    "value": self._wv[i].tolist(),
-                    "acc": float(self._wacc[i]),
-                }
-                for i in worder
-            ],
-            "sparse": [
-                {
-                    "index": int(self._sidx[i]),
-                    "key": self._sk[i].tolist(),
-                    "value": self._sv[i].tolist(),
-                    "score": float(score),
-                }
-                for i, score in enumerate(self.sparse_scores)
-            ],
+            "window": self._entries(self._wrows[: self._wlen], "acc", self._wacc[: self._wlen]),
+            "sparse": self._entries(self._srows[: self._slen], "score", self.sparse_scores),
         }
+
+    def _entries(self, rows: np.ndarray, name: str, numbers: np.ndarray) -> list:
+        """Snapshot entries of pair rows, with ``numbers`` under ``name``."""
+        v, _, k = _pair_views(rows, self.config.head_dim, self.config.feature_dim)
+        return [
+            {"index": int(i), "key": key.tolist(), "value": value.tolist(), name: float(x)}
+            for i, key, value, x in zip(rows.view(np.int64)[:, -1], k, v, numbers)
+        ]
 
     @classmethod
     def from_snapshot(cls, snap: dict) -> "LolaCache":
@@ -778,7 +775,7 @@ class LolaCache:
         except ValueError as exc:
             raise ValueError(f"snapshot {_rekey(exc)}") from None
         d, fdim = config.head_dim, config.feature_dim
-        weights = _float_array(snap, "weights")
+        weights = _number_array(snap["weights"], "snapshot 'weights'")
         if weights.shape != (fdim // 2 * d,):
             raise ValueError(
                 f"snapshot 'feature_dim' {fdim} and 'head_dim' {d} need {fdim // 2 * d} 'weights', "
@@ -793,17 +790,22 @@ class LolaCache:
             cache = cls(config, params, cfg["window_capacity"], cfg["sparse_capacity"], scoring=rule)
         except ValueError as exc:
             raise ValueError(f"snapshot {_rekey(exc)}") from None
-        hidden, normalizer = _float_array(snap, "hidden"), _float_array(snap, "normalizer")
+        hidden = _number_array(snap["hidden"], "snapshot 'hidden'")
+        normalizer = _number_array(snap["normalizer"], "snapshot 'normalizer'")
         for name, arr, n in (("hidden", hidden, fdim * d), ("normalizer", normalizer, fdim)):
             if arr.shape != (n,):
                 raise ValueError(f"snapshot {name!r} has shape {arr.shape}, expected ({n},)")
         window = _tier_entries(snap, "window", "acc", cache.window_capacity, d)
         sparse = _tier_entries(snap, "sparse", "score", cache.sparse_capacity, d)
-        widx = [entry[0] for entry in window]
-        sidx = [entry[0] for entry in sparse]
+        widx, sidx = window[2], sparse[2]
         nw, ns = len(widx), len(sidx)
-        if widx != list(range(t - nw + 1, t + 1)):
-            raise ValueError(f"snapshot 'window' indices {widx} are not the run ending at t={t}")
+        # in ring-slot order: a full ring may start anywhere, a ring with room at its oldest pair
+        oldest = t - nw + 1
+        start = widx.index(oldest) if 0 < nw == cache.window_capacity and oldest in widx else 0
+        if widx[start:] + widx[:start] != list(range(oldest, t + 1)):
+            raise ValueError(
+                f"snapshot 'window' indices {widx} are not the run ending at t={t} in ring-slot order"
+            )
         bounds = [0, *sidx, t - nw + 1]
         if any(b <= a for a, b in zip(bounds, bounds[1:])):
             raise ValueError(f"snapshot 'sparse' indices {sidx} must ascend and precede the window")
@@ -825,39 +827,38 @@ class LolaCache:
                 f"snapshot 'absorbed_score_sum' {total!r} is not a finite number >= 0 "
                 "(0 when 'absorbed_count' is 0)"
             )
-        cache.t = t
-        cache.linear.hidden = hidden.reshape(fdim, d)
-        cache.linear.normalizer = normalizer
-        cache.linear.count = count
-        cache.absorbed_score_sum = float(total)
-        if count:
+        # each pair back in its saved slot, so window sums keep their bits
+        linear = LinearState(hidden.reshape(fdim, d), normalizer, count)
+        cache._load(t, window, sparse, linear, float(total))
+        return cache
+
+    def _load(self, t: int, window: tuple, sparse: tuple, linear: LinearState, score_sum: float) -> None:
+        """Fill a fresh engine's tiers at ``t``, as a restore and a prefill
+        hand-off do. ``window`` and ``sparse`` are each (keys, values,
+        indices, acc or score): the window in ring-slot order from slot 0,
+        the residents in arrival order. Every row's φ comes from
+        ``_feature_rows``. ``_wnext`` is the oldest pair's slot when the ring
+        is full and the first free slot when it has room."""
+        d, fdim = self.config.head_dim, self.config.feature_dim
+        nw, ns = len(window[2]), len(sparse[2])
+        tiers = (self._wrows[:nw], window), (self._srows[:ns], sparse)
+        for rows, (keys, values, idx, extra) in tiers:
+            v, phi, k = _pair_views(rows, d, fdim)
+            v[...], k[...] = values, keys
+            phi[...] = _feature_rows(self.params, keys)
+            rows[:, -2] = extra
+            rows.view(np.int64)[:, -1] = idx
+        self._wlen, self._slen = nw, ns
+        self._wnext = int(np.argmin(window[2])) if 0 < nw == self.window_capacity else nw
+        self.t, self.linear, self.absorbed_score_sum = t, linear, score_sum
+        # the residents' scores are not tracked: their bounds start open
+        self._svnorm[:ns] = np.sqrt(np.add.reduce(self._sv[:ns] ** 2, axis=1))
+        if linear.count:
             # |sum_k phi_k H_k| / sum_k phi_k z_k <= max_k |H_k| / z_k bounds
             # every prediction, without knowing the absorbed values
-            row_norms = np.sqrt(np.add.reduce(cache.linear.hidden**2, axis=1))
-            cache._rmax = float((row_norms / normalizer).max())
-        # pair i sits in ring slot (i - 1) % capacity, as in the saved engine,
-        # so window sums run in the same order and keep the same bits
-        # (a window with room need not start at slot 0)
-        slots = [(index - 1) % cache.window_capacity for index in widx]
-        for i, (index, key, value, acc) in zip(slots, window):
-            cache._wk[i] = key
-            cache._wv[i] = value
-            cache._widx[i] = index
-            cache._wacc[i] = acc
-        cache._wlen = nw
-        cache._wphi[slots] = _feature_rows(params, cache._wk[slots])
-        cache._wnext = t % cache.window_capacity if cache.window_capacity else 0
-        for i, (index, key, value, score) in enumerate(sparse):
-            cache._sk[i] = key
-            cache._sv[i] = value
-            cache._sidx[i] = index
-            cache._sscore[i] = score
-        cache._slen = ns
-        cache._sphi[:ns] = _feature_rows(params, cache._sk[:ns])
-        # restored residents' scores are not tracked: their bounds start open
-        cache._svnorm[:ns] = np.sqrt(np.add.reduce(cache._sv[:ns] ** 2, axis=1))
-        cache._assert_conserved()
-        return cache
+            row_norms = np.sqrt(np.add.reduce(linear.hidden**2, axis=1))
+            self._rmax = float((row_norms / linear.normalizer).max())
+        self._assert_conserved()
 
 
 def _require(obj, names, where: str) -> None:
@@ -874,39 +875,35 @@ def _finite_number(x) -> bool:
     return type(x) in (int, float) and abs(x) <= sys.float_info.max
 
 
-def _float_array(snap: dict, name: str) -> np.ndarray:
-    try:
-        return np.asarray(snap[name], dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"snapshot {name!r}: {exc}") from None
-
-
-def _tier_entries(snap: dict, name: str, extra: str, capacity: int, d: int) -> list:
-    """The (index, key, value, acc or score) of each snapshot pair in tier
-    ``name``, checked: an int index, two finite length-``d`` vectors and a
-    finite number."""
+def _tier_entries(snap: dict, name: str, extra: str, capacity: int, d: int) -> tuple:
+    """The (pairs, d) keys and values and the lists of indices and of accs or
+    scores of the pairs in snapshot tier ``name``, checked: an int index, two
+    finite length-``d`` vectors and a finite number each."""
     entries = snap[name]
     if not isinstance(entries, list):
         raise ValueError(f"snapshot {name!r} must be a list, got {type(entries).__name__}")
     if len(entries) > capacity:
         raise ValueError(f"snapshot {name!r}: {len(entries)} pairs > capacity {capacity}")
-    checked = []
+    keys, values, indices, numbers = [], [], [], []
     for j, entry in enumerate(entries):
         where = f"snapshot {name!r}[{j}]"
         _require(entry, ("index", "key", "value", extra), where)
         index, number = entry["index"], entry[extra]
         if type(index) is not int:
             raise ValueError(f"{where} 'index' {index!r} is not an int")
-        vectors = []
-        for field_name in ("key", "value"):
+        for field_name, vectors in (("key", keys), ("value", values)):
+            what = f"{where} {field_name!r}"
+            vector = _number_array(entry[field_name], what)
             try:
-                vectors.append(as_vector(entry[field_name], d))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"{where} {field_name!r}: {exc}") from None
+                vectors.append(as_vector(vector, d))
+            except ValueError as exc:
+                raise ValueError(f"{what}: {exc}") from None
         if not _finite_number(number):
             raise ValueError(f"{where} {extra!r} {number!r} is not a finite number")
-        checked.append((index, *vectors, number))
-    return checked
+        indices.append(index)
+        numbers.append(number)
+    shape = (len(indices), d)
+    return np.reshape(keys, shape), np.reshape(values, shape), indices, numbers
 
 
 def save_snapshot(cache: LolaCache, path) -> None:

@@ -15,6 +15,11 @@ are scored in one call, and a stable sort on descending score keeps the λ
 highest, so a tie keeps the older pair; the rest are absorbed in one bulk
 update, in arrival order.
 
+The pass hands over ``PrefillState.engine``, a self-recall ``LolaCache`` at
+t = n with a window of 2c: the lookback fills its ring in arrival order from
+slot 0, next to the sparse residents and the hidden state. A follow-up query
+reads it (``attend_after_prefill`` is its ``attend``), and decoding goes on.
+
 Because all queries in a chunk share the frozen hidden state, prefill
 outputs differ slightly from the per-token decode path on the same stream:
 they are two policies, not approximations of each other.
@@ -26,16 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import (
-    AttentionConfig,
-    FeatureMapParams,
-    LinearState,
-    _check_size,
-    _feature_batch,
-    _feature_row,
-)
-from .cache import _mix_tiers, _pair_views, _self_recall_scores
-from .numerics import as_matrix, as_vector
+from .attention import AttentionConfig, FeatureMapParams, LinearState, _check_size, _feature_batch
+from .cache import LolaCache, _pair_views, _self_recall_scores
+from .numerics import as_matrix
 
 __all__ = [
     "ChunkConfig",
@@ -73,23 +71,28 @@ class ChunkEvent:
 class PrefillState:
     """Carry-over memory after a prefill pass.
 
-    ``recent_*`` hold the pairs still inside the two-chunk lookback; a
-    follow-up query attends those in full rank next to the sparse cache and
-    the hidden state, exactly as the first query of a fresh chunk would.
+    ``engine`` holds the three tiers: the pairs still inside the two-chunk
+    lookback as its window, the sparse residents and the hidden state. A
+    follow-up query attends them as the first query of a fresh chunk would.
+    ``linear``, ``sparse_indices`` and ``recent_indices`` read the engine.
     """
 
-    linear: LinearState
-    sparse_keys: np.ndarray
-    sparse_values: np.ndarray
-    sparse_indices: np.ndarray
-    sparse_scores: np.ndarray
-    recent_keys: np.ndarray
-    recent_values: np.ndarray
-    recent_indices: np.ndarray
+    engine: LolaCache
     processed: int
     peak_full_rank: int
-    absorbed_score_sum: float
     events: list[ChunkEvent] = field(default_factory=list)
+
+    @property
+    def linear(self) -> LinearState:
+        return self.engine.linear
+
+    @property
+    def sparse_indices(self) -> np.ndarray:
+        return self.engine.sparse_indices
+
+    @property
+    def recent_indices(self) -> np.ndarray:
+        return self.engine.window_indices
 
 
 def effective_cache_size(config: ChunkConfig) -> int:
@@ -218,24 +221,12 @@ def prefill(
             slen = min(ne, lam)
             rows[:slen] = rows[:ne][~drop]
 
-    # only the final residents' scores are reported, so they are scored once, here
-    sscore = _self_recall_scores(rphi[:slen], rv[:slen], linear)
+    # the hand-off: the lookback fills the window from slot 0 in arrival order
     r0 = max(0, (n_chunks - 2) * c)
-    state = PrefillState(
-        linear=linear,
-        sparse_keys=rk[:slen].copy(),
-        sparse_values=rv[:slen].copy(),
-        sparse_indices=ridx[:slen].copy(),
-        sparse_scores=sscore,
-        recent_keys=ks[r0:].copy(),
-        recent_values=vs[r0:].copy(),
-        recent_indices=np.arange(r0 + 1, n + 1, dtype=np.int64),
-        processed=n_chunks,
-        peak_full_rank=peak,
-        absorbed_score_sum=absorbed_score_sum,
-        events=events,
-    )
-    return out, state
+    engine = LolaCache(attn, params, 2 * c, lam)
+    recent = (ks[r0:], vs[r0:], np.arange(r0 + 1, n + 1), 0.0)
+    engine._load(n, recent, (rk[:slen], rv[:slen], ridx[:slen], 0.0), linear, absorbed_score_sum)
+    return out, PrefillState(engine, n_chunks, peak, events)
 
 
 def attend_after_prefill(
@@ -244,10 +235,12 @@ def attend_after_prefill(
     attn: AttentionConfig,
     params: FeatureMapParams,
 ) -> np.ndarray:
-    """Answer one extra query as the first token of a hypothetical next chunk."""
-    q = as_vector(query, attn.head_dim)
-    return _mix_tiers(
-        q, _feature_row(params, q), attn.scale,
-        state.sparse_keys, state.sparse_values, state.recent_keys, state.recent_values,
-        state.linear,
-    )
+    """Answer one extra query as the first token of a hypothetical next chunk:
+    ``state.engine.attend(query)``. ``attn`` and ``params`` must be those the
+    prefill ran with; other ones raise ``ValueError`` naming the argument."""
+    engine = state.engine
+    if attn != engine.config:
+        raise ValueError(f"'attn' {attn} is not the config the prefill ran with, {engine.config}")
+    if not np.array_equal(params.weights, engine.params.weights):
+        raise ValueError("'params' are not the feature map the prefill ran with")
+    return engine.attend(query)

@@ -27,7 +27,7 @@ from ..attention import (
 )
 from ..analysis import _DECODE_POLICIES, engine_for_policy
 from ..cache import SCORING_STRATEGIES, SelfRecallScoring
-from ..chunkwise import ChunkConfig, attend_after_prefill, effective_cache_size, prefill
+from ..chunkwise import ChunkConfig, effective_cache_size, prefill
 from ..numerics import SeededRng
 from .synthetic import KEY_SCALE, CLUSTER_NOISE, NiahInstance, SyntheticTaskSpec, gen_niah
 
@@ -176,19 +176,15 @@ def run_trial(
         lam = 0 if exp.policy == "window-only" else exp.sparse_capacity
         cc = ChunkConfig(exp.chunk_size, lam)
         # queries equal keys on these streams: only the probe's answer matters
-        _, state = prefill(inst.keys, inst.keys, inst.values, cc, attn, params)
-        answer = attend_after_prefill(state, inst.probe, attn, params)
-        score_sum, absorbed = state.absorbed_score_sum, state.linear.count
+        engine = prefill(inst.keys, inst.keys, inst.values, cc, attn, params)[1].engine
     else:
         engine = engine_for_policy(
             exp.policy, attn, params, exp.window_capacity, exp.sparse_capacity
         )
         # queries equal keys here too; a dynamic rule ignores them
         engine.ingest(inst.keys, inst.values, inst.keys)
-        answer = engine.attend(inst.probe)
-        score_sum, absorbed = engine.absorbed_score_sum, engine.linear.count
-    hit = decode_answer(answer, inst.codebook) == inst.target_value_id
-    return hit, score_sum, absorbed
+    hit = decode_answer(engine.attend(inst.probe), inst.codebook) == inst.target_value_id
+    return hit, engine.absorbed_score_sum, engine.linear.count
 
 
 def eval_recall(

@@ -56,6 +56,20 @@ def as_matrix(x, rows: int | None = None, cols: int | None = None) -> np.ndarray
     return m
 
 
+def _number_array(x, where: str) -> np.ndarray:
+    """Parsed JSON (nested lists of numbers) as a float64 array. Every entry
+    must be an int or a float, where ``np.asarray`` would also take numeric
+    strings and bools; anything else raises ``ValueError`` naming ``where``."""
+    try:
+        entries = np.asarray(x, dtype=object)
+        for entry in entries.flat:
+            if type(entry) is not float and type(entry) is not int:
+                raise ValueError(f"could not convert {entry!r} to a number")
+        return entries.astype(np.float64)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class SeededRng:
     """Replayable randomness: PCG64 seeded through ``numpy.random.SeedSequence``.

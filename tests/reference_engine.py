@@ -11,8 +11,11 @@ shared denominator.
 
 ``ReferenceEngine`` holds no staging row, no score bounds, no deferred event
 and no snapshot; its only ring arithmetic is the slot rule, pair i in slot
-(i - 1) mod η. It keeps its pairs as the engine's pair rows and calls the
-engine's kernels (``_feature_row``, ``_self_recall_scores``, ``_mix_tiers``,
+(i - 1 - r) mod η, with a ring offset r that is 0 for a fresh engine.
+``from_tiers`` starts it from given tiers, as a prefill hands them over: the
+window oldest first from slot 0, so r = (t - nw) mod η for nw window pairs.
+It keeps its pairs as the engine's pair rows and calls the engine's kernels
+(``_feature_row``, ``_self_recall_scores``, ``_mix_tiers``,
 ``LinearState.update``) on them, so every product sees the engine's memory
 layout and a correct path matches it bit for bit. The slot rule is needed
 for that too: a matrix-vector row's bits depend on the row's slot.
@@ -91,6 +94,29 @@ class ReferenceEngine:
         self.last_event = None
         self.window = np.zeros((eta, 2 * d + fdim + 2))
         self.sparse = self.window[:0].copy()
+        # the ring offset, and how many pairs the window holds
+        self.r = self.wlen = 0
+
+    @classmethod
+    def from_tiers(cls, config, params, eta, lam, t, window, sparse, linear, absorbed_score_sum):
+        """An engine at ``t`` under the self-recall rule holding ``window``,
+        the (keys, values) of pairs t - nw + 1 .. t oldest first, from slot
+        0; ``sparse``, the (keys, values, indices) of the residents in
+        arrival order; and the hidden state ``linear``."""
+        ref = cls(config, params, eta, lam)
+        nw = len(window[0])
+        ref.t, ref.wlen, ref.r = t, nw, (t - nw) % eta
+        ref.window[:nw] = ref._rows(*window, np.arange(t - nw + 1, t + 1))
+        ref.sparse = ref._rows(*sparse)
+        ref.linear, ref.absorbed_score_sum = linear, absorbed_score_sum
+        return ref
+
+    def _rows(self, keys, values, indices):
+        """Pair rows of the given pairs, each φ row from ``_feature_row``."""
+        phi = np.array([_feature_row(self.params, k) for k in keys])
+        rows = _pair_rows(values, phi.reshape(len(keys), self.config.feature_dim), keys, 0)
+        rows.view(np.int64)[:, -1] = indices
+        return rows
 
     def _views(self, rows):
         """Value, φ(key), key, score and index columns of pair rows."""
@@ -104,8 +130,9 @@ class ReferenceEngine:
         if self.eta == 0:
             evicted = row
         else:
-            slot = (i - 1) % self.eta
-            evicted = self.window[slot].copy() if i > self.eta else None
+            slot = (i - 1 - self.r) % self.eta
+            evicted = self.window[slot].copy() if self.wlen == self.eta else None
+            self.wlen = min(self.wlen + 1, self.eta)
             self.window[slot] = row
         if evicted is None:
             self.last_event = StepEvent(i, None)
@@ -134,17 +161,16 @@ class ReferenceEngine:
     def accumulate_window_scores(self, query) -> None:
         """Under a static rule, add the query's term to every window pair's
         sum, over the window rows in slot order."""
-        nw = min(self.t, self.eta)
-        if self.scoring.dynamic or nw == 0:
+        if self.scoring.dynamic or self.wlen == 0:
             return
-        _, phi, k, acc, _ = self._views(self.window[:nw])
+        _, phi, k, acc, _ = self._views(self.window[: self.wlen])
         q = np.asarray(query, dtype=float)
         e = np.exp((k @ q) * self.config.scale)
         acc += self.scoring.term(e, phi @ _feature_row(self.params, q))
 
     def attend(self, query) -> np.ndarray:
         q = np.asarray(query, dtype=float)
-        wv, _, wk, _, _ = self._views(self.window[: min(self.t, self.eta)])
+        wv, _, wk, _, _ = self._views(self.window[: self.wlen])
         sv, _, sk, _, _ = self._views(self.sparse)
         return _mix_tiers(
             q, _feature_row(self.params, q), self.config.scale, wk, wv, sk, sv, self.linear
@@ -157,7 +183,7 @@ class ReferenceEngine:
 
     @property
     def window_indices(self) -> np.ndarray:
-        return np.arange(max(1, self.t - self.eta + 1), self.t + 1, dtype=np.int64)
+        return np.arange(self.t - self.wlen + 1, self.t + 1, dtype=np.int64)
 
     @property
     def sparse_indices(self) -> np.ndarray:

@@ -222,11 +222,14 @@ _MAP = {"format": "paired-exp-feature-map-v1", "head_dim": 2, "feature_dim": 4, 
         (json.dumps({**_MAP, "weights": [0.1] * 3}), "need 4 'weights', got shape (3,)"),
         (json.dumps({**_MAP, "weights": [[0.1, 0.1], [0.1, 0.1]]}), "got shape (2, 2)"),
         (json.dumps({**_MAP, "weights": [0.1, float("nan"), 0.1, 0.1]}), "non-finite"),
+        (json.dumps({**_MAP, "weights": ["0.12"] * 4}), "'weights': could not convert '0.12' to a number"),
+        (json.dumps({**_MAP, "weights": [True] * 4}), "'weights': could not convert True to a number"),
+        (json.dumps({**_MAP, "weights": [0.1, 0.1, 0.1, False]}), "could not convert False to a number"),
     ],
     ids=[
         "not-json", "list", "format", "head-dim-str", "head-dim-bool", "head-dim-0",
         "feature-dim-odd", "feature-dim-0", "weights-missing", "weights-str", "weights-short",
-        "weights-nested", "weights-nan",
+        "weights-nested", "weights-nan", "weights-numeric-str", "weights-bools", "weights-one-bool",
     ],
 )
 def test_malformed_map_file_names_the_file_and_field(tmp_path, text, message):

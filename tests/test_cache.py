@@ -358,7 +358,7 @@ def test_snapshot_over_capacity_rejected(setup, tier):
 
 def test_snapshot_window_not_ending_at_t_rejected(setup):
     snap = snapshot_after(setup, eta=2, lam=1, n=5)
-    assert [e["index"] for e in snap["window"]] == [4, 5]
+    assert [e["index"] for e in snap["window"]] == [5, 4]  # ring-slot order
     snap["t"] = 99
     with pytest.raises(ValueError, match="window"):
         LolaCache.from_snapshot(snap)
@@ -385,7 +385,7 @@ def test_snapshot_state_shape_rejected(setup, field):
 
 def test_snapshot_carries_the_absorbed_score_sum(setup):
     snap = snapshot_after(setup, eta=3, lam=2, n=20)
-    assert snap["format"] == "lola-cache-snapshot-v2"
+    assert snap["format"] == "lola-cache-snapshot-v3"
     assert snap["absorbed_score_sum"] > 0.0
     restored = LolaCache.from_snapshot(snap)
     assert restored.absorbed_score_sum.hex() == float(snap["absorbed_score_sum"]).hex()
@@ -397,6 +397,32 @@ def test_a_v1_snapshot_is_rejected(setup):
     v1["format"] = "lola-cache-snapshot-v1"
     with pytest.raises(ValueError, match="unrecognized snapshot format"):
         LolaCache.from_snapshot(v1)
+
+
+def test_a_v2_snapshot_is_rejected(setup):
+    # v2 listed the window oldest first; read as slot order it would rotate the ring
+    snap = snapshot_after(setup, eta=3, lam=2, n=20)
+    snap["format"] = "lola-cache-snapshot-v2"
+    snap["window"].sort(key=lambda pair: pair["index"])
+    with pytest.raises(ValueError, match="unrecognized snapshot format"):
+        LolaCache.from_snapshot(snap)
+
+
+@pytest.mark.parametrize("order", ["swapped", "reversed", "room-rotated"])
+def test_a_window_out_of_ring_slot_order_is_rejected(setup, order):
+    snap = snapshot_after(setup, eta=3, lam=2, n=20)
+    window = snap["window"]
+    # pair i in slot (i - 1) % 3; a full ring may start at any slot
+    assert [pair["index"] for pair in window] == [19, 20, 18]
+    if order == "swapped":
+        window[1], window[2] = window[2], window[1]
+    elif order == "reversed":
+        window.reverse()
+    else:
+        # a ring with room holds its oldest pair in slot 0
+        snap["config"]["window_capacity"] = 4
+    with pytest.raises(ValueError, match="'window' indices .* in ring-slot order"):
+        LolaCache.from_snapshot(snap)
 
 
 @pytest.mark.parametrize(
@@ -415,6 +441,23 @@ def test_snapshot_absorbed_score_sum_must_be_a_finite_total(setup, total, n):
 @pytest.mark.parametrize("bad", [["x", 1.0], [[1.0], [2.0, 3.0]], {"a": 1}])
 def test_snapshot_state_that_is_not_numbers_raises_naming_the_field(setup, field, bad):
     snap = snapshot_after(setup, eta=3, lam=2, n=20)
+    snap[field] = bad
+    with pytest.raises(ValueError, match=f"^snapshot '{field}'"):
+        LolaCache.from_snapshot(snap)
+
+
+@pytest.mark.parametrize("field", ["weights", "hidden", "normalizer"])
+@pytest.mark.parametrize("kind", ["strings", "bools", "one-bool", "none", "huge-int"])
+def test_snapshot_numbers_given_as_strings_or_bools_raise_naming_the_field(setup, field, kind):
+    snap = snapshot_after(setup, eta=3, lam=2, n=20)
+    good = snap[field]
+    bad = {
+        "strings": [repr(x) for x in good],  # "0.12"-style
+        "bools": [True] * len(good),
+        "one-bool": [*good[:-1], True],
+        "none": [*good[:-1], None],
+        "huge-int": [*good[:-1], 10**400],
+    }[kind]
     snap[field] = bad
     with pytest.raises(ValueError, match=f"^snapshot '{field}'"):
         LolaCache.from_snapshot(snap)
@@ -518,6 +561,8 @@ MALFORMED_SNAPSHOTS = {
     "sparse-value-one-entry": (_set_pair("sparse", "value", [1.0]), r"'sparse'\[0\] 'value'"),
     "window-value-nan": (_set_pair("window", "value", [float("nan")] * 4), r"'window'\[0\] 'value'"),
     "sparse-value-inf": (_set_pair("sparse", "value", [float("inf")] * 4), r"'sparse'\[0\] 'value'"),
+    "window-key-strings": (_set_pair("window", "key", ["0.1"] * 4), r"'window'\[0\] 'key': could not"),
+    "sparse-value-bools": (_set_pair("sparse", "value", [True] * 4), r"'sparse'\[0\] 'value': could not"),
     "acc-nan": (_set_pair("window", "acc", float("nan")), r"'window'\[0\] 'acc'"),
     "acc-inf": (_set_pair("window", "acc", float("inf")), r"'window'\[0\] 'acc'"),
     "score-nan": (_set_pair("sparse", "score", float("nan")), r"'sparse'\[0\] 'score'"),

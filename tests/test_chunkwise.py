@@ -18,7 +18,7 @@ from lola import (
     prefill,
     softmax_attention_oracle,
 )
-from lola.chunkwise import ChunkConfig, ChunkEvent, PrefillState, attend_after_prefill
+from lola.chunkwise import ChunkConfig, ChunkEvent, attend_after_prefill
 
 
 @pytest.fixture
@@ -143,7 +143,7 @@ def test_matches_slow_reference_lambda_zero(setup):
     out, state = prefill(qs, ks, vs, chunk, cfg, params)
     ref = slow_reference(qs, ks, vs, chunk, cfg, params)
     np.testing.assert_allclose(out, ref, rtol=1e-9, atol=1e-12)
-    assert state.sparse_keys.shape[0] == 0
+    assert state.engine.sparse_size == 0
     # every pair outside the final two chunks was absorbed
     assert state.linear.count == 16
 
@@ -204,14 +204,10 @@ def test_attend_after_prefill_matches_fresh_chunk_query(setup):
     phi_q = feature_map_apply(params, q)
     num = phi_q @ state.linear.hidden
     den = float(phi_q @ state.linear.normalizer)
-    for keys, vals in (
-        (state.sparse_keys, state.sparse_values),
-        (state.recent_keys, state.recent_values),
-    ):
-        for j in range(keys.shape[0]):
-            w = float(np.exp(cfg.scale * (q @ keys[j])))
-            num = num + w * vals[j]
-            den += w
+    for i in (*state.sparse_indices, *state.recent_indices):
+        w = float(np.exp(cfg.scale * (q @ ks[i - 1])))
+        num = num + w * vs[i - 1]
+        den += w
     np.testing.assert_allclose(got, num / den, rtol=1e-9)
 
 
@@ -266,17 +262,15 @@ def test_prefill_returns_arrays_it_does_not_reuse(setup):
         runs.append((qs, ks, vs, out, state))
 
     def arrays(out, state):
-        got = [out, state.linear.hidden, state.linear.normalizer]
-        for f in dataclasses.fields(PrefillState):
-            value = getattr(state, f.name)
-            if isinstance(value, np.ndarray):
-                got.append(value)
+        # the engine's pair rows hold its window and sparse tiers
+        eng = state.engine
+        got = [out, eng.linear.hidden, eng.linear.normalizer, eng._wrows, eng._srows]
         for event in state.events:
             got += [getattr(event, f.name) for f in dataclasses.fields(ChunkEvent)[1:]]
         return got
 
     first, second = (arrays(r[3], r[4]) for r in runs)
-    assert len(first) == 10 + 4 * len(runs[0][4].events)
+    assert len(first) == 5 + 4 * len(runs[0][4].events)
     every = first + second + [a for r in runs for a in r[:3]]
     for i, a in enumerate(first + second):
         for b in every[i + 1 :]:
@@ -313,7 +307,7 @@ def test_keys_passed_as_queries_are_mapped_once(setup, monkeypatch):
     assert out_shared.tobytes() == out_apart.tobytes()
     assert st_shared.linear.hidden.tobytes() == st_apart.linear.hidden.tobytes()
     assert st_shared.sparse_indices.tolist() == st_apart.sparse_indices.tolist()
-    assert st_shared.sparse_scores.tobytes() == st_apart.sparse_scores.tobytes()
+    assert st_shared.engine.sparse_scores.tobytes() == st_apart.engine.sparse_scores.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -340,3 +334,47 @@ def test_chunk_config_takes_numpy_ints(setup):
     out, _ = prefill(ks, ks, vs, ChunkConfig(np.int64(4), np.int32(2)), cfg, params)
     ref, _ = prefill(ks, ks, vs, ChunkConfig(4, 2), cfg, params)
     assert out.tobytes() == ref.tobytes()
+
+
+def test_attend_after_prefill_rejects_another_config_or_map(setup):
+    cfg, params = setup
+    qs, ks, vs = SeededRng(31).generator().normal(size=(3, 20, 4))
+    _, state = prefill(qs, ks, vs, ChunkConfig(4, 2), cfg, params)
+    same = FeatureMapParams(params.weights.copy())
+    answer = attend_after_prefill(state, qs[0], cfg, same)
+    assert answer.tobytes() == state.engine.attend(qs[0]).tobytes()
+    other_cfg = AttentionConfig(4, feature_dim=8, scale=0.3)
+    with pytest.raises(ValueError, match="^'attn' .* is not the config the prefill ran with"):
+        attend_after_prefill(state, qs[0], other_cfg, params)
+    other_map = FeatureMapParams(params.weights + 1e-3)
+    with pytest.raises(ValueError, match="^'params' are not the feature map the prefill ran with"):
+        attend_after_prefill(state, qs[0], cfg, other_map)
+
+
+def test_decoding_goes_on_from_the_handoff(setup):
+    # every output stays a convex combination of stored values, and the
+    # tiers account for every pair
+    cfg, params = setup
+    qs, ks, vs = SeededRng(32).generator().normal(size=(3, 60, 4))
+    _, state = prefill(qs[:37], ks[:37], vs[:37], ChunkConfig(4, 3), cfg, params)
+    eng = state.engine
+    assert (eng.t, eng.window_capacity, eng.sparse_capacity) == (37, 8, 3)
+    lo, hi = vs.min(axis=0), vs.max(axis=0)
+    for t in range(37, 60):
+        out = eng.decode_step(qs[t], ks[t], vs[t])
+        assert ((out >= lo - 1e-12) & (out <= hi + 1e-12)).all()
+        assert eng.window_size + eng.sparse_size + eng.linear.count == t + 1
+        # the lookback, pairs 33..37, fills the window before anything leaves it
+        assert eng.window_indices.tolist() == list(range(max(33, t - 6), t + 2))
+
+
+def test_decoding_after_a_covering_prefill_matches_the_oracle(setup):
+    # while the window still holds the whole stream (n plus the decoded
+    # steps <= 2c), every output is exact softmax attention
+    cfg, params = setup
+    qs, ks, vs = SeededRng(33).generator().normal(size=(3, 8, 4))
+    oracle = softmax_attention_oracle(qs, ks, vs, cfg.scale)
+    _, state = prefill(qs[:5], ks[:5], vs[:5], ChunkConfig(4, 2), cfg, params)
+    for t in range(5, 8):
+        out = state.engine.decode_step(qs[t], ks[t], vs[t])
+        np.testing.assert_allclose(out, oracle[t], rtol=1e-9, atol=1e-12)

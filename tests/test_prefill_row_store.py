@@ -5,11 +5,15 @@ boundary it replaced.
 sparse residents in four column arrays, concatenates them with the chunk
 that left the lookback, ranks all of them with a ``lexsort`` (ties keep the
 older pair), and sorts the kept and absorbed pairs back into arrival order.
-The row store must match it bit for bit: outputs, the answer after the
-prefill, every ``PrefillState`` field and every ``ChunkEvent`` array.
+The row store must match it bit for bit: outputs, the tiers the engine
+hands over (the lookback as its window, oldest first from slot 0, the
+residents, the hidden state and the absorbed-score total), the answer after
+the prefill and every ``ChunkEvent`` array. The earlier end-of-run scoring
+of the residents is left out: the engine scores them when they are read.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,15 +22,9 @@ from hypothesis import strategies as st
 
 import lola.chunkwise as chunkwise_mod
 from lola import AttentionConfig, SeededRng, init_feature_map
-from lola.attention import LinearState, _feature_batch
-from lola.cache import _self_recall_scores
-from lola.chunkwise import (
-    ChunkConfig,
-    ChunkEvent,
-    PrefillState,
-    attend_after_prefill,
-    prefill,
-)
+from lola.attention import LinearState, _feature_batch, _feature_row
+from lola.cache import _mix_tiers, _pair_rows, _pair_views, _self_recall_scores
+from lola.chunkwise import ChunkConfig, ChunkEvent, attend_after_prefill, prefill
 from lola.harness.synthetic import SyntheticTaskSpec, gen_niah
 from lola.numerics import as_matrix
 
@@ -116,15 +114,12 @@ def reference_prefill(qs, ks, vs, config, attn, params):
                 )
             )
 
-    # only the final residents' scores are reported, so they are scored once, here
-    sscore = _self_recall_scores(sphi[:slen], sv[:slen], linear)
     r0 = max(0, (n_chunks - 2) * c)
-    state = PrefillState(
+    state = SimpleNamespace(
         linear=linear,
         sparse_keys=sk[:slen].copy(),
         sparse_values=sv[:slen].copy(),
         sparse_indices=sidx[:slen].copy(),
-        sparse_scores=sscore,
         recent_keys=ks[r0:].copy(),
         recent_values=vs[r0:].copy(),
         recent_indices=np.arange(r0 + 1, n + 1, dtype=np.int64),
@@ -143,32 +138,50 @@ def assert_same_bits(a, b, what):
     assert a.tobytes() == b.tobytes(), what
 
 
+def as_pair_rows(keys, values, attn):
+    """Key and value views of ``keys`` and ``values`` laid out as the engine's
+    pair rows, so that products over them see the engine's strides."""
+    rows = _pair_rows(values, np.zeros((len(keys), attn.feature_dim)), keys, 1)
+    v, _, k = _pair_views(rows, attn.head_dim, attn.feature_dim)
+    return k, v
+
+
 def assert_prefill_matches_reference(qs, ks, vs, config, attn, params, probe):
     out, state = prefill(qs, ks, vs, config, attn, params)
     ref_out, ref = reference_prefill(qs, ks, vs, config, attn, params)
     assert_same_bits(out, ref_out, "outputs")
-    assert_same_bits(
-        attend_after_prefill(state, probe, attn, params),
-        attend_after_prefill(ref, probe, attn, params),
-        "answer after prefill",
+    eng = state.engine
+    nw, ns = eng.window_size, eng.sparse_size
+    for got, want, what in (
+        (eng._wk[:nw], ref.recent_keys, "recent keys"),
+        (eng._wv[:nw], ref.recent_values, "recent values"),
+        (eng._widx[:nw], ref.recent_indices, "recent indices"),
+        (eng._sk[:ns], ref.sparse_keys, "sparse keys"),
+        (eng._sv[:ns], ref.sparse_values, "sparse values"),
+        (eng.sparse_indices, ref.sparse_indices, "sparse indices"),
+        (eng.linear.hidden, ref.linear.hidden, "linear.hidden"),
+        (eng.linear.normalizer, ref.linear.normalizer, "linear.normalizer"),
+    ):
+        assert_same_bits(got, want, what)
+    assert eng.linear.count == ref.linear.count
+    # the float's repr pins its bits
+    assert repr(eng.absorbed_score_sum) == repr(ref.absorbed_score_sum)
+    assert (eng.t, state.processed, state.peak_full_rank) == (
+        len(ref_out), ref.processed, ref.peak_full_rank
     )
-    for f in dataclasses.fields(PrefillState):
-        got, want = getattr(state, f.name), getattr(ref, f.name)
-        if f.name == "linear":
-            assert_same_bits(got.hidden, want.hidden, "linear.hidden")
-            assert_same_bits(got.normalizer, want.normalizer, "linear.normalizer")
-            assert got.count == want.count
-        elif f.name == "events":
-            assert len(got) == len(want)
-            for eg, ew in zip(got, want):
-                assert eg.chunk == ew.chunk
-                for g in dataclasses.fields(ChunkEvent)[1:]:
-                    assert_same_bits(getattr(eg, g.name), getattr(ew, g.name), g.name)
-        elif isinstance(want, np.ndarray):
-            assert_same_bits(got, want, f.name)
-        else:
-            # the float's repr pins its bits
-            assert type(got) is type(want) and repr(got) == repr(want), f.name
+    q = np.asarray(probe, dtype=float)
+    want = _mix_tiers(
+        q, _feature_row(params, q), attn.scale,
+        *as_pair_rows(ref.recent_keys, ref.recent_values, attn),
+        *as_pair_rows(ref.sparse_keys, ref.sparse_values, attn),
+        ref.linear,
+    )
+    assert_same_bits(attend_after_prefill(state, probe, attn, params), want, "answer after prefill")
+    assert len(state.events) == len(ref.events)
+    for eg, ew in zip(state.events, ref.events):
+        assert eg.chunk == ew.chunk
+        for g in dataclasses.fields(ChunkEvent)[1:]:
+            assert_same_bits(getattr(eg, g.name), getattr(ew, g.name), g.name)
     return state
 
 
@@ -248,8 +261,8 @@ def test_boundary_probes_count_one_scoring_call_per_boundary(monkeypatch, n, chu
 
     boundaries = max(0, -(-n // chunk) - 2)
     residents = [min(lam, b * chunk) for b in range(boundaries + 1)]
-    # slen + c rows per boundary, then one call on the final residents
-    assert scored == [r + chunk for r in residents[:-1]] + [residents[-1]]
+    # slen + c rows per boundary; the hand-off scores nothing
+    assert scored == [r + chunk for r in residents[:-1]]
     assert absorbed == [r + chunk - min(lam, r + chunk) for r in residents[:-1]]
     assert sum(absorbed) == state.linear.count
     assert len(state.events) == boundaries

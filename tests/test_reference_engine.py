@@ -3,12 +3,15 @@
 Each path feeds one stream to a ``LolaCache`` and checks it against
 ``ReferenceEngine`` after every step it can see: ``t``, the window and sparse
 members, the sparse scores, the hidden state, the absorbed-score total, the
-ring's slot bytes (pair i in slot (i - 1) mod η), outputs, and every field of
-``last_event``. A run reads ``last_event`` after every step, or not before
-a piece of its path ends. ``bounded`` forces the bounded settle on, which
-only the self-recall rule takes. Where a path uses ``ingest``, an engine fed
+ring's slot bytes (pair i in slot (i - 1 - r) mod η, r = 0 for a fresh
+engine) and next slot, outputs, and every field of ``last_event``. A run
+reads ``last_event`` after every step, or not before a piece of its path
+ends. ``bounded`` forces the bounded settle on, which only the self-recall
+rule takes. Where a path uses ``ingest``, an engine fed
 the same pairs by ``update`` also runs, for the internals the reference does
-not hold: the residents' rows and score bounds.
+not hold: the residents' rows and score bounds. The ``handoff`` path starts
+from a chunked prefill's engine (chunk η/2) and the reference from the tiers
+it hands over, then decodes on.
 
 The collision replay is checked against the reference's residency, and
 prefill's chunk boundary against ``keep_highest``.
@@ -22,6 +25,7 @@ from hypothesis import strategies as st
 import lola.cache as cache_mod
 from lola import AttentionConfig, LolaCache, SeededRng, feature_map_batch, init_feature_map, prefill
 from lola.analysis import POLICIES, collision_matrix
+from lola.attention import LinearState
 from lola.cache import _self_recall_scores
 from lola.chunkwise import ChunkConfig
 from lola.harness import ExperimentConfig, SyntheticTaskSpec
@@ -47,9 +51,12 @@ BOUNDED_WIDTHS = WIDTHS[:5]
 
 def pieces(path, n, cut, prefix):
     """How ``path`` feeds rows [0, n): ("update", lo, hi) one step at a time,
-    ("decode_step", lo, hi), ("ingest", lo, hi) in one call, or ("restore",)
-    from the engine's own snapshot."""
+    ("decode_step", lo, hi), ("ingest", lo, hi) in one call, ("restore",)
+    from the engine's own snapshot, or ("prefill", 0, hi) as the engine a
+    chunked prefill hands over."""
     m, p = int(cut * n), min(prefix, n - 1)
+    h = min(max(1, prefix), n)
+    a = h + int(cut * (n - h))
     return {
         "update": [("update", 0, n)],
         "decode_step": [("decode_step", 0, n)],
@@ -58,6 +65,10 @@ def pieces(path, n, cut, prefix):
         "prefix": [("update", 0, p), ("ingest", p, n - 1), ("update", n - 1, n)],
         "prefix-restore": [("update", 0, p), ("restore",), ("ingest", p, n - 1), ("update", n - 1, n)],
         "snapshot-cut": [("ingest", 0, m), ("restore",), ("ingest", m, n)],
+        "handoff": [
+            ("prefill", 0, h), ("update", h, a), ("restore",), ("decode_step", a, (a + n) // 2),
+            ("ingest", (a + n) // 2, n),
+        ],
     }[path]
 
 
@@ -72,7 +83,7 @@ def run(path, bounded, eta, lam, d, f, rule, pool, n, cut, prefix, read, seed):
     def check(step=False):
         assert_same_tiers(eng, ref)
         assert bits(eng._wrows) == bits(ref.window)
-        assert eng._wnext == (ref.t % eta if eta else 0)
+        assert eng._wnext == ((ref.t - ref.r) % eta if eta else 0)
         if twin is not None and not step:
             assert_same_engine(eng, twin)
         if read:
@@ -89,6 +100,27 @@ def run(path, bounded, eta, lam, d, f, rule, pool, n, cut, prefix, read, seed):
         if any(piece[0] == "ingest" for piece in plan):
             twin = LolaCache(attn, params, eta, lam, scoring=scoring_for(rule))
         for kind, *span in plan:
+            if kind == "prefill":
+                # the engine a prefill of rows [0, p) hands over, its twin
+                # from a second prefill, and the reference from its tiers:
+                # the lookback, the residents and the hidden state
+                p, c = span[1], eta // 2
+                eng, twin = (
+                    prefill(qs[:p], ks[:p], vs[:p], ChunkConfig(c, lam), attn, params)[1].engine
+                    for _ in range(2)
+                )
+                r0 = max(0, (-(-p // c) - 2) * c)
+                sidx = eng.sparse_indices
+                lin = eng.linear
+                ref = ReferenceEngine.from_tiers(
+                    attn, params, eta, lam, p, (ks[r0:p], vs[r0:p]),
+                    (ks[sidx - 1], vs[sidx - 1], sidx),
+                    LinearState(lin.hidden.copy(), lin.normalizer.copy(), lin.count),
+                    eng.absorbed_score_sum,
+                )
+                assert eng.last_event is None
+                check()
+                continue
             if kind == "restore":
                 snap = eng.to_snapshot()
                 eng, twin = LolaCache.from_snapshot(snap), LolaCache.from_snapshot(snap)
@@ -125,15 +157,17 @@ def run(path, bounded, eta, lam, d, f, rule, pool, n, cut, prefix, read, seed):
 
 
 @st.composite
-def cases(draw, bounded):
+def cases(draw, bounded, handoff):
     """One stream and engine shape. The bounded settle draws λ up to 64 and
-    a stream that reaches a full sparse cache; the rest draw every rule."""
-    eta = draw(st.integers(0, 6))
+    a stream that reaches a full sparse cache; the rest draw every rule. A
+    hand-off runs the self-recall rule with a window of two chunks."""
+    eta = 2 * draw(st.integers(1, 3)) if handoff else draw(st.integers(0, 6))
     if bounded:
         rule, lam = "self-recall", draw(st.integers(1, 64))
         d, f = draw(st.sampled_from(BOUNDED_WIDTHS))
     else:
-        rule, lam = draw(st.sampled_from(RULES)), draw(st.integers(0, 8))
+        rule = "self-recall" if handoff else draw(st.sampled_from(RULES))
+        lam = draw(st.integers(0, 8))
         d, f = draw(st.sampled_from(WIDTHS))
     n = draw(st.integers(1, 60)) + (eta + lam if bounded else 0)
     return dict(
@@ -169,6 +203,8 @@ RUNS = {
     ("prefix-restore", True): 50,
     ("snapshot-cut", False): 100,
     ("snapshot-cut", True): 50,
+    ("handoff", False): 100,
+    ("handoff", True): 40,
 }
 EXAMPLES = {
     # restoring this window in arrival order flipped a static score's last bit
@@ -178,13 +214,24 @@ EXAMPLES = {
     ("prefix-restore", False): [case(eta=3, lam=4, pool=2, prefix=5, n=23, seed=0)],
     ("prefix-restore", True): [case(eta=3, lam=4, pool=None, prefix=5, n=23, seed=1)],
     ("prefix", False): [case(eta=0, lam=0, d=2, f=4, pool=1, n=7, seed=2)],
+    # a full ring at an odd chunk count (its oldest pair in slot 0, r = 2 and
+    # r = 3), and a window with room, each restored right after the hand-off
+    ("handoff", False): [
+        case(eta=4, lam=3, prefix=6, n=30, cut=0.0, seed=4),
+        case(eta=6, lam=5, pool=None, prefix=27, n=60, cut=0.0, seed=5),
+        case(eta=4, lam=3, prefix=5, n=30, cut=0.0, seed=6),
+    ],
+    ("handoff", True): [
+        case(eta=4, lam=8, prefix=18, n=50, cut=0.0, seed=7),
+        case(eta=4, lam=8, pool=None, prefix=17, n=50, cut=0.0, seed=8),
+    ],
 }
 
 
 @pytest.mark.parametrize("path, bounded", list(RUNS))
 def test_every_path_matches_the_reference(path, bounded):
     @settings(max_examples=RUNS[path, bounded], deadline=None)
-    @given(drawn=cases(bounded))
+    @given(drawn=cases(bounded, path == "handoff"))
     def check(drawn):
         run(path, bounded, **drawn)
 
@@ -269,3 +316,33 @@ def test_every_chunk_boundary_keeps_the_highest(d, chunk, lam, pool, n, seed):
         kept = keep_highest(event.eligible_scores, lam)
         assert bits(event.kept_indices) == bits(elig[kept])
         assert bits(event.absorbed_indices) == bits(elig[~kept])
+
+
+# -- a hand-off that covers the stream -----------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([1, 4, 16, 17]),
+    chunk=st.integers(1, 8),
+    lam=st.integers(0, 8),
+    pool=st.sampled_from([None, 1, 3]),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_a_handoff_of_at_most_two_chunks_is_a_fresh_engine(d, chunk, lam, pool, seed, data):
+    """While nothing has left the lookback (n <= 2c), the engine a prefill
+    hands over is the engine an ``ingest`` of the same pairs builds, slots
+    and rows included."""
+    n = data.draw(st.integers(1, 2 * chunk))
+    attn = AttentionConfig(d)
+    params = init_feature_map(SeededRng(seed), attn)
+    qs, ks, vs = stream(seed, d, pool, n + 1)
+    eng = prefill(qs[:n], ks[:n], vs[:n], ChunkConfig(chunk, lam), attn, params)[1].engine
+    fresh = LolaCache(attn, params, 2 * chunk, lam)
+    fresh.ingest(ks[:n], vs[:n])
+    # neither a hand-off nor a restore has taken a step of its own
+    assert_same_engine(eng, LolaCache.from_snapshot(fresh.to_snapshot()))
+    out = eng.decode_step(qs[n], ks[n], vs[n])
+    assert bits(out) == bits(fresh.decode_step(qs[n], ks[n], vs[n]))
+    assert_same_engine(eng, fresh)

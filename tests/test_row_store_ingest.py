@@ -14,7 +14,9 @@ import pytest
 
 import lola.cache as cache_mod
 from lola import AttentionConfig, LolaCache, SeededRng, init_feature_map
+from lola.attention import _feature_rows
 from reference_engine import EVENT_FIELDS, assert_same_engine, bits, stream
+
 
 @pytest.mark.parametrize("read", ["sparse_scores", "to_snapshot", "attend"])
 @pytest.mark.parametrize("bounded", [False, True])
@@ -67,22 +69,33 @@ def test_evictions_into_room_are_one_block(monkeypatch):
     assert (event.index, event.evicted_index) == (eta + lam, lam)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 9])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
 def test_a_restored_window_with_room_fills_its_own_slots(n):
     # a snapshot may hold fewer window pairs than its capacity after pairs
-    # have left the stream (here: one saved with a smaller window). Pair i
-    # still sits in slot (i - 1) % capacity, with its φ row beside it
+    # have left the stream (here: one saved with a smaller window). A ring
+    # with room holds its pairs from slot 0, oldest first, each with its φ
+    # row beside it, and writes next into its first free slot
     cfg = AttentionConfig(head_dim=4)
     params = init_feature_map(SeededRng(8), cfg)
-    qs, ks, vs = stream(8, 4, None, 10 + n)
+    qs, ks, vs = stream(8, 4, None, 11 + n)
     first = LolaCache(cfg, params, 3, 2)
     first.ingest(ks[:10], vs[:10])
     snap = first.to_snapshot()
     snap["config"]["window_capacity"] = 5
-    bulk, loop = LolaCache.from_snapshot(snap), LolaCache.from_snapshot(snap)
-    assert bulk.window_size == 3 and bulk.t == 10
-    bulk.ingest(ks[10:], vs[10:])
-    for k, v in zip(ks[10:], vs[10:]):
+    snap["window"].sort(key=lambda pair: pair["index"])
+    eng = LolaCache.from_snapshot(snap)
+    assert (eng.t, eng.window_size, eng._wnext) == (10, 3, 3)
+    assert eng._widx[:3].tolist() == [8, 9, 10]
+    assert bits(eng._wk[:3]) == bits(ks[7:10]) and bits(eng._wv[:3]) == bits(vs[7:10])
+    assert bits(eng._wphi[:3]) == bits(_feature_rows(params, ks[7:10]))
+    assert not eng._wrows[3:].any()
+    eng.update(ks[10], vs[10])
+    assert eng.window_indices.tolist() == [8, 9, 10, 11]
+    assert (eng._widx[:4].tolist(), eng._wnext) == ([8, 9, 10, 11], 4)
+    loop = LolaCache.from_snapshot(eng.to_snapshot())
+    eng.ingest(ks[11:], vs[11:])
+    for k, v in zip(ks[11:], vs[11:]):
         loop.update(k, v)
-    assert_same_engine(bulk, loop)
-    assert bits(bulk.attend(qs[0])) == bits(loop.attend(qs[0]))
+    assert_same_engine(eng, loop)
+    assert eng.window_indices.tolist() == list(range(max(8, n + 7), n + 12))
+    assert bits(eng.attend(qs[0])) == bits(loop.attend(qs[0]))

@@ -1,12 +1,12 @@
-"""The shared-denominator tier mix against the two bodies it replaced.
+"""The shared-denominator tier mix against the inline body it replaced.
 
-``LolaCache.attend`` and ``attend_after_prefill`` each used to compute the
-three-tier ratio inline; both now call ``cache._mix_tiers``. The references
-below are those bodies verbatim, so every output must match them bit for
-bit, and a denominator that is not positive must still raise.
+``LolaCache.attend`` used to compute the three-tier ratio inline; it now
+calls ``cache._mix_tiers``. ``reference_attend`` below is that body
+verbatim, so every output must match it bit for bit, and a denominator that
+is not positive must still raise. A prefill hands over a ``LolaCache``, and
+``attend_after_prefill`` is its ``attend``: it is checked against the same
+inline mix over the handed-over engine's own rows.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lola import AttentionConfig, LolaCache, SeededRng, init_feature_map, prefill
-from lola.attention import _feature_row, feature_map_apply
+from lola.attention import _feature_row
 from lola.chunkwise import ChunkConfig, attend_after_prefill
 from lola.numerics import as_vector
 
@@ -34,28 +34,6 @@ def reference_attend(self, query):
     damp = np.exp(-shift)
     num = ew @ self._wv[:nw] + es @ self._sv[:ns] + damp * (phi_q @ self.linear.hidden)
     den = float(ew.sum() + es.sum()) + damp * float(phi_q @ self.linear.normalizer)
-    if not den > 0.0:
-        raise ValueError(f"shared denominator {den:g} is not positive")
-    return num / den
-
-
-def reference_attend_after_prefill(state, query, attn, params):
-    q = as_vector(query, attn.head_dim)
-    phi_q = feature_map_apply(params, q)
-    logit_s = (state.sparse_keys @ q) * attn.scale
-    logit_r = (state.recent_keys @ q) * attn.scale
-    shift = 0.0
-    if logit_s.size:
-        shift = max(shift, float(logit_s.max()))
-    if logit_r.size:
-        shift = max(shift, float(logit_r.max()))
-    es = np.exp(logit_s - shift)
-    er = np.exp(logit_r - shift)
-    damp = np.exp(-shift)
-    num = es @ state.sparse_values + er @ state.recent_values + damp * (
-        phi_q @ state.linear.hidden
-    )
-    den = float(es.sum() + er.sum()) + damp * float(phi_q @ state.linear.normalizer)
     if not den > 0.0:
         raise ValueError(f"shared denominator {den:g} is not positive")
     return num / den
@@ -113,23 +91,19 @@ def test_attend_matches_the_inline_mix_bit_for_bit(d, eta, lam, n, key_scale, se
     n=st.integers(1, 40),
     key_scale=st.floats(0.1, 3.0),
     seed=st.integers(0, 2**16),
-    drop_recent=st.booleans(),
 )
-@example(d=4, chunk=7, lam=0, n=30, key_scale=1.0, seed=0, drop_recent=False)
-@example(d=4, chunk=3, lam=0, n=30, key_scale=1.0, seed=1, drop_recent=True)
-@example(d=4, chunk=1, lam=2, n=3, key_scale=1.0, seed=2, drop_recent=True)
-def test_attend_after_prefill_matches_the_inline_mix_bit_for_bit(
-    d, chunk, lam, n, key_scale, seed, drop_recent
-):
+@example(d=4, chunk=7, lam=0, n=30, key_scale=1.0, seed=0)  # a window with room
+@example(d=4, chunk=3, lam=0, n=30, key_scale=1.0, seed=1)  # a full window
+@example(d=4, chunk=1, lam=2, n=3, key_scale=1.0, seed=2)  # no sparse resident
+def test_attend_after_prefill_matches_the_inline_mix_bit_for_bit(d, chunk, lam, n, key_scale, seed):
     cfg, params, ks, vs, qs = stream(d, n, key_scale, seed)
     _, state = prefill(ks, ks, vs, ChunkConfig(chunk, lam), cfg, params)
-    if drop_recent:
-        # a carry-over state with an empty recent tier
-        state = dataclasses.replace(
-            state, recent_keys=state.recent_keys[:0], recent_values=state.recent_values[:0]
-        )
     for q in qs:
-        same_outcome(attend_after_prefill, reference_attend_after_prefill, state, q, cfg, params)
+        same_outcome(
+            lambda q: attend_after_prefill(state, q, cfg, params),
+            lambda q: reference_attend(state.engine, q),
+            q,
+        )
 
 
 @pytest.mark.parametrize("eta, lam", [(0, 0), (3, 0), (0, 3), (3, 3)])
@@ -143,16 +117,16 @@ def test_attend_still_rejects_a_nan_normalizer(eta, lam):
         eng.attend(qs[0])
 
 
-@pytest.mark.parametrize("lam, drop_recent", [(0, False), (2, False), (2, True)])
-def test_attend_after_prefill_still_rejects_a_nan_normalizer(lam, drop_recent):
-    cfg, params, ks, vs, qs = stream(4, 20, 1.0, 6)
+@pytest.mark.parametrize("lam, full_ring", [(0, False), (2, False), (2, True)])
+def test_attend_after_prefill_still_rejects_a_nan_normalizer(lam, full_ring):
+    # 21 pairs in chunks of 3 leave a full window of 6 whose ring starts at
+    # its oldest pair; 20 leave 5 pairs and a free slot
+    n = 21 if full_ring else 20
+    cfg, params, ks, vs, qs = stream(4, n, 1.0, 6)
     _, state = prefill(ks, ks, vs, ChunkConfig(3, lam), cfg, params)
-    if drop_recent:
-        state = dataclasses.replace(
-            state, recent_keys=state.recent_keys[:0], recent_values=state.recent_values[:0]
-        )
+    assert state.engine.window_size == (6 if full_ring else 5)
     state.linear.normalizer[:] = np.nan
     args = (state, qs[0], cfg, params)
-    assert not same_outcome(attend_after_prefill, reference_attend_after_prefill, *args)
+    assert not same_outcome(attend_after_prefill, lambda s, q, *_: reference_attend(s.engine, q), *args)
     with pytest.raises(ValueError, match="shared denominator nan is not positive"):
         attend_after_prefill(*args)
