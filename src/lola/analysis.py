@@ -3,7 +3,7 @@ collision matrices, and the policy names that build decode engines.
 
 The spectral study builds exponential-kernel Gram matrices over sampled
 inputs and reports how much squared Frobenius error ANY rank-D factorization
-must leave behind (the tail of squared singular values). Collision matrices
+must leave behind (the tail of squared |eigenvalues|). Collision matrices
 replay a stream under one of the three base policies and record, at every
 step, the self-recall error of every pair in the hidden state; window- and
 sparse-resident pairs are recorded as exact zeros since they are retrievable
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import (
+    DEFAULT_MAX_LOGIT,
     AttentionConfig,
     FeatureMapParams,
     _check_size,
@@ -90,34 +91,52 @@ class GramStudyResult:
                 raise ValueError(f"{name} has non-finite entries")
 
 
-def _study_grid(n_list, d_list, seed) -> tuple[list[int], list[int]]:
+def _study_grid(n_list, d_list, seed) -> tuple[list[int], list[int], list[np.ndarray]]:
     """The sample counts and dimensions ``rank_study`` runs, checked: each a
-    non-empty list of ints >= 1 (bool is not a size), and a seed >= 0."""
+    non-empty list of ints >= 1 (bool is not a size), and a seed >= 0. Also
+    the inputs drawn for each dimension at the largest n.
+
+    A dimension whose inputs would trip the kernel's overflow guard is
+    rejected here, before any Gram matrix is formed: by Cauchy-Schwarz a
+    Gram matrix's largest |entry| is its largest diagonal entry, the largest
+    squared row norm of its inputs.
+    """
     for name, values in (("n_list", n_list), ("d_list", d_list)):
         sizes = isinstance(values, (list, tuple)) and all(_is_int(v) and v >= 1 for v in values)
         if not (sizes and values):
             raise ValueError(f"{name} must be a non-empty list of integers >= 1, got {values!r}")
     _check_size("seed", seed, 0)
-    return [int(n) for n in n_list], [int(d) for d in d_list]
+    n_list, d_list = [int(n) for n in n_list], [int(d) for d in d_list]
+    rng = SeededRng(seed)
+    samples = []
+    for d in d_list:
+        xs = gaussian_sample(rng.child(d), max(n_list), d, d ** -0.25)
+        peak = float(np.einsum("ij,ij->i", xs, xs).max())
+        if peak > DEFAULT_MAX_LOGIT:
+            raise ValueError(
+                f"d_list entry {d} draws inputs at seed {seed} whose Gram exponent reaches "
+                f"{peak:.4g}, over the kernel guard's bound {DEFAULT_MAX_LOGIT:g}"
+            )
+        samples.append(xs)
+    return n_list, d_list, samples
 
 
 def rank_study(n_list, d_list, seed: int) -> list[GramStudyResult]:
     """Gram spectra over a grid of sample counts and input dimensions.
 
-    Inputs for a given dimension are drawn once at the largest n and reused
-    as prefixes, so the error curve for a larger n dominates a smaller one at
-    every rank by eigenvalue interlacing, not just on average. The sampling
-    scale is ``d ** -0.25`` per entry, which keeps pairwise dot products of
-    comparable size across dimensions.
+    Inputs for a dimension are drawn once at the largest n. Each smaller n
+    decomposes the leading block of their one Gram matrix, a principal
+    submatrix, so by eigenvalue interlacing the error curve for a larger n
+    dominates a smaller one at every rank. Entries are scaled by ``d ** -0.25``,
+    which keeps dot products of comparable size across dimensions. A Gram
+    matrix is symmetric PSD: its singular values are its |eigenvalues|.
     """
-    n_list, d_list = _study_grid(n_list, d_list, seed)
-    rng = SeededRng(seed)
+    n_list, d_list, samples = _study_grid(n_list, d_list, seed)
     results = []
-    for d in d_list:
-        xs = gaussian_sample(rng.child(d), max(n_list), d, d ** -0.25)
+    for d, xs in zip(d_list, samples):
+        g = gram_matrix(xs)
         for n in n_list:
-            # sorted descending
-            sv = np.linalg.svd(gram_matrix(xs[:n]), compute_uv=False)
+            sv = np.sort(np.abs(np.linalg.eigvalsh(g[:n, :n])))[::-1]
             results.append(GramStudyResult(n, d, sv, truncated_errors(sv)))
     return results
 

@@ -132,6 +132,16 @@ class FeatureMapParams:
         return 2 * self.weights.shape[0]
 
 
+def _check_fits(params: FeatureMapParams, config: AttentionConfig) -> None:
+    """The rule that a map serves a head shape: its feature width and head
+    dimension are the config's."""
+    if params.head_dim != config.head_dim or params.feature_dim != config.feature_dim:
+        raise ValueError(
+            f"feature map is {params.feature_dim}x{params.head_dim}, "
+            f"config wants {config.feature_dim}x{config.head_dim}"
+        )
+
+
 def init_feature_map(rng: SeededRng, config: AttentionConfig) -> FeatureMapParams:
     """Gaussian init with per-entry variance 1/head_dim, so w.x is order one."""
     gen = rng.generator()

@@ -70,6 +70,7 @@ from .attention import (
     AttentionConfig,
     FeatureMapParams,
     LinearState,
+    _check_fits,
     _check_size,
     _feature_row,
     _feature_rows,
@@ -310,11 +311,7 @@ class LolaCache:
     ):
         _check_size("window_capacity", window_capacity, 0)
         _check_size("sparse_capacity", sparse_capacity, 0)
-        if params.head_dim != config.head_dim or params.feature_dim != config.feature_dim:
-            raise ValueError(
-                f"feature map is {params.feature_dim}x{params.head_dim}, "
-                f"config wants {config.feature_dim}x{config.head_dim}"
-            )
+        _check_fits(params, config)
         self.config = config
         self.params = params
         # plain ints, so that t, ring slots and event indices stay plain ints

@@ -31,7 +31,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import AttentionConfig, FeatureMapParams, LinearState, _check_size, _feature_batch
+from .attention import (
+    AttentionConfig,
+    FeatureMapParams,
+    LinearState,
+    _check_fits,
+    _check_size,
+    _feature_batch,
+)
 from .cache import LolaCache, _pair_views, _self_recall_scores
 from .numerics import as_matrix
 
@@ -118,8 +125,10 @@ def prefill(
     Returns one output per input position and the carry-over state. Arrival
     indices are 1-based, matching the decode path. A chunk whose shared
     denominator is not positive (an overflowing logit makes it NaN) raises
-    ``ValueError`` naming the chunk.
+    ``ValueError`` naming the chunk; a map that does not fit ``attn`` raises
+    before any work.
     """
+    _check_fits(params, attn)
     # a caller may pass the keys as the queries (``run_trial`` does): map them once
     shared = ks is qs
     qs = as_matrix(qs, cols=attn.head_dim)

@@ -281,7 +281,7 @@ def _plan(exp: dict, seed: int, where: str) -> tuple:
     seed = exp.get("seed", seed)
     with _keyed(where):
         if exp["kind"] == "gram-study":
-            n_list, d_list = _study_grid(exp.get("n_list", [64, 128, 256]), exp.get("d_list", [8, 16]), seed)
+            n_list, d_list, _ = _study_grid(exp.get("n_list", [64, 128, 256]), exp.get("d_list", [8, 16]), seed)
             return sorted(n_list), sorted(d_list), seed
         task, attn = _task(exp, seed)
         base = ExperimentConfig(**_given(exp, "trials", "feature_map", "feature_dim"), seed=seed)

@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from lola import AttentionConfig, SeededRng, feature_map_apply, init_feature_map
+from lola import (
+    AttentionConfig,
+    OverflowGuardError,
+    SeededRng,
+    feature_map_apply,
+    init_feature_map,
+)
+from lola import analysis
 from lola.analysis import (
     collision_matrix,
     engine_for_policy,
@@ -91,6 +98,77 @@ def test_rank_study_deterministic():
     a = rank_study([32], [8], seed=7)[0]
     b = rank_study([32], [8], seed=7)[0]
     np.testing.assert_array_equal(a.singular_values, b.singular_values)
+
+
+def study_inputs(n_list, d, seed):
+    """The inputs ``rank_study`` draws for dimension ``d``, at the largest n."""
+    return analysis.gaussian_sample(SeededRng(seed).child(d), max(n_list), d, d ** -0.25)
+
+
+def repeated_rows(rng, n, d, scale):
+    # every row twice: the Gram matrix has rank n // 2, so half its spectrum is
+    # zero up to rounding, where eigvalsh can return small negative values
+    half = SeededRng(rng.seed).generator().normal(0.0, scale, size=((n + 1) // 2, d))
+    return np.repeat(half, 2, axis=0)[:n]
+
+
+@pytest.mark.parametrize(
+    "n_list, d_list, singular",
+    [
+        ([64, 128, 256], [8, 64], False),  # the suite's grid
+        ([128, 256, 512], [8, 16, 64], False),  # criterion 07's grid
+        ([16, 40], [4, 8], True),
+    ],
+    ids=["suite-grid", "criterion-07-grid", "repeated-rows"],
+)
+def test_rank_study_spectra_match_an_svd_of_each_leading_block(
+    monkeypatch, n_list, d_list, singular
+):
+    if singular:
+        monkeypatch.setattr(analysis, "gaussian_sample", repeated_rows)
+    results = rank_study(n_list, d_list, seed=7)
+    by = {(r.n, r.d): r for r in results}
+    assert len(by) == len(n_list) * len(d_list)
+    for d in d_list:
+        xs = study_inputs(n_list, d, 7)
+        big = gram_matrix(xs)
+        top = by[(max(n_list), d)].singular_values
+        for n in n_list:
+            res = by[(n, d)]
+            sv = res.singular_values
+            assert sv.dtype == np.float64 and sv.shape == (n,)
+            assert np.all(sv >= 0.0) and np.all(np.diff(sv) <= 0.0)
+            # the reference: an SVD of the Gram matrix of the first n inputs
+            ref = truncated_errors(np.linalg.svd(gram_matrix(xs[:n]), compute_uv=False))
+            tol = 1e-10 * ref[0]
+            np.testing.assert_allclose(res.truncated_errors, ref, rtol=0.0, atol=tol)
+            # the matrix decomposed is the leading block of the one Gram
+            # matrix, so its spectrum interlaces the largest n's
+            block = np.sort(np.abs(np.linalg.eigvalsh(big[:n, :n])))[::-1]
+            np.testing.assert_array_equal(sv, block)
+            slack = 1e-12 * top[0]
+            assert np.all(sv <= top[:n] + slack)
+            assert np.all(sv >= top[max(n_list) - n :] - slack)
+        if singular:
+            assert by[(max(n_list), d)].truncated_errors[max(n_list) // 2] <= 1e-10 * top[0] ** 2
+
+
+@pytest.mark.parametrize(
+    "n_list, seed, last_ok",
+    [([8], 0, 622), ([64, 128, 256], 7, 612)],
+    ids=["n8-seed0", "suite-grid-seed7"],
+)
+def test_a_dimension_that_overflows_the_kernel_guard_is_rejected_before_any_gram(
+    n_list, seed, last_ok
+):
+    # the first d whose inputs trip the guard at this seed, scanning d upward,
+    # is last_ok + 1; the grid check and the guard agree on both sides of it
+    assert [r.d for r in rank_study(n_list, [last_ok], seed)] == [last_ok] * len(n_list)
+    gram_matrix(study_inputs(n_list, last_ok, seed))
+    with pytest.raises(OverflowGuardError):
+        gram_matrix(study_inputs(n_list, last_ok + 1, seed))
+    with pytest.raises(ValueError, match=f"^d_list entry {last_ok + 1} draws inputs at seed {seed}"):
+        rank_study(n_list, [8, last_ok + 1], seed)
 
 
 # -- collision matrices --------------------------------------------------------

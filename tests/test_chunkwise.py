@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lola import (
     AttentionConfig,
     FeatureMapParams,
+    LolaCache,
     SeededRng,
     compression_rate,
     effective_cache_size,
@@ -18,6 +19,7 @@ from lola import (
     prefill,
     softmax_attention_oracle,
 )
+from lola import chunkwise
 from lola.chunkwise import ChunkConfig, ChunkEvent, attend_after_prefill
 
 
@@ -250,6 +252,28 @@ def test_prefill_rejects_a_non_finite_denominator():
         ValueError, match=r"^chunk 0: shared denominator nan is not positive$"
     ):
         prefill(ks, ks, vs, ChunkConfig(8, 4), cfg, params)
+
+
+@pytest.mark.parametrize(
+    "weights, shape",
+    [(np.ones((2, 4)), "4x4"), (np.ones((4, 3)), "8x3")],
+    ids=["feature-width", "head-dim"],
+)
+def test_a_map_that_does_not_fit_the_config_fails_before_any_work(monkeypatch, weights, shape):
+    # one rule, one text, for the decode engine and for prefill; before, prefill
+    # failed inside chunk 0 with numpy's matmul message
+    cfg, params = AttentionConfig(4, feature_dim=8), FeatureMapParams(weights)
+    ks = SeededRng(13).generator().normal(size=(6, 4))
+    text = f"^feature map is {shape}, config wants 8x4$"
+    with pytest.raises(ValueError, match=text):
+        LolaCache(cfg, params, 2, 1)
+
+    def no_work(*args):
+        raise AssertionError("prefill mapped rows before checking the map")
+
+    monkeypatch.setattr(chunkwise, "_feature_batch", no_work)
+    with pytest.raises(ValueError, match=text):
+        prefill(ks, ks, ks, ChunkConfig(2, 1), cfg, params)
 
 
 def test_prefill_returns_arrays_it_does_not_reuse(setup):

@@ -183,12 +183,22 @@ def test_recall_bad_sizes_exit_2_before_any_file_is_written(tmp_path, capsys, fl
     [
         (["gram-study", "--n-list", "0,8"], "'n_list' must be a non-empty list of integers >= 1"),
         (["gram-study", "--n-list", "a,8"], "--n-list must be comma-separated integers, got 'a,8'"),
+        # seed 0's inputs at d=1000 reach 34.23, over the kernel guard's 30
+        (["gram-study", "--n-list", "8", "--d-list", "1000"],
+         "'d_list' entry 1000 draws inputs at seed 0 whose Gram exponent reaches 34.23"),
         (["recall", "--feature-dim", "3"], "'feature_dim' must be a positive even integer, got 3"),
         (["recall", "--policy", "nope"], "'policy' 'nope' is not a policy the decode path runs"),
         (["recall", "--chunk", "4", "--policy", "linear-only"],
          "'policy' 'linear-only' is not a policy the chunked path runs"),
     ],
-    ids=["n-list-zero", "n-list-not-int", "feature-dim-odd", "policy-unknown", "policy-not-chunked"],
+    ids=[
+        "n-list-zero",
+        "n-list-not-int",
+        "d-list-overflows",
+        "feature-dim-odd",
+        "policy-unknown",
+        "policy-not-chunked",
+    ],
 )
 def test_bad_values_exit_2_before_any_file_is_written(tmp_path, capsys, argv, message):
     out_dir = tmp_path / "out"
@@ -413,6 +423,20 @@ def test_suite_malformed_config_exits_2(tmp_path, capsys):
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit):
         main(["defrag"])
+
+
+def test_a_gram_grid_that_overflows_the_guard_exits_2_before_any_file_is_written(tmp_path, capsys):
+    # before, the suite wrote the first entry's file and then failed in rank_study
+    cfg_path = tmp_path / "bad.json"
+    first = {"kind": "gram-study", "name": "g", "n_list": [8], "d_list": [2]}
+    bad = {"kind": "gram-study", "name": "g2", "n_list": [8], "d_list": [4, 1000]}
+    cfg_path.write_text(json.dumps({"seed": 0, "experiments": [first, bad]}))
+    out_dir = tmp_path / "out"
+    status = main(["suite", "--config", str(cfg_path), "--out-dir", str(out_dir)])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert "experiments[1] ('g2'): 'd_list' entry 1000 draws inputs" in err
+    assert not out_dir.exists()
 
 
 def test_suite_with_unknown_ablation_strategy_exits_2_before_any_file_is_written(tmp_path, capsys):
