@@ -151,6 +151,28 @@ _ALTSCORE_RULES = tuple(name for name, rule in SCORING_STRATEGIES.items() if not
 _DECODE_POLICIES = (*POLICIES, *(f"lola-altscore:{name}" for name in _ALTSCORE_RULES))
 
 
+def _policy_tiers(policy: str, window_capacity: int, sparse_capacity: int) -> tuple:
+    """What a policy name keeps of the given budgets: (window capacity,
+    sparse capacity, scoring rule or None for self-recall).
+
+    ``linear-only`` drops both full-rank tiers, ``window-only`` drops the
+    sparse cache, ``lola`` keeps all three, and ``lola-altscore:<name>``
+    swaps the self-recall rule for one of the alternative window scores.
+    """
+    if policy == "linear-only":
+        return 0, 0, None
+    if policy == "window-only":
+        return window_capacity, 0, None
+    if policy == "lola":
+        return window_capacity, sparse_capacity, None
+    if policy.startswith("lola-altscore:"):
+        name = policy.split(":", 1)[1]
+        if name not in _ALTSCORE_RULES:
+            raise ValueError(f"unknown scoring strategy {name!r}; have {sorted(_ALTSCORE_RULES)}")
+        return window_capacity, sparse_capacity, SCORING_STRATEGIES[name]()
+    raise ValueError(f"unknown policy {policy!r}")
+
+
 def engine_for_policy(
     policy: str,
     attn: AttentionConfig,
@@ -158,26 +180,9 @@ def engine_for_policy(
     window_capacity: int,
     sparse_capacity: int,
 ) -> LolaCache:
-    """Build the decode engine a policy name denotes.
-
-    ``linear-only`` drops both full-rank tiers, ``window-only`` drops the
-    sparse cache, ``lola`` keeps all three, and ``lola-altscore:<name>``
-    swaps the self-recall rule for one of the alternative window scores.
-    """
-    if policy == "linear-only":
-        return LolaCache(attn, params, 0, 0)
-    if policy == "window-only":
-        return LolaCache(attn, params, window_capacity, 0)
-    if policy == "lola":
-        return LolaCache(attn, params, window_capacity, sparse_capacity)
-    if policy.startswith("lola-altscore:"):
-        name = policy.split(":", 1)[1]
-        if name not in _ALTSCORE_RULES:
-            raise ValueError(f"unknown scoring strategy {name!r}; have {sorted(_ALTSCORE_RULES)}")
-        return LolaCache(
-            attn, params, window_capacity, sparse_capacity, scoring=SCORING_STRATEGIES[name]()
-        )
-    raise ValueError(f"unknown policy {policy!r}")
+    """Build the decode engine a policy name denotes (see ``_policy_tiers``)."""
+    eta, lam, rule = _policy_tiers(policy, window_capacity, sparse_capacity)
+    return LolaCache(attn, params, eta, lam, scoring=rule)
 
 
 @dataclass(frozen=True)

@@ -304,25 +304,36 @@ def _parse_feature_map(data: bytes, path) -> np.ndarray:
         raise ValueError(f"feature map {path}: top level must be an object, got {kind}")
     if payload.get("format") != "paired-exp-feature-map-v1":
         raise ValueError(f"feature map {path}: 'format' is not 'paired-exp-feature-map-v1'")
-    d, fdim = payload.get("head_dim"), payload.get("feature_dim")
-    # bool is not a size
-    if type(d) is not int or d < 1:
-        raise ValueError(f"feature map {path}: 'head_dim' {d!r} is not an int >= 1")
-    if type(fdim) is not int or fdim < 2 or fdim % 2:
-        raise ValueError(f"feature map {path}: 'feature_dim' {fdim!r} is not an even int >= 2")
-    weights = payload.get("weights")
+    try:
+        return _read_map(payload.get("head_dim"), payload.get("feature_dim"), payload.get("weights"))
+    except ValueError as exc:
+        raise ValueError(f"feature map {path}: {exc}") from None
+
+
+def _read_map(head_dim, feature_dim, weights) -> np.ndarray:
+    """A saved map's sizes and flat weights, parsed JSON from a map file or a
+    snapshot, checked: the sizes by ``AttentionConfig``'s rules, with a null
+    ``feature_dim`` refused rather than defaulted, and the weights as a list
+    of as many finite numbers as the sizes need. Returns them as rows; an
+    error's text starts with the quoted field at fault."""
+    try:
+        _check_size("head_dim", head_dim, 1)
+        if feature_dim is None:
+            raise ValueError("feature_dim is null, not the saved map's width")
+        _check_feature_dim(feature_dim)
+    except ValueError as exc:
+        raise ValueError(_rekey(exc)) from None
     if not isinstance(weights, list):
-        kind = type(weights).__name__
-        raise ValueError(f"feature map {path}: 'weights' must be a list of numbers, got {kind}")
-    weights = _number_array(weights, f"feature map {path}: 'weights'")
-    if weights.shape != (fdim // 2 * d,):
+        raise ValueError(f"'weights' must be a list of numbers, got {type(weights).__name__}")
+    weights = _number_array(weights, "'weights'")
+    if weights.shape != (feature_dim // 2 * head_dim,):
         raise ValueError(
-            f"feature map {path}: 'feature_dim' {fdim} and 'head_dim' {d} need {fdim // 2 * d} "
-            f"'weights', got shape {weights.shape}"
+            f"'feature_dim' {feature_dim} and 'head_dim' {head_dim} need "
+            f"{feature_dim // 2 * head_dim} 'weights', got shape {weights.shape}"
         )
     if not np.isfinite(weights).all():
-        raise ValueError(f"feature map {path}: 'weights' has non-finite entries")
-    return weights.reshape(fdim // 2, d)
+        raise ValueError("'weights' has non-finite entries")
+    return weights.reshape(feature_dim // 2, head_dim)
 
 
 def _prepare(config, sequences) -> list:

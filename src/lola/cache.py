@@ -74,6 +74,7 @@ from .attention import (
     _check_size,
     _feature_row,
     _feature_rows,
+    _read_map,
     _rekey,
 )
 from .numerics import _number_array, as_matrix, as_vector
@@ -171,15 +172,12 @@ def self_recall_score(phi_k: np.ndarray, value: np.ndarray, state: LinearState) 
     An empty state predicts nothing, so the score is ``|value|`` by
     convention (maximal disagreement), not an exception.
     """
-    if state.count == 0:
-        return float(np.linalg.norm(value))
-    den = float(phi_k @ state.normalizer)
-    pred = (phi_k @ state.hidden) / den
-    return float(np.linalg.norm(pred - value))
+    return float(_self_recall_scores(np.asarray(phi_k)[None], np.asarray(value)[None], state)[0])
 
 
 def _self_recall_scores(phi: np.ndarray, values: np.ndarray, state: LinearState) -> np.ndarray:
-    """Row-wise ``self_recall_score`` with the same empty-state convention."""
+    """``self_recall_score`` of each row: the norm of ``(phi @ hidden) /
+    (phi @ normalizer) - values``, or of ``values`` when the state is empty."""
     return _recall_rows(phi, values, state, phi @ state.normalizer)
 
 
@@ -763,25 +761,18 @@ class LolaCache:
         if cfg["scoring"] not in tuple(SCORING_STRATEGIES):  # a list is unknown, not a TypeError
             names = list(SCORING_STRATEGIES)
             raise ValueError(f"snapshot 'scoring' {cfg['scoring']!r} is not one of {names}")
-        for name in ("feature_dim", "scale"):
-            # null would take AttentionConfig's default, not the saved engine's value
-            if cfg[name] is None:
-                raise ValueError(f"snapshot {name!r} is null, not the saved engine's value")
+        try:
+            params = FeatureMapParams(_read_map(cfg["head_dim"], cfg["feature_dim"], snap["weights"]))
+        except ValueError as exc:
+            raise ValueError(f"snapshot {exc}") from None
+        # null would take AttentionConfig's default, not the saved engine's value
+        if cfg["scale"] is None:
+            raise ValueError("snapshot 'scale' is null, not the saved engine's value")
         try:
             config = AttentionConfig(cfg["head_dim"], cfg["feature_dim"], cfg["scale"])
         except ValueError as exc:
             raise ValueError(f"snapshot {_rekey(exc)}") from None
         d, fdim = config.head_dim, config.feature_dim
-        weights = _number_array(snap["weights"], "snapshot 'weights'")
-        if weights.shape != (fdim // 2 * d,):
-            raise ValueError(
-                f"snapshot 'feature_dim' {fdim} and 'head_dim' {d} need {fdim // 2 * d} 'weights', "
-                f"got shape {weights.shape}"
-            )
-        try:
-            params = FeatureMapParams(weights.reshape(fdim // 2, d))
-        except ValueError as exc:
-            raise ValueError(f"snapshot 'weights': {exc}") from None
         rule = SCORING_STRATEGIES[cfg["scoring"]]()
         try:
             cache = cls(config, params, cfg["window_capacity"], cfg["sparse_capacity"], scoring=rule)

@@ -139,6 +139,8 @@ def prefill(
     vs = as_matrix(vs, rows=n, cols=attn.head_dim)
     c = config.chunk_size
     lam = config.sparse_capacity
+    # no per-call buffer holds more rows than the sequence: a chunk of queries, three of keys
+    cw, kw = min(c, n), min(3 * c, n) + lam
 
     phi_q = _feature_batch(params, qs)
     phi_k = phi_q if shared else _feature_batch(params, ks)
@@ -146,17 +148,17 @@ def prefill(
     linear = LinearState.zeros(fdim, d)
     # the residents as pair rows in arrival order, then the chunk staged behind them;
     # the score column stays 0
-    rows = np.zeros((lam + c, 2 * d + fdim + 2))
+    rows = np.zeros((lam + cw, 2 * d + fdim + 2))
     rv, rphi, rk = _pair_views(rows, d, fdim)
     ridx = rows.view(np.int64)[:, -1]
     slen = 0
     # per-call buffers: [sparse | lookback] keys and values, as contiguous as
     # a concatenation (gathering the lookback from rows changes the logits'
     # bits at d <= 2), and each chunk's logits and numerators
-    kbuf = np.empty((3 * c + lam, d))
-    vbuf = np.empty((3 * c + lam, d))
-    lflat = np.empty(c * (3 * c + lam))
-    nbuf = np.empty((c, d))
+    kbuf = np.empty((kw, d))
+    vbuf = np.empty((kw, d))
+    lflat = np.empty(cw * kw)
+    nbuf = np.empty((cw, d))
 
     out = np.empty_like(vs)
     events: list[ChunkEvent] = []
@@ -165,7 +167,7 @@ def prefill(
     n_chunks = -(-n // c)
     # queries may not look ahead inside their own chunk; a short last chunk
     # takes the top-left corner
-    ahead = np.triu(np.ones((c, c), dtype=bool), k=1)
+    ahead = np.triu(np.ones((cw, cw), dtype=bool), k=1)
 
     for m in range(n_chunks):
         c0 = m * c

@@ -25,9 +25,9 @@ from ..attention import (
     init_feature_map,
     load_feature_map,
 )
-from ..analysis import _DECODE_POLICIES, engine_for_policy
-from ..cache import SCORING_STRATEGIES, SelfRecallScoring
-from ..chunkwise import ChunkConfig, effective_cache_size, prefill
+from ..analysis import _DECODE_POLICIES, _policy_tiers, engine_for_policy
+from ..cache import SCORING_STRATEGIES, LolaCache, SelfRecallScoring
+from ..chunkwise import ChunkConfig, prefill
 from ..numerics import SeededRng
 from .synthetic import KEY_SCALE, CLUSTER_NOISE, NiahInstance, SyntheticTaskSpec, gen_niah
 
@@ -170,21 +170,19 @@ def run_trial(
     inst: NiahInstance,
     attn: AttentionConfig,
     params: FeatureMapParams,
-) -> tuple[bool, float, int]:
-    """Run one stream + probe. Returns (hit, absorbed score sum, absorbed count)."""
+) -> LolaCache:
+    """Stream one haystack and return the engine that holds it, ready for the
+    probe: the decode engine the policy names, or the one a chunked prefill
+    hands over, whose sparse capacity the policy sets."""
     if exp.chunk_size is not None:
-        lam = 0 if exp.policy == "window-only" else exp.sparse_capacity
+        lam = _policy_tiers(exp.policy, exp.window_capacity, exp.sparse_capacity)[1]
         cc = ChunkConfig(exp.chunk_size, lam)
         # queries equal keys on these streams: only the probe's answer matters
-        engine = prefill(inst.keys, inst.keys, inst.values, cc, attn, params)[1].engine
-    else:
-        engine = engine_for_policy(
-            exp.policy, attn, params, exp.window_capacity, exp.sparse_capacity
-        )
-        # queries equal keys here too; a dynamic rule ignores them
-        engine.ingest(inst.keys, inst.values, inst.keys)
-    hit = decode_answer(engine.attend(inst.probe), inst.codebook) == inst.target_value_id
-    return hit, engine.absorbed_score_sum, engine.linear.count
+        return prefill(inst.keys, inst.keys, inst.values, cc, attn, params)[1].engine
+    engine = engine_for_policy(exp.policy, attn, params, exp.window_capacity, exp.sparse_capacity)
+    # queries equal keys here too; a dynamic rule ignores them
+    engine.ingest(inst.keys, inst.values, inst.keys)
+    return engine
 
 
 def eval_recall(
@@ -201,19 +199,13 @@ def eval_recall(
     score_sum, absorbed = 0.0, 0
     for i in range(exp.trials):
         inst = gen_niah(task, seed=base.child(100, i).seed)
-        hit, s, a = run_trial(exp, inst, attn, params)
-        matches += hit
-        score_sum += s
-        absorbed += a
+        engine = run_trial(exp, inst, attn, params)
+        matches += decode_answer(engine.attend(inst.probe), inst.codebook) == inst.target_value_id
+        score_sum += engine.absorbed_score_sum
+        absorbed += engine.linear.count
     wall = time.perf_counter() - t0
-    # report the budget the policy can actually hold in full rank
-    lam = 0 if exp.policy in ("window-only", "linear-only") else exp.sparse_capacity
-    if exp.chunk_size is not None:
-        size = effective_cache_size(ChunkConfig(exp.chunk_size, lam))
-    elif exp.policy == "linear-only":
-        size = 0
-    else:
-        size = exp.window_capacity + lam
+    # the budget the policy holds in full rank; a prefill also holds the chunk in flight
+    size = engine.window_capacity + engine.sparse_capacity + (exp.chunk_size or 0)
     return ResultRecord(
         name=name,
         policy=exp.policy,

@@ -31,7 +31,7 @@ from ..analysis import (
     write_collision_csv,
     write_gram_csv,
 )
-from ..attention import AttentionConfig, _check_size, _rekey, load_feature_map
+from ..attention import AttentionConfig, _check_fits, _check_size, _rekey, load_feature_map
 from .experiments import (
     EXPECTED_ACCURACY_ORDER,
     RECORD_COLUMNS,
@@ -323,12 +323,10 @@ def _check_feature_map(where: str, fmap, attn: AttentionConfig) -> None:
         raise ConfigError(f"{where}: 'feature_map' cannot be read: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"{where}: 'feature_map' is malformed: {exc}") from None
-    shape, want = (params.head_dim, params.feature_dim), (attn.head_dim, attn.feature_dim)
-    if shape != want:
-        raise ConfigError(
-            f"{where}: 'feature_map' {fmap!r} has head_dim, feature_dim {shape}; "
-            f"the experiment needs {want}"
-        )
+    try:
+        _check_fits(params, attn)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: 'feature_map' {fmap!r} does not fit: {exc}") from None
 
 
 # Every runner takes an experiment and the plan ``validate_config`` built for

@@ -212,11 +212,11 @@ _MAP = {"format": "paired-exp-feature-map-v1", "head_dim": 2, "feature_dim": 4, 
         ("{]", "not JSON"),
         (json.dumps([_MAP]), "top level must be an object, got list"),
         (json.dumps({**_MAP, "format": "v0"}), "'format' is not 'paired-exp-feature-map-v1'"),
-        (json.dumps({**_MAP, "head_dim": "2"}), "'head_dim' '2' is not an int >= 1"),
-        (json.dumps({**_MAP, "head_dim": True}), "'head_dim' True is not an int >= 1"),
-        (json.dumps({**_MAP, "head_dim": 0, "weights": []}), "'head_dim' 0 is not an int >= 1"),
-        (json.dumps({**_MAP, "feature_dim": 3}), "'feature_dim' 3 is not an even int >= 2"),
-        (json.dumps({**_MAP, "feature_dim": 0}), "'feature_dim' 0 is not an even int >= 2"),
+        (json.dumps({**_MAP, "head_dim": "2"}), "'head_dim' must be an int, got '2'"),
+        (json.dumps({**_MAP, "head_dim": True}), "'head_dim' must be an int, got True"),
+        (json.dumps({**_MAP, "head_dim": 0, "weights": []}), "'head_dim' must be >= 1, got 0"),
+        (json.dumps({**_MAP, "feature_dim": 3}), "'feature_dim' must be a positive even integer, got 3"),
+        (json.dumps({**_MAP, "feature_dim": 0}), "'feature_dim' must be a positive even integer, got 0"),
         (json.dumps({k: v for k, v in _MAP.items() if k != "weights"}), "'weights' must be a list"),
         (json.dumps({**_MAP, "weights": [0.1, "x", 0.1, 0.1]}), "'weights': could not convert"),
         (json.dumps({**_MAP, "weights": [0.1] * 3}), "need 4 'weights', got shape (3,)"),

@@ -14,12 +14,13 @@ from lola import (
     feature_map_apply,
     feature_map_batch,
     init_feature_map,
+    load_feature_map,
     load_snapshot,
     save_snapshot,
     self_recall_score,
     softmax_attention_oracle,
 )
-from lola.cache import SCORING_STRATEGIES, StaticScoring
+from lola.cache import SCORING_STRATEGIES, StaticScoring, _self_recall_scores
 
 
 @pytest.fixture
@@ -80,6 +81,19 @@ def test_score_matches_direct_formula_on_random_states(setup):
         pred = (phis[i] @ hidden) / float(phis[i] @ norm)
         expected = float(np.linalg.norm(pred - vs[i]))
         assert self_recall_score(phis[i], vs[i], state) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("absorbed", [0, 1, 5], ids=["empty", "one", "five"])
+def test_the_scalar_score_is_the_row_score_of_one_row(setup, absorbed):
+    cfg, params = setup
+    gen = SeededRng(31).generator()
+    state = LinearState.zeros(8, 4)
+    for _ in range(absorbed):
+        state.update(feature_map_apply(params, gen.normal(size=4)), gen.normal(size=4))
+    phi, v = feature_map_apply(params, gen.normal(size=4)), gen.normal(size=4)
+    got = self_recall_score(phi, v, state)
+    assert type(got) is float
+    assert got.hex() == float(_self_recall_scores(phi[None], v[None], state)[0]).hex()
 
 
 # -- update / eviction --------------------------------------------------------
@@ -625,7 +639,7 @@ BAD_SNAPSHOT_CONFIGS = {
     "head-dim-zero": (_set_config("head_dim", 0), "'head_dim' must be >= 1, got 0"),
     "feature-dim-bool": (_set_config("feature_dim", False), "'feature_dim' must be None or an int, got False"),
     "feature-dim-odd": (_set_config("feature_dim", 7), "'feature_dim' must be a positive even integer, got 7"),
-    "feature-dim-null": (_set_config("feature_dim", None), "'feature_dim' is null, not the saved engine's value"),
+    "feature-dim-null": (_set_config("feature_dim", None), "'feature_dim' is null, not the saved map's width"),
     "feature-dim-mismatch": (_set_config("feature_dim", 6), "'feature_dim' 6 and 'head_dim' 4 need 12 'weights'"),
     "scale-null": (_set_config("scale", None), "'scale' is null, not the saved engine's value"),
     "scale-string": (_set_config("scale", "0.5"), "'scale' must be a finite positive real, got '0.5'"),
@@ -651,6 +665,41 @@ def test_snapshot_config_values_raise_naming_the_field(setup, mutate, match):
     snap = mutate(snapshot_after(setup, eta=3, lam=2, n=20))
     with pytest.raises(ValueError, match=match):
         LolaCache.from_snapshot(snap)
+
+
+# a bad field of a saved map, as (map header fields, weights or None) and the
+# one rule text a map file and a snapshot both give
+BAD_SAVED_MAPS = {
+    "head-dim-str": ({"head_dim": "2"}, None, "'head_dim' must be an int, got '2'"),
+    "head-dim-bool": ({"head_dim": True}, None, "'head_dim' must be an int, got True"),
+    "head-dim-0": ({"head_dim": 0}, None, "'head_dim' must be >= 1, got 0"),
+    "feature-dim-odd": ({"feature_dim": 3}, None, "'feature_dim' must be a positive even integer, got 3"),
+    "feature-dim-0": ({"feature_dim": 0}, None, "'feature_dim' must be a positive even integer, got 0"),
+    "feature-dim-null": ({"feature_dim": None}, None, "'feature_dim' is null, not the saved map's width"),
+    "weights-short": ({}, [0.1] * 3, "'feature_dim' 4 and 'head_dim' 2 need 4 'weights', got shape (3,)"),
+    "weights-nan": ({}, [0.1, float("nan"), 0.1, 0.1], "'weights' has non-finite entries"),
+    "weights-str": ({}, ["0.1"] * 4, "'weights': could not convert '0.1' to a number"),
+}
+
+
+@pytest.mark.parametrize(
+    "header, weights, rule", BAD_SAVED_MAPS.values(), ids=BAD_SAVED_MAPS.keys()
+)
+def test_a_map_file_and_a_snapshot_reject_a_bad_map_with_one_rule_text(tmp_path, header, weights, rule):
+    cfg = AttentionConfig(2, 4)
+    snap = LolaCache(cfg, init_feature_map(SeededRng(0), cfg), 2, 1).to_snapshot()
+    snap["config"].update(header)
+    if weights is not None:
+        snap["weights"] = weights
+    saved = {"format": "paired-exp-feature-map-v1", "head_dim": 2, "feature_dim": 4, **header}
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({**saved, "weights": snap["weights"]}))
+    with pytest.raises(ValueError) as from_file:
+        load_feature_map(path)
+    assert str(from_file.value) == f"feature map {path}: {rule}"
+    with pytest.raises(ValueError) as from_snapshot:
+        LolaCache.from_snapshot(snap)
+    assert str(from_snapshot.value) == f"snapshot {rule}"
 
 
 def test_snapshot_restores_the_recorded_scale(setup):

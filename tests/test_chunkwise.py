@@ -1,6 +1,7 @@
 """Prefill path: oracle degeneration, policy conservation, slow reference."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,22 @@ def test_peak_storage_is_bounded(setup):
     qs, ks, vs = gen.normal(size=(3, n, 4))
     _, state = prefill(qs, ks, vs, ChunkConfig(c, lam), cfg, params)
     assert state.peak_full_rank <= 3 * c + lam
+
+
+def test_a_sequence_shorter_than_a_chunk_sizes_the_buffers_by_the_sequence(setup):
+    cfg, params = setup
+    qs, ks, vs = SeededRng(8).generator().normal(size=(3, 5, 4))
+    want, _ = prefill(qs, ks, vs, ChunkConfig(5, 1), cfg, params)
+    tracemalloc.start()
+    try:
+        got, _ = prefill(qs, ks, vs, ChunkConfig(3000, 1), cfg, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    # the hand-off engine's 6000-row ring is about 0.9 MB; buffers sized by
+    # the chunk would take about 240 MB
+    assert peak < 2e6
 
 
 def test_fused_pass_equals_per_pair_summation(setup):

@@ -262,7 +262,7 @@ def test_suite_config_errors_exit_2_before_any_file_is_written(tmp_path, capsys,
         ),
         (
             lambda path: save_feature_map(FeatureMapParams(np.zeros((4, 4))), path),
-            "has head_dim, feature_dim (4, 8); the experiment needs (8, 16)",
+            "does not fit: feature map is 8x4, config wants 16x8",
         ),
     ],
     ids=["missing", "malformed", "wrong-d"],

@@ -173,6 +173,24 @@ def test_effective_cache_size_reporting(small_task):
     assert chunked.effective_cache_size == 3 * 8 + 4
 
 
+@pytest.mark.parametrize(
+    "policy, chunk_size, size",
+    [
+        ("linear-only", None, 0),
+        ("window-only", None, 12),
+        ("lola", None, 16),
+        ("lola-altscore:overestimate", None, 16),
+        ("lola", 8, 28),
+        ("window-only", 8, 24),
+    ],
+)
+def test_each_policy_reports_the_full_rank_budget_it_holds(small_task, policy, chunk_size, size):
+    # eta 12, lambda 4; a chunked run holds 3c + lambda, its own window 2c plus the chunk in flight
+    exp = ExperimentConfig(policy=policy, window_capacity=12, sparse_capacity=4,
+                           chunk_size=chunk_size, trials=1, feature_map="random", seed=0)
+    assert eval_recall(exp, small_task).effective_cache_size == size
+
+
 def test_altscore_policy_requires_decode_path(small_task):
     with pytest.raises(ValueError, match="is not a policy the chunked path runs"):
         eval_recall(ExperimentConfig(policy="lola-altscore:overestimate", chunk_size=8, trials=1), small_task)
