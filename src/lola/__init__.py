@@ -28,9 +28,6 @@ from .cache import (
     ScoringStrategy,
     SelfRecallScoring,
     StepEvent,
-    load_snapshot,
-    save_snapshot,
-    self_recall_score,
 )
 from .chunkwise import (
     ChunkConfig,
@@ -65,10 +62,7 @@ __all__ = [
     "gaussian_sample",
     "init_feature_map",
     "load_feature_map",
-    "load_snapshot",
     "prefill",
     "save_feature_map",
-    "save_snapshot",
-    "self_recall_score",
     "softmax_attention_oracle",
 ]

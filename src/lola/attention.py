@@ -311,8 +311,8 @@ def _parse_feature_map(data: bytes, path) -> np.ndarray:
 
 
 def _read_map(head_dim, feature_dim, weights) -> np.ndarray:
-    """A saved map's sizes and flat weights, parsed JSON from a map file or a
-    snapshot, checked: the sizes by ``AttentionConfig``'s rules, with a null
+    """A saved map's sizes and flat weights, parsed JSON from a map file,
+    checked: the sizes by ``AttentionConfig``'s rules, with a null
     ``feature_dim`` refused rather than defaulted, and the weights as a list
     of as many finite numbers as the sizes need. Returns them as rows; an
     error's text starts with the quoted field at fault."""
@@ -320,6 +320,8 @@ def _read_map(head_dim, feature_dim, weights) -> np.ndarray:
         _check_size("head_dim", head_dim, 1)
         if feature_dim is None:
             raise ValueError("feature_dim is null, not the saved map's width")
+        if not _is_int(feature_dim):
+            raise ValueError(f"feature_dim must be an int, got {feature_dim!r}")
         _check_feature_dim(feature_dim)
     except ValueError as exc:
         raise ValueError(_rekey(exc)) from None

@@ -9,8 +9,8 @@ is the self-recall error: how far the hidden state's prediction for the
 pair's own key lands from the pair's value. Pairs the hidden state already
 stores well are cheap to absorb; pairs that would collide stay retrievable
 exactly. The three static window scores the ablation compares it with live
-here too, and ``SCORING_STRATEGIES`` names all four rules once: policies,
-ablations and snapshots (which restore the rule they name) look them up there.
+here too, and ``SCORING_STRATEGIES`` names all four rules once: policies and
+ablations look them up there.
 
 Outputs combine all three tiers in one ratio: exponential terms for the
 window and sparse pairs share a denominator with the hidden-state term, so
@@ -30,8 +30,8 @@ arrival index is an int64 column over the same memory. The window ring and
 the sparse tier each keep their pairs as such rows, so staging an evicted
 pair is one row copy and closing the gap an absorption leaves is one block
 move. The ring's offset is state, not a function of ``t``: each new pair
-goes to slot ``_wnext``. A restore and a chunked prefill's hand-off fill the
-tiers through ``_load``, the window in ring-slot order from slot 0.
+goes to slot ``_wnext``. A chunked prefill's hand-off fills the tiers
+through ``_load``, the window oldest first from slot 0.
 
 Selection details, fixed for determinism:
   * an eviction into a full sparse cache scores the evicted pair and the
@@ -58,15 +58,11 @@ Selection details, fixed for determinism:
 
 from __future__ import annotations
 
-import json
-import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .attention import (
-    DEFAULT_MAX_LOGIT,
     AttentionConfig,
     FeatureMapParams,
     LinearState,
@@ -74,10 +70,8 @@ from .attention import (
     _check_size,
     _feature_row,
     _feature_rows,
-    _read_map,
-    _rekey,
 )
-from .numerics import _number_array, as_matrix, as_vector
+from .numerics import as_matrix, as_vector
 
 __all__ = [
     "SCORING_STRATEGIES",
@@ -89,9 +83,6 @@ __all__ = [
     "SelfRecallScoring",
     "StaticScoring",
     "StepEvent",
-    "load_snapshot",
-    "save_snapshot",
-    "self_recall_score",
 ]
 
 
@@ -154,7 +145,7 @@ class OverestimateRatioScoring(StaticScoring):
         return lin_vals / exp_vals
 
 
-# every scoring rule by name: what snapshots, policies and ablations name
+# every scoring rule by name: what policies and ablations name
 SCORING_STRATEGIES: dict[str, type[ScoringStrategy]] = {
     cls.name: cls
     for cls in (
@@ -166,18 +157,11 @@ SCORING_STRATEGIES: dict[str, type[ScoringStrategy]] = {
 }
 
 
-def self_recall_score(phi_k: np.ndarray, value: np.ndarray, state: LinearState) -> float:
-    """Self-recall error of one pair against ``state``.
-
-    An empty state predicts nothing, so the score is ``|value|`` by
-    convention (maximal disagreement), not an exception.
-    """
-    return float(_self_recall_scores(np.asarray(phi_k)[None], np.asarray(value)[None], state)[0])
-
-
 def _self_recall_scores(phi: np.ndarray, values: np.ndarray, state: LinearState) -> np.ndarray:
-    """``self_recall_score`` of each row: the norm of ``(phi @ hidden) /
-    (phi @ normalizer) - values``, or of ``values`` when the state is empty."""
+    """Each row's self-recall error against ``state``: the norm of
+    ``(phi @ hidden) / (phi @ normalizer) - values``. An empty state predicts
+    nothing, so a row's score is then ``|value|`` by convention (maximal
+    disagreement), not an exception."""
     return _recall_rows(phi, values, state, phi @ state.normalizer)
 
 
@@ -261,16 +245,6 @@ _BOUNDED_MIN_WORK = 750_000
 _BOUND_SLACK = 1e-9
 _BOUND_FLOOR = 1e-150
 
-
-_SNAPSHOT_FORMAT = "lola-cache-snapshot-v3"
-# what ``from_snapshot`` reads
-_SNAPSHOT_FIELDS = (
-    "config", "weights", "t", "hidden", "normalizer", "absorbed_count", "window", "sparse",
-    "absorbed_score_sum",
-)
-_CONFIG_FIELDS = (
-    "head_dim", "feature_dim", "scale", "window_capacity", "sparse_capacity", "max_logit", "scoring"
-)
 _EMPTY_IDX = np.empty(0, dtype=np.int64)
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
 _ZERO = np.zeros(1)
@@ -703,141 +677,24 @@ class LolaCache:
                 f"+ sparse {self._slen} + absorbed {self.linear.count} = {stored}"
             )
 
-    # -- serialization ----------------------------------------------------
-
-    def to_snapshot(self) -> dict:
-        """JSON-ready snapshot: config header, map weights (row-major), hidden
-        state (row-major) with its normalizer, window pairs in ring-slot
-        order from slot 0, and sparse pairs with their scores."""
-        return {
-            "format": _SNAPSHOT_FORMAT,
-            # the head's sizes may be numpy ints, which JSON cannot write
-            "config": {
-                "head_dim": int(self.config.head_dim),
-                "feature_dim": int(self.config.feature_dim),
-                "scale": float(self.config.scale),
-                "window_capacity": self.window_capacity,
-                "sparse_capacity": self.sparse_capacity,
-                "max_logit": DEFAULT_MAX_LOGIT,
-                "scoring": self.scoring.name,
-            },
-            "weights": self.params.weights.reshape(-1).tolist(),
-            "t": self.t,
-            "hidden": self.linear.hidden.reshape(-1).tolist(),
-            "normalizer": self.linear.normalizer.tolist(),
-            "absorbed_count": int(self.linear.count),
-            "absorbed_score_sum": self.absorbed_score_sum,
-            "window": self._entries(self._wrows[: self._wlen], "acc", self._wacc[: self._wlen]),
-            "sparse": self._entries(self._srows[: self._slen], "score", self.sparse_scores),
-        }
-
-    def _entries(self, rows: np.ndarray, name: str, numbers: np.ndarray) -> list:
-        """Snapshot entries of pair rows, with ``numbers`` under ``name``."""
-        v, _, k = _pair_views(rows, self.config.head_dim, self.config.feature_dim)
-        return [
-            {"index": int(i), "key": key.tolist(), "value": value.tolist(), name: float(x)}
-            for i, key, value, x in zip(rows.view(np.int64)[:, -1], k, v, numbers)
-        ]
-
-    @classmethod
-    def from_snapshot(cls, snap: dict) -> "LolaCache":
-        """Restore a cache from ``to_snapshot`` output under the scoring rule
-        it names. A malformed snapshot raises ``ValueError`` naming the field
-        at fault."""
-        if not isinstance(snap, dict):
-            raise ValueError(f"snapshot must be an object, got {type(snap).__name__}")
-        if snap.get("format") != _SNAPSHOT_FORMAT:
-            raise ValueError("unrecognized snapshot format")
-        _require(snap, _SNAPSHOT_FIELDS, "snapshot")
-        cfg = snap["config"]
-        _require(cfg, _CONFIG_FIELDS, "snapshot 'config'")
-        t = snap["t"]
-        if type(t) is not int or t < 0:
-            raise ValueError(f"snapshot 't' {t!r} is not an int >= 0")
-        if cfg["max_logit"] != DEFAULT_MAX_LOGIT:
-            raise ValueError(
-                f"snapshot 'max_logit' {cfg['max_logit']!r} is not the fixed bound {DEFAULT_MAX_LOGIT:g}"
-            )
-        if cfg["scoring"] not in tuple(SCORING_STRATEGIES):  # a list is unknown, not a TypeError
-            names = list(SCORING_STRATEGIES)
-            raise ValueError(f"snapshot 'scoring' {cfg['scoring']!r} is not one of {names}")
-        try:
-            params = FeatureMapParams(_read_map(cfg["head_dim"], cfg["feature_dim"], snap["weights"]))
-        except ValueError as exc:
-            raise ValueError(f"snapshot {exc}") from None
-        # null would take AttentionConfig's default, not the saved engine's value
-        if cfg["scale"] is None:
-            raise ValueError("snapshot 'scale' is null, not the saved engine's value")
-        try:
-            config = AttentionConfig(cfg["head_dim"], cfg["feature_dim"], cfg["scale"])
-        except ValueError as exc:
-            raise ValueError(f"snapshot {_rekey(exc)}") from None
-        d, fdim = config.head_dim, config.feature_dim
-        rule = SCORING_STRATEGIES[cfg["scoring"]]()
-        try:
-            cache = cls(config, params, cfg["window_capacity"], cfg["sparse_capacity"], scoring=rule)
-        except ValueError as exc:
-            raise ValueError(f"snapshot {_rekey(exc)}") from None
-        hidden = _number_array(snap["hidden"], "snapshot 'hidden'")
-        normalizer = _number_array(snap["normalizer"], "snapshot 'normalizer'")
-        for name, arr, n in (("hidden", hidden, fdim * d), ("normalizer", normalizer, fdim)):
-            if arr.shape != (n,):
-                raise ValueError(f"snapshot {name!r} has shape {arr.shape}, expected ({n},)")
-        window = _tier_entries(snap, "window", "acc", cache.window_capacity, d)
-        sparse = _tier_entries(snap, "sparse", "score", cache.sparse_capacity, d)
-        widx, sidx = window[2], sparse[2]
-        nw, ns = len(widx), len(sidx)
-        # in ring-slot order: a full ring may start anywhere, a ring with room at its oldest pair
-        oldest = t - nw + 1
-        start = widx.index(oldest) if 0 < nw == cache.window_capacity and oldest in widx else 0
-        if widx[start:] + widx[:start] != list(range(oldest, t + 1)):
-            raise ValueError(
-                f"snapshot 'window' indices {widx} are not the run ending at t={t} in ring-slot order"
-            )
-        bounds = [0, *sidx, t - nw + 1]
-        if any(b <= a for a, b in zip(bounds, bounds[1:])):
-            raise ValueError(f"snapshot 'sparse' indices {sidx} must ascend and precede the window")
-        count = snap["absorbed_count"]
-        # t - nw - ns >= 0 once the indices above check out; bool is not a count
-        if type(count) is not int or count != t - nw - ns:
-            raise ValueError(
-                f"snapshot 'absorbed_count' {count!r} is not the int t - window - sparse = {t - nw - ns}"
-            )
-        if not count and (hidden.any() or normalizer.any()):
-            raise ValueError("snapshot absorbed nothing, yet its 'hidden' or 'normalizer' is not zero")
-        finite = np.isfinite(hidden).all() and np.isfinite(normalizer).all()
-        if count and not (finite and (normalizer > 0.0).all()):
-            raise ValueError("snapshot 'hidden' must be finite and 'normalizer' positive and finite")
-        total = snap["absorbed_score_sum"]
-        # every score is >= 0, so a sum of none is 0
-        if not _finite_number(total) or total < 0 or (not count and total != 0):
-            raise ValueError(
-                f"snapshot 'absorbed_score_sum' {total!r} is not a finite number >= 0 "
-                "(0 when 'absorbed_count' is 0)"
-            )
-        # each pair back in its saved slot, so window sums keep their bits
-        linear = LinearState(hidden.reshape(fdim, d), normalizer, count)
-        cache._load(t, window, sparse, linear, float(total))
-        return cache
+    # -- the prefill hand-off ---------------------------------------------
 
     def _load(self, t: int, window: tuple, sparse: tuple, linear: LinearState, score_sum: float) -> None:
-        """Fill a fresh engine's tiers at ``t``, as a restore and a prefill
-        hand-off do. ``window`` and ``sparse`` are each (keys, values,
-        indices, acc or score): the window in ring-slot order from slot 0,
-        the residents in arrival order. Every row's φ comes from
-        ``_feature_rows``. ``_wnext`` is the oldest pair's slot when the ring
-        is full and the first free slot when it has room."""
+        """Fill a fresh engine's tiers at ``t``, as a chunked prefill hands
+        them over. ``window`` and ``sparse`` are each (keys, values,
+        indices): the window oldest first from slot 0, the residents in
+        arrival order. Every row's φ comes from ``_feature_rows``, and the
+        score columns stay zero. ``_wnext`` is slot 0 when the ring is full
+        and the first free slot when it has room."""
         d, fdim = self.config.head_dim, self.config.feature_dim
         nw, ns = len(window[2]), len(sparse[2])
-        tiers = (self._wrows[:nw], window), (self._srows[:ns], sparse)
-        for rows, (keys, values, idx, extra) in tiers:
+        for rows, (keys, values, idx) in (self._wrows[:nw], window), (self._srows[:ns], sparse):
             v, phi, k = _pair_views(rows, d, fdim)
             v[...], k[...] = values, keys
             phi[...] = _feature_rows(self.params, keys)
-            rows[:, -2] = extra
             rows.view(np.int64)[:, -1] = idx
         self._wlen, self._slen = nw, ns
-        self._wnext = int(np.argmin(window[2])) if 0 < nw == self.window_capacity else nw
+        self._wnext = nw % self.window_capacity
         self.t, self.linear, self.absorbed_score_sum = t, linear, score_sum
         # the residents' scores are not tracked: their bounds start open
         self._svnorm[:ns] = np.sqrt(np.add.reduce(self._sv[:ns] ** 2, axis=1))
@@ -848,55 +705,3 @@ class LolaCache:
             self._rmax = float((row_norms / linear.normalizer).max())
         self._assert_conserved()
 
-
-def _require(obj, names, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be an object, got {type(obj).__name__}")
-    missing = [name for name in names if name not in obj]
-    if missing:
-        raise ValueError(f"{where} is missing {', '.join(map(repr, missing))}")
-
-
-def _finite_number(x) -> bool:
-    """An int or float (bool is not a number here) of finite value; the
-    comparison is exact for ints, and false for NaN."""
-    return type(x) in (int, float) and abs(x) <= sys.float_info.max
-
-
-def _tier_entries(snap: dict, name: str, extra: str, capacity: int, d: int) -> tuple:
-    """The (pairs, d) keys and values and the lists of indices and of accs or
-    scores of the pairs in snapshot tier ``name``, checked: an int index, two
-    finite length-``d`` vectors and a finite number each."""
-    entries = snap[name]
-    if not isinstance(entries, list):
-        raise ValueError(f"snapshot {name!r} must be a list, got {type(entries).__name__}")
-    if len(entries) > capacity:
-        raise ValueError(f"snapshot {name!r}: {len(entries)} pairs > capacity {capacity}")
-    keys, values, indices, numbers = [], [], [], []
-    for j, entry in enumerate(entries):
-        where = f"snapshot {name!r}[{j}]"
-        _require(entry, ("index", "key", "value", extra), where)
-        index, number = entry["index"], entry[extra]
-        if type(index) is not int:
-            raise ValueError(f"{where} 'index' {index!r} is not an int")
-        for field_name, vectors in (("key", keys), ("value", values)):
-            what = f"{where} {field_name!r}"
-            vector = _number_array(entry[field_name], what)
-            try:
-                vectors.append(as_vector(vector, d))
-            except ValueError as exc:
-                raise ValueError(f"{what}: {exc}") from None
-        if not _finite_number(number):
-            raise ValueError(f"{where} {extra!r} {number!r} is not a finite number")
-        indices.append(index)
-        numbers.append(number)
-    shape = (len(indices), d)
-    return np.reshape(keys, shape), np.reshape(values, shape), indices, numbers
-
-
-def save_snapshot(cache: LolaCache, path) -> None:
-    Path(path).write_text(json.dumps(cache.to_snapshot()))
-
-
-def load_snapshot(path) -> LolaCache:
-    return LolaCache.from_snapshot(json.loads(Path(path).read_text()))

@@ -235,8 +235,8 @@ def prefill(
     # the hand-off: the lookback fills the window from slot 0 in arrival order
     r0 = max(0, (n_chunks - 2) * c)
     engine = LolaCache(attn, params, 2 * c, lam)
-    recent = (ks[r0:], vs[r0:], np.arange(r0 + 1, n + 1), 0.0)
-    engine._load(n, recent, (rk[:slen], rv[:slen], ridx[:slen], 0.0), linear, absorbed_score_sum)
+    recent = (ks[r0:], vs[r0:], np.arange(r0 + 1, n + 1))
+    engine._load(n, recent, (rk[:slen], rv[:slen], ridx[:slen]), linear, absorbed_score_sum)
     return out, PrefillState(engine, n_chunks, peak, events)
 
 

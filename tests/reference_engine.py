@@ -9,8 +9,8 @@ under a static rule they are the sums a pair's window queries left on it. A
 query mixes the window, the sparse residents and the hidden state over one
 shared denominator.
 
-``ReferenceEngine`` holds no staging row, no score bounds, no deferred event
-and no snapshot; its only ring arithmetic is the slot rule, pair i in slot
+``ReferenceEngine`` holds no staging row, no score bounds and no deferred
+event; its only ring arithmetic is the slot rule, pair i in slot
 (i - 1 - r) mod η, with a ring offset r that is 0 for a fresh engine.
 ``from_tiers`` starts it from given tiers, as a prefill hands them over: the
 window oldest first from slot 0, so r = (t - nw) mod η for nw window pairs.
@@ -219,10 +219,13 @@ def assert_same_tiers(eng, ref) -> None:
 
 
 def assert_same_engine(a, b) -> None:
-    """Two engines alike, internals included: the snapshot, the ring's slot
-    bytes and next slot, every resident's row and score bounds, and the
-    tiers and last event."""
-    assert a.to_snapshot() == b.to_snapshot()
+    """Two engines alike, internals included: the config, map weights,
+    capacities and scoring rule, the ring's slot bytes and next slot, every
+    resident's row and score bounds, and the tiers and last event."""
+    assert a.config == b.config
+    assert bits(a.params.weights) == bits(b.params.weights)
+    assert (a.window_capacity, a.sparse_capacity) == (b.window_capacity, b.sparse_capacity)
+    assert a.scoring.name == b.scoring.name
     assert bits(a._wrows) == bits(b._wrows)
     assert a._wnext == b._wnext
     ns = a.sparse_size

@@ -20,7 +20,6 @@ from lola import (
     feature_map_batch,
     init_feature_map,
     prefill,
-    self_recall_score,
     softmax_attention_oracle,
 )
 from lola.analysis import (
@@ -32,7 +31,7 @@ from lola.analysis import (
     write_collision_csv,
 )
 from lola.attention import distill_feature_map, distillation_gradient, distillation_loss
-from lola.cache import StaticScoring
+from lola.cache import StaticScoring, _self_recall_scores
 from lola.chunkwise import ChunkConfig
 from lola.harness import (
     EXPECTED_ACCURACY_ORDER,
@@ -90,7 +89,7 @@ def test_criterion_02_self_recall_identities():
         phi_k = feature_map_apply(params, k)
         state = LinearState.zeros(12, 6)
         state.update(phi_k, v)
-        assert self_recall_score(phi_k, v, state) <= 1e-10
+        assert _self_recall_scores(phi_k[None], v[None], state)[0] <= 1e-10
 
     # 1000 random multi-pair states against an independent evaluation
     worst = 0.0
@@ -103,7 +102,7 @@ def test_criterion_02_self_recall_identities():
         for i in range(count):
             state.update(phis[i], vs[i])
         probe = int(gen.integers(0, count))
-        got = self_recall_score(phis[probe], vs[probe], state)
+        got = float(_self_recall_scores(phis[probe : probe + 1], vs[probe : probe + 1], state)[0])
         num = np.zeros(6)
         den = 0.0
         for j in range(count):

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lola.cache as cache_mod
-from lola import AttentionConfig, LolaCache, SeededRng, init_feature_map
+import lola.chunkwise as chunkwise
+from lola import AttentionConfig, ChunkConfig, LolaCache, SeededRng, init_feature_map, prefill
 from lola.cache import _BOUND_FLOOR, _BOUND_SLACK, _norm, _recall_rows, _self_recall_scores
 from lola.harness.suite import DEFAULT_SUITE
 from lola.harness.synthetic import SyntheticTaskSpec, gen_niah
@@ -64,16 +65,19 @@ def test_bounds_hold_at_every_bounded_settle(eta, lam, d, pool, scale, extra, se
     assert eng.settles == extra
 
 
-def test_bounds_hold_after_a_restore():
+def test_bounds_hold_after_a_restore(monkeypatch):
+    # a prefill's hand-off restores residents whose bounds are open and an
+    # _rmax bounded from the hidden state alone
     cfg = AttentionConfig(head_dim=16)
     params = init_feature_map(SeededRng(4), cfg)
     qs, ks, vs = stream(4, 16, None, 300)
-    first = bounded_engine(LolaCache, cfg, params, 4, 24)
-    first.ingest(ks[:100], vs[:100])
-    restored = bounded_engine(CheckedCache.from_snapshot, first.to_snapshot())
-    assert restored._bounded and np.isfinite(restored._rmax)
-    restored.ingest(ks[100:], vs[100:])
-    assert restored.settles == 200
+    monkeypatch.setattr(chunkwise, "LolaCache", CheckedCache)
+    _, state = bounded_engine(prefill, qs[:100], ks[:100], vs[:100], ChunkConfig(2, 24), cfg, params)
+    eng = state.engine
+    assert type(eng) is CheckedCache and eng.sparse_size == 24
+    assert eng._bounded and np.isfinite(eng._rmax)
+    eng.ingest(ks[100:], vs[100:])
+    assert eng.settles == 200
 
 
 def test_a_lone_candidate_is_padded_to_two_rows(monkeypatch):

@@ -8,6 +8,8 @@ import pytest
 
 from lola import (
     AttentionConfig,
+    ChunkConfig,
+    FeatureMapParams,
     LinearState,
     LolaCache,
     SeededRng,
@@ -15,11 +17,11 @@ from lola import (
     feature_map_batch,
     init_feature_map,
     load_feature_map,
-    load_snapshot,
-    save_snapshot,
-    self_recall_score,
+    prefill,
     softmax_attention_oracle,
 )
+from lola.analysis import engine_for_policy
+from lola.attention import _read_map
 from lola.cache import SCORING_STRATEGIES, StaticScoring, _self_recall_scores
 
 
@@ -45,7 +47,7 @@ def test_score_zero_for_sole_stored_pair(setup):
     phi_k = feature_map_apply(params, k)
     state = LinearState.zeros(8, 4)
     state.update(phi_k, v)
-    assert self_recall_score(phi_k, v, state) <= 1e-10
+    assert _self_recall_scores(phi_k[None], v[None], state)[0] <= 1e-10
 
 
 def test_score_is_distance_to_predicted_value(setup):
@@ -56,14 +58,14 @@ def test_score_is_distance_to_predicted_value(setup):
     state = LinearState.zeros(8, 4)
     state.update(phi_k, v)
     expected = float(np.linalg.norm(v - v2))
-    assert self_recall_score(phi_k, v2, state) == pytest.approx(expected, rel=1e-10)
+    assert _self_recall_scores(phi_k[None], v2[None], state)[0] == pytest.approx(expected, rel=1e-10)
 
 
 def test_score_empty_state_convention(setup):
     cfg, params = setup
     v = np.array([3.0, 4.0, 0.0, 0.0])
     state = LinearState.zeros(8, 4)
-    assert self_recall_score(np.ones(8), v, state) == pytest.approx(5.0)
+    assert _self_recall_scores(np.ones((1, 8)), v[None], state)[0] == pytest.approx(5.0)
 
 
 def test_score_matches_direct_formula_on_random_states(setup):
@@ -77,23 +79,29 @@ def test_score_matches_direct_formula_on_random_states(setup):
         state.update(phis[i], vs[i])
     hidden = phis.T @ vs
     norm = phis.sum(axis=0)
+    scores = _self_recall_scores(phis, vs, state)
     for i in range(20):
         pred = (phis[i] @ hidden) / float(phis[i] @ norm)
         expected = float(np.linalg.norm(pred - vs[i]))
-        assert self_recall_score(phis[i], vs[i], state) == pytest.approx(expected, rel=1e-9)
+        assert scores[i] == pytest.approx(expected, rel=1e-9)
 
 
 @pytest.mark.parametrize("absorbed", [0, 1, 5], ids=["empty", "one", "five"])
 def test_the_scalar_score_is_the_row_score_of_one_row(setup, absorbed):
+    # one pair's score is its row's score: a row keeps its bits among any two
+    # or more rows, and a lone row, which takes a matrix-vector kernel, agrees
+    # up to rounding
     cfg, params = setup
     gen = SeededRng(31).generator()
     state = LinearState.zeros(8, 4)
     for _ in range(absorbed):
         state.update(feature_map_apply(params, gen.normal(size=4)), gen.normal(size=4))
-    phi, v = feature_map_apply(params, gen.normal(size=4)), gen.normal(size=4)
-    got = self_recall_score(phi, v, state)
-    assert type(got) is float
-    assert got.hex() == float(_self_recall_scores(phi[None], v[None], state)[0]).hex()
+    phis, vs = feature_map_batch(params, gen.normal(size=(6, 4))), gen.normal(size=(6, 4))
+    many = _self_recall_scores(phis, vs, state)
+    assert _self_recall_scores(phis[:2], vs[:2], state).tobytes() == many[:2].tobytes()
+    one = _self_recall_scores(phis[:1], vs[:1], state)
+    assert one.shape == (1,)
+    assert one[0] == pytest.approx(many[0], rel=1e-12)
 
 
 # -- update / eviction --------------------------------------------------------
@@ -265,13 +273,12 @@ def test_attend_matches_direct_three_term_formula(setup):
     q = gen.normal(size=4)
     phi_q = feature_map_apply(params, q)
 
-    # independent evaluation from the engine's reported tier contents
-    snap = eng.to_snapshot()
+    # independent evaluation from the stream's pairs the engine reports held
     num = phi_q @ eng.linear.hidden
     den = float(phi_q @ eng.linear.normalizer)
-    for pair in snap["sparse"] + snap["window"]:
-        w = float(np.exp(cfg.scale * (q @ np.array(pair["key"]))))
-        num = num + w * np.array(pair["value"])
+    for i in np.concatenate((eng.sparse_indices, eng.window_indices)):
+        w = float(np.exp(cfg.scale * (q @ ks[i - 1])))
+        num = num + w * vs[i - 1]
         den += w
     np.testing.assert_allclose(eng.attend(q), num / den, rtol=1e-9)
 
@@ -327,202 +334,75 @@ def test_window_capacity_zero_is_pure_linear(setup):
     np.testing.assert_allclose(eng.attend(gen.normal(size=4)), v, rtol=1e-9)
 
 
-# -- snapshots ----------------------------------------------------------------
+# -- the prefill hand-off -----------------------------------------------------
+# A chunked prefill is the one way to load an engine's tiers other than by
+# its own steps. The tests below are named for the engine snapshots that
+# once loaded tiers too; each checks its rule on the engine a prefill hands
+# over.
 
 
-def test_snapshot_roundtrip_preserves_behavior(tmp_path, setup):
-    cfg, params = setup
-    eng = make_engine(setup, eta=3, lam=2)
-    gen = SeededRng(19).generator()
-    stream = gen.normal(size=(20, 2, 4))
-    for k, v in stream:
-        eng.update(k, v)
-    path = tmp_path / "state.json"
-    save_snapshot(eng, path)
-    restored = load_snapshot(path)
-    assert restored.t == eng.t
-    assert restored.sparse_indices.tolist() == eng.sparse_indices.tolist()
-
-    q = gen.normal(size=4)
-    np.testing.assert_allclose(restored.attend(q), eng.attend(q), rtol=1e-12)
-
-    # both continue identically
-    k, v = gen.normal(size=4), gen.normal(size=4)
-    a = eng.decode_step(q, k, v)
-    b = restored.decode_step(q, k, v)
-    np.testing.assert_allclose(a, b, rtol=1e-12)
-    assert restored.window_indices.tolist() == eng.window_indices.tolist()
+def handoff_after(setup, n, chunk=3, lam=2, seed=20, attn=None):
+    attn = attn or setup[0]
+    params = init_feature_map(SeededRng(0), attn)
+    qs, ks, vs = SeededRng(seed).generator().normal(size=(3, n, attn.head_dim))
+    state = prefill(qs, ks, vs, ChunkConfig(chunk, lam), attn, params)[1]
+    return state, (qs, ks, vs), params
 
 
-def snapshot_after(setup, eta, lam, n, seed=20):
-    eng = make_engine(setup, eta=eta, lam=lam)
-    gen = SeededRng(seed).generator()
-    for _ in range(n):
-        eng.update(gen.normal(size=4), gen.normal(size=4))
-    return eng.to_snapshot()
-
-
-@pytest.mark.parametrize("tier", ["window", "sparse"])
-def test_snapshot_over_capacity_rejected(setup, tier):
-    snap = snapshot_after(setup, eta=3, lam=2, n=20)
-    snap[tier].append(dict(snap[tier][0]))
-    with pytest.raises(ValueError, match=tier):
-        LolaCache.from_snapshot(snap)
-
-
-def test_snapshot_window_not_ending_at_t_rejected(setup):
-    snap = snapshot_after(setup, eta=2, lam=1, n=5)
-    assert [e["index"] for e in snap["window"]] == [5, 4]  # ring-slot order
-    snap["t"] = 99
-    with pytest.raises(ValueError, match="window"):
-        LolaCache.from_snapshot(snap)
-
-
-@pytest.mark.parametrize("fault", ["descending", "inside-window"])
-def test_snapshot_sparse_order_rejected(setup, fault):
-    snap = snapshot_after(setup, eta=3, lam=2, n=20)
-    if fault == "descending":
-        snap["sparse"].reverse()
-    else:
-        snap["sparse"][-1]["index"] = snap["window"][0]["index"]
-    with pytest.raises(ValueError, match="sparse"):
-        LolaCache.from_snapshot(snap)
-
-
-@pytest.mark.parametrize("field", ["hidden", "normalizer"])
-def test_snapshot_state_shape_rejected(setup, field):
-    snap = snapshot_after(setup, eta=3, lam=2, n=20)
-    snap[field] = snap[field][:-1]
-    with pytest.raises(ValueError, match=field):
-        LolaCache.from_snapshot(snap)
+def test_snapshot_roundtrip_preserves_behavior(setup):
+    # the engine holds what the pass carried over: the lookback as its window,
+    # the last boundary's survivors and every absorbed pair
+    state, (qs, ks, vs), params = handoff_after(setup, 20)
+    eng = state.engine
+    absorbed = np.concatenate([event.absorbed_indices for event in state.events])
+    # seven chunks of 3: the last two, [16, 20], are the lookback
+    assert eng.t == 20 and eng.window_capacity == 6
+    assert eng.window_indices.tolist() == list(range(16, 21))
+    assert eng.sparse_indices.tolist() == state.events[-1].kept_indices.tolist()
+    assert eng.linear.count == absorbed.size
+    assert sorted([*absorbed, *eng.sparse_indices, *eng.window_indices]) == list(range(1, 21))
+    # decoding goes on from those tiers
+    out = eng.decode_step(qs[0], ks[0], vs[0])
+    assert eng.t == 21 and eng.window_indices[-1] == 21 and np.isfinite(out).all()
 
 
 def test_snapshot_carries_the_absorbed_score_sum(setup):
-    snap = snapshot_after(setup, eta=3, lam=2, n=20)
-    assert snap["format"] == "lola-cache-snapshot-v3"
-    assert snap["absorbed_score_sum"] > 0.0
-    restored = LolaCache.from_snapshot(snap)
-    assert restored.absorbed_score_sum.hex() == float(snap["absorbed_score_sum"]).hex()
-
-
-def test_a_v1_snapshot_is_rejected(setup):
-    snap = snapshot_after(setup, eta=3, lam=2, n=20)
-    v1 = {k: v for k, v in snap.items() if k != "absorbed_score_sum"}
-    v1["format"] = "lola-cache-snapshot-v1"
-    with pytest.raises(ValueError, match="unrecognized snapshot format"):
-        LolaCache.from_snapshot(v1)
-
-
-def test_a_v2_snapshot_is_rejected(setup):
-    # v2 listed the window oldest first; read as slot order it would rotate the ring
-    snap = snapshot_after(setup, eta=3, lam=2, n=20)
-    snap["format"] = "lola-cache-snapshot-v2"
-    snap["window"].sort(key=lambda pair: pair["index"])
-    with pytest.raises(ValueError, match="unrecognized snapshot format"):
-        LolaCache.from_snapshot(snap)
-
-
-@pytest.mark.parametrize("order", ["swapped", "reversed", "room-rotated"])
-def test_a_window_out_of_ring_slot_order_is_rejected(setup, order):
-    snap = snapshot_after(setup, eta=3, lam=2, n=20)
-    window = snap["window"]
-    # pair i in slot (i - 1) % 3; a full ring may start at any slot
-    assert [pair["index"] for pair in window] == [19, 20, 18]
-    if order == "swapped":
-        window[1], window[2] = window[2], window[1]
-    elif order == "reversed":
-        window.reverse()
-    else:
-        # a ring with room holds its oldest pair in slot 0
-        snap["config"]["window_capacity"] = 4
-    with pytest.raises(ValueError, match="'window' indices .* in ring-slot order"):
-        LolaCache.from_snapshot(snap)
-
-
-@pytest.mark.parametrize(
-    "total, n", [(None, 20), ([1.0], 20), ("x", 20), (float("nan"), 20), (float("inf"), 20),
-                 (-1.0, 20), (True, 20), (10**400, 20), (0.5, 4)],
-)
-def test_snapshot_absorbed_score_sum_must_be_a_finite_total(setup, total, n):
-    # n=4 leaves every pair in a tier, so the only total that fits is 0
-    snap = snapshot_after(setup, eta=3, lam=2, n=n)
-    snap["absorbed_score_sum"] = total
-    with pytest.raises(ValueError, match="'absorbed_score_sum'"):
-        LolaCache.from_snapshot(snap)
-
-
-@pytest.mark.parametrize("field", ["hidden", "normalizer"])
-@pytest.mark.parametrize("bad", [["x", 1.0], [[1.0], [2.0, 3.0]], {"a": 1}])
-def test_snapshot_state_that_is_not_numbers_raises_naming_the_field(setup, field, bad):
-    snap = snapshot_after(setup, eta=3, lam=2, n=20)
-    snap[field] = bad
-    with pytest.raises(ValueError, match=f"^snapshot '{field}'"):
-        LolaCache.from_snapshot(snap)
-
-
-@pytest.mark.parametrize("field", ["weights", "hidden", "normalizer"])
-@pytest.mark.parametrize("kind", ["strings", "bools", "one-bool", "none", "huge-int"])
-def test_snapshot_numbers_given_as_strings_or_bools_raise_naming_the_field(setup, field, kind):
-    snap = snapshot_after(setup, eta=3, lam=2, n=20)
-    good = snap[field]
-    bad = {
-        "strings": [repr(x) for x in good],  # "0.12"-style
-        "bools": [True] * len(good),
-        "one-bool": [*good[:-1], True],
-        "none": [*good[:-1], None],
-        "huge-int": [*good[:-1], 10**400],
-    }[kind]
-    snap[field] = bad
-    with pytest.raises(ValueError, match=f"^snapshot '{field}'"):
-        LolaCache.from_snapshot(snap)
-
-
-@pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
-def test_snapshot_non_positive_normalizer_rejected(setup, value):
-    snap = snapshot_after(setup, eta=3, lam=2, n=20)
-    assert snap["absorbed_count"] > 0
-    snap["normalizer"][0] = value
-    with pytest.raises(ValueError, match="normalizer"):
-        LolaCache.from_snapshot(snap)
-
-
-def test_snapshot_state_without_absorptions_must_be_zero(setup):
-    snap = snapshot_after(setup, eta=3, lam=2, n=4)
-    assert snap["absorbed_count"] == 0
-    LolaCache.from_snapshot(snap)
-    snap["normalizer"][0] = 1.0
-    with pytest.raises(ValueError, match="absorbed nothing"):
-        LolaCache.from_snapshot(snap)
-
-
-@pytest.mark.parametrize("count", [14, 16, -1, 15.5, "15", True])
-def test_snapshot_absorbed_count_must_close_conservation(setup, count):
-    snap = snapshot_after(setup, eta=3, lam=2, n=20)
-    assert snap["absorbed_count"] == 15
-    snap["absorbed_count"] = count
-    with pytest.raises(ValueError, match="'absorbed_count'"):
-        LolaCache.from_snapshot(snap)
+    state, _, _ = handoff_after(setup, 20)
+    total = 0.0
+    for event in state.events:
+        drop = np.isin(event.eligible_indices, event.absorbed_indices)
+        total += float(event.eligible_scores[drop].sum())
+    assert total > 0.0
+    assert state.engine.absorbed_score_sum.hex() == total.hex()
 
 
 def test_snapshot_scores_are_current_after_restore(setup):
-    snap = snapshot_after(setup, eta=3, lam=2, n=20)
-    restored = LolaCache.from_snapshot(snap)
-    assert restored.sparse_scores.tolist() == [e["score"] for e in snap["sparse"]]
+    state, (_, ks, vs), params = handoff_after(setup, 20)
+    eng = state.engine
+    rows = eng.sparse_indices - 1
+    assert eng.sparse_size == 2 and eng.linear.count > 0
+    expected = _self_recall_scores(feature_map_batch(params, ks[rows]), vs[rows], eng.linear)
+    assert eng.sparse_scores.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("name", list(SCORING_STRATEGIES))
-def test_snapshot_restores_its_own_rule(tmp_path, setup, name):
-    eng = make_engine(setup, eta=3, lam=2, scoring=SCORING_STRATEGIES[name]())
-    gen = SeededRng(22).generator()
-    for q, k, v in gen.normal(size=(20, 3, 4)):
-        eng.decode_step(q, k, v)
-    save_snapshot(eng, tmp_path / "state.json")
-    restored = load_snapshot(tmp_path / "state.json")
-    assert restored.scoring.name == name
-    for q, k, v in gen.normal(size=(10, 3, 4)):
-        assert restored.decode_step(q, k, v).tobytes() == eng.decode_step(q, k, v).tobytes()
-        assert restored.sparse_scores.tobytes() == eng.sparse_scores.tobytes()
-    assert restored.sparse_indices.tolist() == eng.sparse_indices.tolist()
+def test_snapshot_state_without_absorptions_must_be_zero(setup):
+    # two chunks never leave the lookback, so nothing is absorbed
+    state, _, _ = handoff_after(setup, 6)
+    eng = state.engine
+    assert state.events == [] and eng.linear.count == 0
+    assert not eng.linear.hidden.any() and not eng.linear.normalizer.any()
+    assert eng.absorbed_score_sum == 0.0 and eng.sparse_size == 0
+
+
+def test_snapshot_restores_the_recorded_scale(setup):
+    cfg, _ = setup
+    attn = AttentionConfig(4, 8, 0.25)
+    state, (qs, ks, vs), params = handoff_after(setup, 5, attn=attn)
+    eng = state.engine
+    assert eng.config.scale == 0.25 != cfg.scale
+    fresh = LolaCache(attn, params, 6, 2)
+    fresh.ingest(ks, vs)
+    assert eng.attend(qs[0]).tobytes() == fresh.attend(qs[0]).tobytes()
 
 
 def test_every_rule_the_package_defines_is_in_the_table():
@@ -544,61 +424,6 @@ def test_every_rule_the_package_defines_is_in_the_table():
     assert all(rule.name == name for name, rule in SCORING_STRATEGIES.items())
 
 
-def _set_pair(tier, field, value):
-    def mutate(snap):
-        snap[tier][0][field] = value
-        return snap
-    return mutate
-
-
-def _drop(field):
-    def mutate(snap):
-        del snap[field]
-        return snap
-    return mutate
-
-
-def _set_t(snap):
-    snap["t"] = str(snap["t"])
-    return snap
-
-
-def _set_max_logit(snap):
-    snap["config"]["max_logit"] = 50.0
-    return snap
-
-
-MALFORMED_SNAPSHOTS = {
-    "window-key-one-entry": (_set_pair("window", "key", [1.0]), r"'window'\[0\] 'key'"),
-    "window-value-one-entry": (_set_pair("window", "value", [1.0]), r"'window'\[0\] 'value'"),
-    "sparse-key-one-entry": (_set_pair("sparse", "key", [1.0]), r"'sparse'\[0\] 'key'"),
-    "sparse-value-one-entry": (_set_pair("sparse", "value", [1.0]), r"'sparse'\[0\] 'value'"),
-    "window-value-nan": (_set_pair("window", "value", [float("nan")] * 4), r"'window'\[0\] 'value'"),
-    "sparse-value-inf": (_set_pair("sparse", "value", [float("inf")] * 4), r"'sparse'\[0\] 'value'"),
-    "window-key-strings": (_set_pair("window", "key", ["0.1"] * 4), r"'window'\[0\] 'key': could not"),
-    "sparse-value-bools": (_set_pair("sparse", "value", [True] * 4), r"'sparse'\[0\] 'value': could not"),
-    "acc-nan": (_set_pair("window", "acc", float("nan")), r"'window'\[0\] 'acc'"),
-    "acc-inf": (_set_pair("window", "acc", float("inf")), r"'window'\[0\] 'acc'"),
-    "score-nan": (_set_pair("sparse", "score", float("nan")), r"'sparse'\[0\] 'score'"),
-    "score-inf": (_set_pair("sparse", "score", -float("inf")), r"'sparse'\[0\] 'score'"),
-    "missing-t": (_drop("t"), "missing 't'"),
-    "missing-config": (_drop("config"), "missing 'config'"),
-    "missing-window": (_drop("window"), "missing 'window'"),
-    "t-string": (_set_t, "'t' '20' is not an int"),
-    "not-an-object": (lambda snap: list(snap.items()), "snapshot must be an object"),
-    "other-max-logit": (_set_max_logit, "'max_logit' 50.0 is not the fixed bound 30"),
-}
-
-
-@pytest.mark.parametrize(
-    "mutate, match", MALFORMED_SNAPSHOTS.values(), ids=MALFORMED_SNAPSHOTS.keys()
-)
-def test_malformed_snapshot_raises_naming_the_field(setup, mutate, match):
-    snap = mutate(snapshot_after(setup, eta=3, lam=2, n=20))
-    with pytest.raises(ValueError, match=match):
-        LolaCache.from_snapshot(snap)
-
-
 # -- numeric guards -----------------------------------------------------------
 
 
@@ -616,63 +441,22 @@ def test_static_score_overflow_rejected(name, sign):
     params = init_feature_map(SeededRng(0), cfg)
     eng = LolaCache(cfg, params, 2, 1, scoring=SCORING_STRATEGIES[name]())
     eng.update(np.ones(4), np.ones(4))
-    before = eng.to_snapshot()["window"]
+    before = eng._wrows.tobytes()
     # logits of +-4000 overflow or underflow exp
     with np.errstate(over="ignore", divide="ignore"), pytest.raises(ValueError, match="finite"):
         eng.accumulate_window_scores(sign * np.ones(4))
-    assert eng.to_snapshot()["window"] == before
-
-
-def _set_config(field, value):
-    def mutate(snap):
-        snap["config"][field] = value
-        return snap
-    return mutate
-
-
-BAD_SNAPSHOT_CONFIGS = {
-    "window-capacity-string": (_set_config("window_capacity", "3"), "'window_capacity' must be an int, got '3'"),
-    "window-capacity-bool": (_set_config("window_capacity", True), "'window_capacity' must be an int, got True"),
-    "window-capacity-negative": (_set_config("window_capacity", -1), "'window_capacity' must be >= 0, got -1"),
-    "sparse-capacity-float": (_set_config("sparse_capacity", 2.0), "'sparse_capacity' must be an int, got 2.0"),
-    "head-dim-string": (_set_config("head_dim", "4"), "'head_dim' must be an int, got '4'"),
-    "head-dim-zero": (_set_config("head_dim", 0), "'head_dim' must be >= 1, got 0"),
-    "feature-dim-bool": (_set_config("feature_dim", False), "'feature_dim' must be None or an int, got False"),
-    "feature-dim-odd": (_set_config("feature_dim", 7), "'feature_dim' must be a positive even integer, got 7"),
-    "feature-dim-null": (_set_config("feature_dim", None), "'feature_dim' is null, not the saved map's width"),
-    "feature-dim-mismatch": (_set_config("feature_dim", 6), "'feature_dim' 6 and 'head_dim' 4 need 12 'weights'"),
-    "scale-null": (_set_config("scale", None), "'scale' is null, not the saved engine's value"),
-    "scale-string": (_set_config("scale", "0.5"), "'scale' must be a finite positive real, got '0.5'"),
-    "scale-bool": (_set_config("scale", True), "'scale' must be a finite positive real, got True"),
-    "scale-zero": (_set_config("scale", 0.0), "'scale' must be a finite positive real, got 0.0"),
-    "scale-negative": (_set_config("scale", -0.5), "'scale' must be a finite positive real, got -0.5"),
-    "scale-nan": (_set_config("scale", float("nan")), "'scale' must be a finite positive real, got nan"),
-    "scale-inf": (_set_config("scale", float("inf")), "'scale' must be a finite positive real, got inf"),
-    "scoring-unknown": (_set_config("scoring", "nope"), "'scoring' 'nope' is not one of"),
-    # a test fake's rule is not in the table either
-    "scoring-fake": (_set_config("scoring", "constant"), "'scoring' 'constant' is not one of"),
-    "scoring-null": (_set_config("scoring", None), "'scoring' None is not one of"),
-    "scoring-list": (_set_config("scoring", ["self-recall"]), r"'scoring' \['self-recall'\] is not one of"),
-    "weights-not-numbers": (lambda snap: {**snap, "weights": ["a"] * 16}, "'weights'"),
-    "weights-non-finite": (lambda snap: {**snap, "weights": [float("nan")] * 16}, "'weights'"),
-}
-
-
-@pytest.mark.parametrize(
-    "mutate, match", BAD_SNAPSHOT_CONFIGS.values(), ids=BAD_SNAPSHOT_CONFIGS.keys()
-)
-def test_snapshot_config_values_raise_naming_the_field(setup, mutate, match):
-    snap = mutate(snapshot_after(setup, eta=3, lam=2, n=20))
-    with pytest.raises(ValueError, match=match):
-        LolaCache.from_snapshot(snap)
+    assert eng._wrows.tobytes() == before
 
 
 # a bad field of a saved map, as (map header fields, weights or None) and the
-# one rule text a map file and a snapshot both give
+# rule text a map file gives, a size's text wherever None is refused. The
+# test keeps the name it had when a snapshot carried a saved map too
 BAD_SAVED_MAPS = {
     "head-dim-str": ({"head_dim": "2"}, None, "'head_dim' must be an int, got '2'"),
     "head-dim-bool": ({"head_dim": True}, None, "'head_dim' must be an int, got True"),
     "head-dim-0": ({"head_dim": 0}, None, "'head_dim' must be >= 1, got 0"),
+    "feature-dim-bool": ({"feature_dim": False}, None, "'feature_dim' must be an int, got False"),
+    "feature-dim-str": ({"feature_dim": "4"}, None, "'feature_dim' must be an int, got '4'"),
     "feature-dim-odd": ({"feature_dim": 3}, None, "'feature_dim' must be a positive even integer, got 3"),
     "feature-dim-0": ({"feature_dim": 0}, None, "'feature_dim' must be a positive even integer, got 0"),
     "feature-dim-null": ({"feature_dim": None}, None, "'feature_dim' is null, not the saved map's width"),
@@ -687,31 +471,105 @@ BAD_SAVED_MAPS = {
 )
 def test_a_map_file_and_a_snapshot_reject_a_bad_map_with_one_rule_text(tmp_path, header, weights, rule):
     cfg = AttentionConfig(2, 4)
-    snap = LolaCache(cfg, init_feature_map(SeededRng(0), cfg), 2, 1).to_snapshot()
-    snap["config"].update(header)
-    if weights is not None:
-        snap["weights"] = weights
+    if weights is None:
+        weights = init_feature_map(SeededRng(0), cfg).weights.reshape(-1).tolist()
     saved = {"format": "paired-exp-feature-map-v1", "head_dim": 2, "feature_dim": 4, **header}
     path = tmp_path / "map.json"
-    path.write_text(json.dumps({**saved, "weights": snap["weights"]}))
+    path.write_text(json.dumps({**saved, "weights": weights}))
     with pytest.raises(ValueError) as from_file:
         load_feature_map(path)
     assert str(from_file.value) == f"feature map {path}: {rule}"
-    with pytest.raises(ValueError) as from_snapshot:
-        LolaCache.from_snapshot(snap)
-    assert str(from_snapshot.value) == f"snapshot {rule}"
 
 
-def test_snapshot_restores_the_recorded_scale(setup):
-    cfg, params = setup
-    eng = LolaCache(AttentionConfig(4, 8, 0.25), params, 3, 2)
-    gen = SeededRng(21).generator()
-    for _ in range(9):
-        eng.update(gen.normal(size=4), gen.normal(size=4))
-    restored = LolaCache.from_snapshot(eng.to_snapshot())
-    assert restored.config.scale == 0.25 != cfg.scale
-    q = gen.normal(size=4)
-    assert restored.attend(q).tobytes() == eng.attend(q).tobytes()
+# The fields an engine is built from, as parsed JSON would give them: the
+# sizes and scale go to ``AttentionConfig`` and ``LolaCache``, the weights to
+# a saved map's reader, the scoring rule by name to a policy. The two tests
+# below are named for the engine snapshots that once carried these fields;
+# each bad value still raises naming its field
+ENGINE_FIELDS = {
+    "head_dim": 4,
+    "feature_dim": 12,
+    "scale": 0.5,
+    "window_capacity": 3,
+    "sparse_capacity": 2,
+    "scoring": "self-recall",
+    "weights": [0.1] * 24,
+}
+
+
+def engine_from_fields(fields):
+    attn = AttentionConfig(fields["head_dim"], fields["feature_dim"], fields["scale"])
+    rows = _read_map(attn.head_dim, attn.feature_dim, fields["weights"])
+    name = fields["scoring"]
+    policy = "lola" if name == "self-recall" else f"lola-altscore:{name}"
+    return engine_for_policy(
+        policy, attn, FeatureMapParams(rows), fields["window_capacity"], fields["sparse_capacity"]
+    )
+
+
+def _set_field(field, value):
+    return lambda fields: {**fields, field: value}
+
+
+BAD_ENGINE_FIELDS = {
+    "window-capacity-string": (_set_field("window_capacity", "3"), "^window_capacity must be an int, got '3'$"),
+    "window-capacity-bool": (_set_field("window_capacity", True), "^window_capacity must be an int, got True$"),
+    "window-capacity-negative": (_set_field("window_capacity", -1), "^window_capacity must be >= 0, got -1$"),
+    "sparse-capacity-float": (_set_field("sparse_capacity", 2.0), "^sparse_capacity must be an int, got 2.0$"),
+    "head-dim-string": (_set_field("head_dim", "4"), "^head_dim must be an int, got '4'$"),
+    "head-dim-zero": (_set_field("head_dim", 0), "^head_dim must be >= 1, got 0$"),
+    # a config, unlike a saved map, takes None for the default width
+    "feature-dim-bool": (_set_field("feature_dim", False), "^feature_dim must be None or an int, got False$"),
+    "feature-dim-odd": (_set_field("feature_dim", 7), "^feature_dim must be a positive even integer, got 7$"),
+    # the default width, 8, does not fit weights for 12
+    "feature-dim-null": (
+        _set_field("feature_dim", None), r"^'feature_dim' 8 and 'head_dim' 4 need 16 'weights', got shape \(24,\)$"
+    ),
+    "feature-dim-mismatch": (
+        _set_field("feature_dim", 6), r"^'feature_dim' 6 and 'head_dim' 4 need 12 'weights', got shape \(24,\)$"
+    ),
+    "scale-string": (_set_field("scale", "0.5"), "^scale must be a finite positive real, got '0.5'$"),
+    "scale-bool": (_set_field("scale", True), "^scale must be a finite positive real, got True$"),
+    "scale-zero": (_set_field("scale", 0.0), "^scale must be a finite positive real, got 0.0$"),
+    "scale-negative": (_set_field("scale", -0.5), "^scale must be a finite positive real, got -0.5$"),
+    "scale-nan": (_set_field("scale", float("nan")), "^scale must be a finite positive real, got nan$"),
+    "scale-inf": (_set_field("scale", float("inf")), "^scale must be a finite positive real, got inf$"),
+    "scoring-unknown": (_set_field("scoring", "nope"), "^unknown scoring strategy 'nope'"),
+    # a test fake's rule is not in the table either
+    "scoring-fake": (_set_field("scoring", "constant"), "^unknown scoring strategy 'constant'"),
+    "weights-not-numbers": (_set_field("weights", ["a"] * 24), "^'weights': could not convert 'a' to a number$"),
+    "weights-non-finite": (_set_field("weights", [float("nan")] * 24), "^'weights' has non-finite entries$"),
+}
+
+
+def test_the_engine_fields_build_an_engine():
+    eng = engine_from_fields(ENGINE_FIELDS)
+    assert (eng.config.feature_dim, eng.window_capacity, eng.sparse_capacity) == (12, 3, 2)
+    assert eng.scoring.name == "self-recall"
+    assert engine_from_fields({**ENGINE_FIELDS, "scoring": "overestimate"}).scoring.name == "overestimate"
+
+
+@pytest.mark.parametrize(
+    "mutate, match", BAD_ENGINE_FIELDS.values(), ids=BAD_ENGINE_FIELDS.keys()
+)
+def test_snapshot_config_values_raise_naming_the_field(mutate, match):
+    with pytest.raises(ValueError, match=match):
+        engine_from_fields(mutate(ENGINE_FIELDS))
+
+
+@pytest.mark.parametrize("field", ["weights"])
+@pytest.mark.parametrize("kind", ["strings", "bools", "one-bool", "none", "huge-int"])
+def test_snapshot_numbers_given_as_strings_or_bools_raise_naming_the_field(field, kind):
+    good = ENGINE_FIELDS[field]
+    bad = {
+        "strings": [repr(x) for x in good],  # "0.1"-style
+        "bools": [True] * len(good),
+        "one-bool": [*good[:-1], True],
+        "none": [*good[:-1], None],
+        "huge-int": [*good[:-1], 10**400],
+    }[kind]
+    with pytest.raises(ValueError, match=f"^'{field}'"):
+        engine_from_fields({**ENGINE_FIELDS, field: bad})
 
 
 @pytest.mark.parametrize(
@@ -748,38 +606,39 @@ def test_numpy_int_capacities_keep_t_and_event_indices_plain_ints(setup, feed):
     if feed == "update":
         for k, v in zip(ks, vs):
             eng.update(k, v)
-    else:
+    elif feed == "ingest":
         eng.ingest(ks[:11], vs[:11])
-    if feed == "restore":
-        eng = LolaCache.from_snapshot(eng.to_snapshot())
+        eng.ingest(ks[11:], vs[11:])
+    else:
+        # the tiers a prefill at numpy-int sizes hands over
+        cfg, params = setup
+        config = ChunkConfig(np.int64(2), np.int64(2))
+        eng = prefill(ks[:11], ks[:11], vs[:11], config, cfg, params)[1].engine
         assert type(eng.t) is int
         eng.update(ks[11], vs[11])
-    elif feed == "ingest":
-        eng.ingest(ks[11:], vs[11:])
     assert type(eng.t) is int and type(eng.last_event.index) is int
     assert eng.t == eng.last_event.index == 12
 
 
 @pytest.mark.parametrize("feed", ["update", "ingest"])
-def test_numpy_int_sizes_save_and_load_as_plain_numbers(tmp_path, feed):
-    # numpy ints are sizes, so a snapshot of such an engine is still JSON
-    cfg = AttentionConfig(np.int64(4))
-    params = init_feature_map(SeededRng(0), cfg)
-    eng = LolaCache(cfg, params, np.int64(3), np.int64(2))
+def test_numpy_int_sizes_save_and_load_as_plain_numbers(feed):
+    # numpy ints are sizes: an engine built from them, head dimension
+    # included, reads back as one built from plain ints
+    engines = []
+    for size in (np.int64, int):
+        cfg = AttentionConfig(size(4))
+        engines.append(LolaCache(cfg, init_feature_map(SeededRng(0), cfg), size(3), size(2)))
     gen = SeededRng(43).generator()
     ks, vs = gen.normal(size=(2, 12, 4))
-    if feed == "ingest":
-        eng.ingest(ks, vs)
-    else:
-        for k, v in zip(ks, vs):
-            eng.update(k, v)
-    path = tmp_path / "state.json"
-    save_snapshot(eng, path)
-    header = json.loads(path.read_text())["config"]
-    assert [type(header[name]) for name in ("head_dim", "feature_dim", "window_capacity")] == [int] * 3
-    assert type(header["sparse_capacity"]) is int and type(header["scale"]) is float
-    restored = load_snapshot(path)
-    assert (restored.t, restored.linear.count) == (eng.t, eng.linear.count)
-    assert restored.window_indices.tolist() == eng.window_indices.tolist()
-    assert restored.sparse_indices.tolist() == eng.sparse_indices.tolist()
-    assert restored.attend(ks[0]).tobytes() == eng.attend(ks[0]).tobytes()
+    for eng in engines:
+        if feed == "ingest":
+            eng.ingest(ks, vs)
+        else:
+            for k, v in zip(ks, vs):
+                eng.update(k, v)
+    eng, plain = engines
+    assert eng.config.feature_dim == 8 and type(eng.t) is int
+    assert (eng.t, eng.linear.count) == (plain.t, plain.linear.count)
+    assert eng.window_indices.tolist() == plain.window_indices.tolist()
+    assert eng.sparse_indices.tolist() == plain.sparse_indices.tolist()
+    assert eng.attend(ks[0]).tobytes() == plain.attend(ks[0]).tobytes()

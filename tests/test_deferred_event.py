@@ -5,13 +5,13 @@ An eviction stores only what it decided; ``LolaCache.last_event`` builds the
 event after every step changes nothing is checked on every path in
 ``test_reference_engine.py``. Here: an eviction into a sparse cache with
 room scores nothing until the event is read, and a cache that has taken no
-step has no event.
+step, fresh or handed over by a prefill, has no event.
 """
 
 import pytest
 
 import lola.cache as cache_mod
-from lola import AttentionConfig, LolaCache, SeededRng, init_feature_map
+from lola import AttentionConfig, ChunkConfig, LolaCache, SeededRng, init_feature_map, prefill
 from lola.cache import _self_recall_scores
 
 @pytest.mark.parametrize("eta,lam,n", [(3, 4, 40), (0, 4, 40), (3, 0, 40), (0, 0, 9), (5, 6, 11)])
@@ -56,11 +56,12 @@ def test_event_of_an_eviction_with_room_is_scored_on_first_read(monkeypatch):
     assert rows == [2]
 
 
-def test_no_event_before_the_first_step(tmp_path):
+def test_no_event_before_the_first_step():
     cfg = AttentionConfig(head_dim=4)
     params = init_feature_map(SeededRng(9), cfg)
     assert LolaCache(cfg, params, 3, 2).last_event is None
     eng = LolaCache(cfg, params, 3, 2)
-    eng.ingest(*SeededRng(10).generator().normal(size=(2, 12, 4)))
+    ks, vs = SeededRng(10).generator().normal(size=(2, 12, 4))
+    eng.ingest(ks, vs)
     assert eng.last_event is not None
-    assert LolaCache.from_snapshot(eng.to_snapshot()).last_event is None
+    assert prefill(ks, ks, vs, ChunkConfig(2, 2), cfg, params)[1].engine.last_event is None

@@ -57,15 +57,15 @@ def primed(policy="self-recall"):
     return eng, qs, ks, vs
 
 
-def snapshot_of(eng):
+def state_of(eng):
     return (eng.t, bits(eng.window_indices), bits(eng.sparse_indices), bits(eng.linear.hidden))
 
 
 def rejects(eng, match, *args, error=ValueError):
-    before = snapshot_of(eng)
+    before = state_of(eng)
     with pytest.raises(error, match=match):
         eng.ingest(*args)
-    assert snapshot_of(eng) == before
+    assert state_of(eng) == before
 
 
 def test_ingest_rejects_nan_in_late_row():

@@ -69,7 +69,7 @@ def _feature_row(params, x: np.ndarray) -> np.ndarray:
 
 
 def _self_recall_scores(phi: np.ndarray, values: np.ndarray, state: LinearState) -> np.ndarray:
-    """Row-wise ``self_recall_score`` with the same empty-state convention."""
+    """Each row's self-recall error, ``|value|`` against an empty state."""
     return _recall_rows(phi, values, state, phi @ state.normalizer)
 
 

@@ -44,16 +44,15 @@ from reference_engine import (
 
 # head and feature widths (d, F). The bounded settle draws only the first
 # five: at the others its rows do not yet get the bits of the one call over
-# all λ+1 rows (ROADMAP item 2)
+# all λ+1 rows (ROADMAP item 3)
 WIDTHS = [(1, 2), (2, 4), (4, 8), (16, 32), (64, 128), (17, 34), (18, 36), (1, 32), (2, 32)]
 BOUNDED_WIDTHS = WIDTHS[:5]
 
 
 def pieces(path, n, cut, prefix):
     """How ``path`` feeds rows [0, n): ("update", lo, hi) one step at a time,
-    ("decode_step", lo, hi), ("ingest", lo, hi) in one call, ("restore",)
-    from the engine's own snapshot, or ("prefill", 0, hi) as the engine a
-    chunked prefill hands over."""
+    ("decode_step", lo, hi), ("ingest", lo, hi) in one call, or ("prefill",
+    0, hi) as the engine a chunked prefill hands over."""
     m, p = int(cut * n), min(prefix, n - 1)
     h = min(max(1, prefix), n)
     a = h + int(cut * (n - h))
@@ -63,10 +62,8 @@ def pieces(path, n, cut, prefix):
         "ingest": [("ingest", 0, n)],
         "ingest-cut": [("ingest", 0, m), ("ingest", m, n)],
         "prefix": [("update", 0, p), ("ingest", p, n - 1), ("update", n - 1, n)],
-        "prefix-restore": [("update", 0, p), ("restore",), ("ingest", p, n - 1), ("update", n - 1, n)],
-        "snapshot-cut": [("ingest", 0, m), ("restore",), ("ingest", m, n)],
         "handoff": [
-            ("prefill", 0, h), ("update", h, a), ("restore",), ("decode_step", a, (a + n) // 2),
+            ("prefill", 0, h), ("update", h, a), ("decode_step", a, (a + n) // 2),
             ("ingest", (a + n) // 2, n),
         ],
     }[path]
@@ -78,7 +75,7 @@ def run(path, bounded, eta, lam, d, f, rule, pool, n, cut, prefix, read, seed):
     qs, ks, vs = stream(seed, d, pool, n)
     plan = pieces(path, n, cut, prefix)
     ref = ReferenceEngine(attn, params, eta, lam, scoring=scoring_for(rule))
-    stepped = False  # whether the engine took a step since it was built or restored
+    stepped = False  # whether the engine has taken a step
 
     def check(step=False):
         assert_same_tiers(eng, ref)
@@ -119,13 +116,6 @@ def run(path, bounded, eta, lam, d, f, rule, pool, n, cut, prefix, read, seed):
                     eng.absorbed_score_sum,
                 )
                 assert eng.last_event is None
-                check()
-                continue
-            if kind == "restore":
-                snap = eng.to_snapshot()
-                eng, twin = LolaCache.from_snapshot(snap), LolaCache.from_snapshot(snap)
-                assert eng.last_event is None
-                stepped = False
                 check()
                 continue
             lo, hi = span
@@ -199,27 +189,26 @@ RUNS = {
     ("ingest-cut", True): 20,
     ("prefix", False): 50,
     ("prefix", True): 50,
-    ("prefix-restore", False): 50,
-    ("prefix-restore", True): 50,
-    ("snapshot-cut", False): 100,
-    ("snapshot-cut", True): 50,
     ("handoff", False): 100,
     ("handoff", True): 40,
 }
+# a hand-off whose ring has room beside a non-empty sparse tier, with
+# ``ingest`` the first call after it; only a hand-off reaches that state
+ROOM_BESIDE_RESIDENTS = case(eta=4, lam=3, prefix=5, n=6, cut=0.0, seed=9)
 EXAMPLES = {
-    # restoring this window in arrival order flipped a static score's last bit
-    ("snapshot-cut", False): [case(eta=3, lam=1, rule="overestimate", n=26, seed=1)],
-    ("snapshot-cut", True): [case(eta=2, lam=6, n=60, seed=3)],
-    # a restored ring that has wrapped, then a stream that fills the sparse cache
-    ("prefix-restore", False): [case(eta=3, lam=4, pool=2, prefix=5, n=23, seed=0)],
-    ("prefix-restore", True): [case(eta=3, lam=4, pool=None, prefix=5, n=23, seed=1)],
-    ("prefix", False): [case(eta=0, lam=0, d=2, f=4, pool=1, n=7, seed=2)],
+    # a ring that has wrapped, then a stream that fills the sparse cache
+    ("prefix", False): [
+        case(eta=3, lam=4, pool=2, prefix=5, n=23, seed=0),
+        case(eta=0, lam=0, d=2, f=4, pool=1, n=7, seed=2),
+    ],
+    ("prefix", True): [case(eta=3, lam=4, pool=None, prefix=5, n=23, seed=1)],
     # a full ring at an odd chunk count (its oldest pair in slot 0, r = 2 and
-    # r = 3), and a window with room, each restored right after the hand-off
+    # r = 3), and a window with room, each decoding right after the hand-off
     ("handoff", False): [
         case(eta=4, lam=3, prefix=6, n=30, cut=0.0, seed=4),
         case(eta=6, lam=5, pool=None, prefix=27, n=60, cut=0.0, seed=5),
         case(eta=4, lam=3, prefix=5, n=30, cut=0.0, seed=6),
+        ROOM_BESIDE_RESIDENTS,
     ],
     ("handoff", True): [
         case(eta=4, lam=8, prefix=18, n=50, cut=0.0, seed=7),
@@ -238,6 +227,20 @@ def test_every_path_matches_the_reference(path, bounded):
     for drawn in EXAMPLES.get((path, bounded), []):
         check = example(drawn=drawn)(check)
     check()
+
+
+def test_the_room_example_ingests_into_a_ring_with_room_beside_residents():
+    drawn = ROOM_BESIDE_RESIDENTS
+    d, eta, lam, seed = drawn["d"], drawn["eta"], drawn["lam"], drawn["seed"]
+    plan = pieces("handoff", drawn["n"], drawn["cut"], drawn["prefix"])
+    h = plan[0][2]
+    assert [piece[0] for piece in plan[1:] if piece[1] < piece[2]] == ["ingest"]
+    attn = AttentionConfig(d, drawn["f"])
+    qs, ks, vs = stream(seed, d, drawn["pool"], drawn["n"])
+    config = ChunkConfig(eta // 2, lam)
+    eng = prefill(qs[:h], ks[:h], vs[:h], config, attn, init_feature_map(SeededRng(seed), attn))[1].engine
+    assert 0 < eng.window_size < eng.window_capacity == eta
+    assert eng.sparse_size > 0
 
 
 # -- the collision replay ------------------------------------------------------
@@ -341,8 +344,12 @@ def test_a_handoff_of_at_most_two_chunks_is_a_fresh_engine(d, chunk, lam, pool, 
     eng = prefill(qs[:n], ks[:n], vs[:n], ChunkConfig(chunk, lam), attn, params)[1].engine
     fresh = LolaCache(attn, params, 2 * chunk, lam)
     fresh.ingest(ks[:n], vs[:n])
-    # neither a hand-off nor a restore has taken a step of its own
-    assert_same_engine(eng, LolaCache.from_snapshot(fresh.to_snapshot()))
+    # a hand-off has taken no step of its own, so it has no event to compare
+    assert eng.last_event is None
+    assert_same_tiers(eng, fresh)
+    for name in ("_wrows", "_srows"):
+        assert bits(getattr(eng, name)) == bits(getattr(fresh, name)), name
+    assert (eng._wnext, eng._rmax) == (fresh._wnext, fresh._rmax)
     out = eng.decode_step(qs[n], ks[n], vs[n])
     assert bits(out) == bits(fresh.decode_step(qs[n], ks[n], vs[n]))
     assert_same_engine(eng, fresh)
