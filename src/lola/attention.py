@@ -231,6 +231,11 @@ class LinearState:
     # the arrays the latest ``update`` replaced; the next one writes into them
     _spare: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        # ``update`` writes the outer product with np.dot, whose output must
+        # be a C-contiguous float64 array
+        self.hidden = np.ascontiguousarray(self.hidden, dtype=np.float64)
+
     @classmethod
     def zeros(cls, feature_dim: int, head_dim: int) -> "LinearState":
         return cls(np.zeros((feature_dim, head_dim)), np.zeros(feature_dim), 0)
@@ -253,8 +258,11 @@ class LinearState:
             self._spare = (np.empty_like(hidden), np.empty_like(normalizer))
         self.hidden, self.normalizer = new_hidden, new_normalizer = self._spare
         self._spare = (hidden, normalizer)
-        # addition commutes in IEEE arithmetic: the bits of hidden + phi_k v^T
-        np.multiply(phi_k[:, None], v, out=new_hidden)
+        # a product of inner size one has one multiply per entry, so np.dot
+        # gives the bits of phi_k[:, None] * v, without the loop buffers of a
+        # broadcast multiply; addition commutes in IEEE arithmetic: the bits
+        # of hidden + phi_k v^T
+        np.dot(phi_k[:, None], v[None, :], out=new_hidden)
         new_hidden += hidden
         np.add(normalizer, phi_k, out=new_normalizer)
         self.count += 1

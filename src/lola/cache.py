@@ -26,12 +26,17 @@ straight from the input, evictions into a sparse cache with room are copied
 as one block, and only the last η rows enter the window ring.
 
 A pair is one float64 row of [value | φ(key) | key | score | index]; the
-arrival index is an int64 column over the same memory. The window ring and
-the sparse tier each keep their pairs as such rows, so staging an evicted
-pair is one row copy and closing the gap an absorption leaves is one block
-move. The ring's offset is state, not a function of ``t``: each new pair
-goes to slot ``_wnext``. A chunked prefill's hand-off fills the tiers
-through ``_load``, the window oldest first from slot 0.
+arrival index is an int64 column over the same memory. Both full-rank tiers
+keep their pairs as such rows in one store, [window ring | sparse residents
+| staging row], so staging an evicted pair is one row copy, closing the gap
+an absorption leaves is one block move, and a query mixes the window and the
+residents as one block of rows: one logit product, one ``exp``, one value
+product and one sum. The ring's offset is state, not a function of ``t``:
+each new pair goes to slot ``_wnext``. A chunked prefill's hand-off fills
+the tiers through ``_load``, the window oldest first from slot 0. Its ring
+can have room beside residents, the one state in which the two tiers are
+not one run of the store; ``attend`` then copies ring slots [0, nw) and the
+residents, whole rows in that order, into one block.
 
 Selection details, fixed for determinism:
   * an eviction into a full sparse cache scores the evicted pair and the
@@ -187,32 +192,28 @@ def _recall_rows(
     return np.sqrt(out, out=out)
 
 
-def _mix_tiers(q, phi_q, scale, keys_a, values_a, keys_b, values_b, state: LinearState) -> np.ndarray:
-    """The output for ``q`` over two full-rank tiers and the hidden state.
+def _mix_tiers(q, phi_q, scale, keys, values, state: LinearState) -> np.ndarray:
+    """The output for ``q`` over one block of full-rank rows (the window and
+    the sparse residents) and the hidden state.
 
     The exponential terms and the hidden-state term share one shift (the
     largest logit, or zero) and one denominator, so the output is a convex
     combination of stored values. A denominator that is not positive (an
     overflowing logit makes it NaN) raises ``ValueError``. Each product's
     result is worked on in place, in the order of the expression
-    ``(ea @ values_a + eb @ values_b + damp * (phi_q @ hidden)) / den``.
+    ``(e @ values + damp * (phi_q @ hidden)) / den``.
     """
-    ea = keys_a @ q
-    ea *= scale
-    eb = keys_b @ q
-    eb *= scale
-    shift = float(max(ea.max(initial=0.0), eb.max(initial=0.0)))
-    ea -= shift
-    np.exp(ea, out=ea)
-    eb -= shift
-    np.exp(eb, out=eb)
+    e = keys @ q
+    e *= scale
+    shift = float(e.max(initial=0.0))
+    e -= shift
+    np.exp(e, out=e)
     damp = np.exp(-shift)
-    num = ea @ values_a
-    num += eb @ values_b
+    num = e @ values
     hid = phi_q @ state.hidden
     hid *= damp
     num += hid
-    den = float(ea.sum() + eb.sum()) + damp * float(phi_q @ state.normalizer)
+    den = float(e.sum()) + damp * float(phi_q @ state.normalizer)
     if not den > 0.0:
         raise ValueError(f"shared denominator {den:g} is not positive")
     num /= den
@@ -303,11 +304,16 @@ class LolaCache:
         # sparse tier, and the arrival index is an int64 column over the same
         # memory, so one row copy moves the whole pair
         w = 2 * d + fdim + 2
+        # both full-rank tiers in one store, [window ring | sparse residents
+        # | staging row], so that a full ring and the residents are one run
+        # of rows for ``attend``
+        self._rows = np.zeros((eta + lam + 1, w))
+        self._v, _, self._k = _pair_views(self._rows, d, fdim)
         # window ring buffer, filled from slot 0: each pair goes to slot
         # _wnext, which then moves on by one, so a ring with room holds its
         # pairs in slots [0, _wlen) and a full one holds the oldest at _wnext.
         # A fresh engine puts pair i in slot (i - 1) % eta
-        self._wrows = np.zeros((eta, w))
+        self._wrows = self._rows[:eta]
         self._wv, self._wphi, self._wk = _pair_views(self._wrows, d, fdim)
         self._wacc = self._wrows[:, w - 2]
         self._widx = self._wrows.view(np.int64)[:, w - 1]
@@ -315,8 +321,8 @@ class LolaCache:
         self._wnext = 0
         # sparse cache, kept sorted by arrival index; row _slen stages the
         # pair being evicted from the window
-        self._srows = np.zeros((lam + 1, w))
-        self._sflat = self._srows.reshape(-1)
+        self._srows = self._rows[eta:]
+        self._sflat = self._rows.reshape(-1)[eta * w :]
         self._sv, self._sphi, self._sk = _pair_views(self._srows, d, fdim)
         self._sscore = self._srows[:, w - 2]
         self._sidx = self._srows.view(np.int64)[:, w - 1]
@@ -540,7 +546,9 @@ class LolaCache:
         # the denominators come from the (λ+1)-row product of the one-call
         # path, whose bits depend on the row count
         den = phi @ lin.normalizer
-        scores = _recall_rows(phi[rows], vals[rows], lin, den[rows])
+        # one gather of the candidates' whole pair rows
+        sel_v, sel_phi, _ = _pair_views(self._srows[rows], self.config.head_dim, self.config.feature_dim)
+        scores = _recall_rows(sel_phi, sel_v, lin, den[rows])
         k = rows.size - 1 - int(scores[::-1].argmin())
         drop = rows.item(k)
         lo[rows] = hi[rows] = scores
@@ -655,10 +663,15 @@ class LolaCache:
         q = as_vector(query, self.config.head_dim)
         phi_q = _feature_row(self.params, q)
         nw, ns = self._wlen, self._slen
-        return _mix_tiers(
-            q, phi_q, self.config.scale,
-            self._wk[:nw], self._wv[:nw], self._sk[:ns], self._sv[:ns], self.linear,
-        )
+        if nw == self.window_capacity or not ns:
+            # the ring's slots and the residents are one run of the store
+            keys, values = self._k[: nw + ns], self._v[: nw + ns]
+        else:
+            # a hand-off's ring with room: its slots [0, nw) and the
+            # residents, copied as whole pair rows into one block
+            block = np.concatenate((self._wrows[:nw], self._srows[:ns]))
+            values, _, keys = _pair_views(block, self.config.head_dim, self.config.feature_dim)
+        return _mix_tiers(q, phi_q, self.config.scale, keys, values, self.linear)
 
     def decode_step(self, query, key, value) -> np.ndarray:
         """Admit ``(key, value)``, then answer ``query``; the new pair is

@@ -204,13 +204,14 @@ def eval_recall(
         score_sum += engine.absorbed_score_sum
         absorbed += engine.linear.count
     wall = time.perf_counter() - t0
-    # the budget the policy holds in full rank; a prefill also holds the chunk in flight
+    # the capacities and the full-rank budget are the engine's: a policy drops
+    # tiers, and a prefill's window is two chunks and it also holds the one in flight
     size = engine.window_capacity + engine.sparse_capacity + (exp.chunk_size or 0)
     return ResultRecord(
         name=name,
         policy=exp.policy,
-        window_capacity=exp.window_capacity,
-        sparse_capacity=exp.sparse_capacity,
+        window_capacity=engine.window_capacity,
+        sparse_capacity=engine.sparse_capacity,
         chunk_size=exp.chunk_size,
         haystack_len=task.haystack_len,
         head_dim=task.head_dim,

@@ -7,7 +7,8 @@ is absorbed into the linear hidden state. Under the self-recall rule the
 scores are computed against the current state in one call over all rows;
 under a static rule they are the sums a pair's window queries left on it. A
 query mixes the window, the sparse residents and the hidden state over one
-shared denominator.
+shared denominator, over one block of pair rows: the window in slot order,
+then the residents.
 
 ``ReferenceEngine`` holds no staging row, no score bounds and no deferred
 event; its only ring arithmetic is the slot rule, pair i in slot
@@ -23,7 +24,9 @@ for that too: a matrix-vector row's bits depend on the row's slot.
 Sharing those kernels means the reference cannot check them. The frozen
 copies of earlier kernel bodies therefore stay, in ``test_lean_decode.py``,
 ``test_tier_mix.py``, ``test_prefill_row_store.py``, ``test_csv_writers.py``
-and ``test_distill_equivalence.py``.
+and ``test_distill_equivalence.py``; ``two_tier_mix`` below is the mix as it
+was before the two full-rank tiers became one block, which those mix checks
+hold every answer to within 1e-12 relative.
 """
 
 import numpy as np
@@ -169,12 +172,11 @@ class ReferenceEngine:
         acc += self.scoring.term(e, phi @ _feature_row(self.params, q))
 
     def attend(self, query) -> np.ndarray:
+        """The mix over one block of pair rows: the window in slot order,
+        then the residents in arrival order."""
         q = np.asarray(query, dtype=float)
-        wv, _, wk, _, _ = self._views(self.window[: self.wlen])
-        sv, _, sk, _, _ = self._views(self.sparse)
-        return _mix_tiers(
-            q, _feature_row(self.params, q), self.config.scale, wk, wv, sk, sv, self.linear
-        )
+        v, _, k, _, _ = self._views(np.concatenate((self.window[: self.wlen], self.sparse)))
+        return _mix_tiers(q, _feature_row(self.params, q), self.config.scale, k, v, self.linear)
 
     def decode_step(self, query, key, value) -> np.ndarray:
         self.update(key, value)
@@ -195,6 +197,38 @@ class ReferenceEngine:
         if self.scoring.dynamic and len(v):
             return _self_recall_scores(phi, v, self.linear)
         return frozen.copy()
+
+
+def two_tier_mix(q, phi_q, scale, keys_a, values_a, keys_b, values_b, state) -> np.ndarray:
+    """The mix as it was before the window and the residents became one
+    block of rows: every step once per tier, with one shared shift and one
+    shared denominator."""
+    logit_a = (keys_a @ q) * scale
+    logit_b = (keys_b @ q) * scale
+    shift = float(max(logit_a.max(initial=0.0), logit_b.max(initial=0.0)))
+    ea = np.exp(logit_a - shift)
+    eb = np.exp(logit_b - shift)
+    damp = np.exp(-shift)
+    num = ea @ values_a + eb @ values_b + damp * (phi_q @ state.hidden)
+    den = float(ea.sum() + eb.sum()) + damp * float(phi_q @ state.normalizer)
+    if not den > 0.0:
+        raise ValueError(f"shared denominator {den:g} is not positive")
+    return num / den
+
+
+def two_tier_attend(eng, query) -> np.ndarray:
+    """``two_tier_mix`` for ``query`` over a ``LolaCache``'s own tier views."""
+    q = np.asarray(query, dtype=float)
+    nw, ns = eng.window_size, eng.sparse_size
+    return two_tier_mix(
+        q, _feature_row(eng.params, q), eng.config.scale,
+        eng._wk[:nw], eng._wv[:nw], eng._sk[:ns], eng._sv[:ns], eng.linear,
+    )
+
+
+def assert_near(got, want, rtol=1e-12) -> None:
+    """``got`` within ``rtol`` of ``want``, relative to ``want``'s largest entry."""
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=rtol * np.abs(want).max(initial=0.0))
 
 
 def assert_same_event(a: StepEvent | None, b: StepEvent | None) -> None:

@@ -344,6 +344,21 @@ def test_linear_state_update_keeps_the_bits_and_the_replaced_state():
     assert state.count == 6
 
 
+def test_linear_state_update_takes_a_state_of_any_layout():
+    # ``update`` writes with np.dot, which needs C-contiguous float64 output;
+    # a state built from a Fortran-ordered or integer array still updates
+    gen = SeededRng(16).generator()
+    phis = np.exp(gen.normal(size=(3, 6)))
+    vals = gen.normal(size=(3, 4))
+    for hidden in (np.asfortranarray(np.ones((6, 4))), np.ones((6, 4), dtype=np.int64)):
+        state = LinearState(hidden, np.zeros(6))
+        want = LinearState(np.ones((6, 4)), np.zeros(6))
+        for phi, v in zip(phis, vals):
+            state.update(phi, v)
+            want.update(phi, v)
+        assert state.hidden.tobytes() == want.hidden.tobytes()
+
+
 def test_linear_state_update_allocates_no_outer_product():
     # large enough that one f x d temporary outweighs numpy's own loop buffers
     f, d = 1024, 64
@@ -418,7 +433,7 @@ def test_forward_orthogonal_recall_is_exact():
     state.update(np.array([1.0, 0.0, 0.0, 0.0]), np.array([1.0, 2.0]))
     state.update(np.array([0.0, 1.0, 0.0, 0.0]), np.array([-5.0, 7.0]))
     none = np.zeros((0, 2))
-    out = _mix_tiers(np.zeros(2), np.array([1.0, 0.0, 0.0, 0.0]), 1.0, none, none, none, none, state)
+    out = _mix_tiers(np.zeros(2), np.array([1.0, 0.0, 0.0, 0.0]), 1.0, none, none, state)
     np.testing.assert_allclose(out, [1.0, 2.0], rtol=1e-12)
 
 

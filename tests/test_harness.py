@@ -191,6 +191,26 @@ def test_each_policy_reports_the_full_rank_budget_it_holds(small_task, policy, c
     assert eval_recall(exp, small_task).effective_cache_size == size
 
 
+@pytest.mark.parametrize(
+    "policy, chunk_size, capacities",
+    [
+        ("linear-only", None, (0, 0)),
+        ("window-only", None, (12, 0)),
+        ("lola", None, (12, 4)),
+        ("lola-altscore:overestimate", None, (12, 4)),
+        ("lola", 8, (16, 4)),
+        ("window-only", 8, (16, 0)),
+    ],
+)
+def test_each_policy_reports_the_capacities_its_engine_holds(small_task, policy, chunk_size, capacities):
+    # eta 12, lambda 4 asked for; a policy drops tiers, and a chunked run
+    # holds a window of two chunks whatever window it was given
+    exp = ExperimentConfig(policy=policy, window_capacity=12, sparse_capacity=4,
+                           chunk_size=chunk_size, trials=1, feature_map="random", seed=0)
+    record = eval_recall(exp, small_task)
+    assert (record.window_capacity, record.sparse_capacity) == capacities
+
+
 def test_altscore_policy_requires_decode_path(small_task):
     with pytest.raises(ValueError, match="is not a policy the chunked path runs"):
         eval_recall(ExperimentConfig(policy="lola-altscore:overestimate", chunk_size=8, trials=1), small_task)

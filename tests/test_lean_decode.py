@@ -3,10 +3,13 @@
 ``as_vector`` now checks a float64 array's finiteness through its sum,
 ``_guard`` takes one reduction, and the bounded settle, ``_recall_rows`` and
 ``_mix_tiers`` work on their temporaries in place. The functions below are
-the earlier bodies verbatim; ``ReferenceCache`` routes every decode-path
-call through them. Both engines must give the same bits for every output,
-tier, score bound, absorbed-score sum and event, and one ``decode_step``
-must still make the probed calls the benchmark's tracer counts.
+the earlier bodies verbatim, but for the mix, which now runs over one block
+of whole pair rows, [ring slots 0..nw | residents], as the engine's does;
+``ReferenceCache`` routes every decode-path call through them. Both engines
+must give the same bits for every output, tier, score bound, absorbed-score
+sum and event, each output must stay within 1e-12 relative of the earlier
+two-tier mix, and one ``decode_step`` must still make the probed calls the
+benchmark's tracer counts.
 """
 
 import numpy as np
@@ -18,10 +21,10 @@ import lola.cache as cache_mod
 import lola.numerics as numerics_mod
 from lola import AttentionConfig, LolaCache, SeededRng, init_feature_map
 from lola.attention import DEFAULT_MAX_LOGIT, LinearState, OverflowGuardError
-from lola.cache import _BOUND_FLOOR, _BOUND_SLACK, SCORING_STRATEGIES, StepEvent, _norm
+from lola.cache import _BOUND_FLOOR, _BOUND_SLACK, SCORING_STRATEGIES, StepEvent, _norm, _pair_views
 from lola.harness.experiments import ExperimentConfig, resolve_feature_map
 from lola.harness.synthetic import SyntheticTaskSpec, gen_niah
-from reference_engine import bits
+from reference_engine import assert_near, bits, two_tier_attend
 
 # -- the earlier bodies, verbatim -------------------------------------------
 
@@ -84,15 +87,13 @@ def _recall_rows(
     return np.sqrt(np.add.reduce(r * r, axis=1))
 
 
-def _mix_tiers(q, phi_q, scale, keys_a, values_a, keys_b, values_b, state: LinearState) -> np.ndarray:
-    logit_a = (keys_a @ q) * scale
-    logit_b = (keys_b @ q) * scale
-    shift = float(max(logit_a.max(initial=0.0), logit_b.max(initial=0.0)))
-    ea = np.exp(logit_a - shift)
-    eb = np.exp(logit_b - shift)
+def _mix_tiers(q, phi_q, scale, keys, values, state: LinearState) -> np.ndarray:
+    logit = (keys @ q) * scale
+    shift = float(logit.max(initial=0.0))
+    e = np.exp(logit - shift)
     damp = np.exp(-shift)
-    num = ea @ values_a + eb @ values_b + damp * (phi_q @ state.hidden)
-    den = float(ea.sum() + eb.sum()) + damp * float(phi_q @ state.normalizer)
+    num = e @ values + damp * (phi_q @ state.hidden)
+    den = float(e.sum()) + damp * float(phi_q @ state.normalizer)
     if not den > 0.0:
         raise ValueError(f"shared denominator {den:g} is not positive")
     return num / den
@@ -192,10 +193,9 @@ class ReferenceCache(LolaCache):
         q = as_vector(query, self.config.head_dim)
         phi_q = _feature_row(self.params, q)
         nw, ns = self._wlen, self._slen
-        return _mix_tiers(
-            q, phi_q, self.config.scale,
-            self._wk[:nw], self._wv[:nw], self._sk[:ns], self._sv[:ns], self.linear,
-        )
+        rows = np.concatenate((self._wrows[:nw], self._srows[:ns]))
+        values, _, keys = _pair_views(rows, self.config.head_dim, self.config.feature_dim)
+        return _mix_tiers(q, phi_q, self.config.scale, keys, values, self.linear)
 
 
 # -- comparison --------------------------------------------------------------
@@ -227,6 +227,7 @@ def run_lockstep(new, ref, qs, ks, vs, read_events: bool) -> None:
     for q, k, v in zip(qs, ks, vs):
         out_new, out_ref = new.decode_step(q, k, v), ref.decode_step(q, k, v)
         assert bits(out_new) == bits(out_ref)
+        assert_near(out_new, two_tier_attend(ref, q))
         if read_events:
             assert event_bits(new.last_event) == event_bits(ref.last_event)
         assert_same_state(new, ref)

@@ -8,7 +8,9 @@ older pair), and sorts the kept and absorbed pairs back into arrival order.
 The row store must match it bit for bit: outputs, the tiers the engine
 hands over (the lookback as its window, oldest first from slot 0, the
 residents, the hidden state and the absorbed-score total), the answer after
-the prefill and every ``ChunkEvent`` array. The earlier end-of-run scoring
+the prefill and every ``ChunkEvent`` array. The answer is the engine's mix
+over one block of pair rows, [lookback | residents], and stays within 1e-12
+relative of the earlier mix, which took each tier on its own. The earlier end-of-run scoring
 of the residents is left out: the engine scores them when they are read.
 """
 
@@ -27,6 +29,7 @@ from lola.cache import _mix_tiers, _pair_rows, _pair_views, _self_recall_scores
 from lola.chunkwise import ChunkConfig, ChunkEvent, attend_after_prefill, prefill
 from lola.harness.synthetic import SyntheticTaskSpec, gen_niah
 from lola.numerics import as_matrix
+from reference_engine import assert_near, two_tier_mix
 
 
 def reference_prefill(qs, ks, vs, config, attn, params):
@@ -170,13 +173,20 @@ def assert_prefill_matches_reference(qs, ks, vs, config, attn, params, probe):
         len(ref_out), ref.processed, ref.peak_full_rank
     )
     q = np.asarray(probe, dtype=float)
-    want = _mix_tiers(
-        q, _feature_row(params, q), attn.scale,
+    phi_q = _feature_row(params, q)
+    # the engine mixes one block, [lookback | residents]; the earlier mix
+    # took each tier on its own
+    block = (np.concatenate((ref.recent_keys, ref.sparse_keys)),
+             np.concatenate((ref.recent_values, ref.sparse_values)))
+    want = _mix_tiers(q, phi_q, attn.scale, *as_pair_rows(*block, attn), ref.linear)
+    answer = attend_after_prefill(state, probe, attn, params)
+    assert_same_bits(answer, want, "answer after prefill")
+    assert_near(answer, two_tier_mix(
+        q, phi_q, attn.scale,
         *as_pair_rows(ref.recent_keys, ref.recent_values, attn),
         *as_pair_rows(ref.sparse_keys, ref.sparse_values, attn),
         ref.linear,
-    )
-    assert_same_bits(attend_after_prefill(state, probe, attn, params), want, "answer after prefill")
+    ))
     assert len(state.events) == len(ref.events)
     for eg, ew in zip(state.events, ref.events):
         assert eg.chunk == ew.chunk

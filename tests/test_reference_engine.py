@@ -9,9 +9,10 @@ reads ``last_event`` after every step, or not before a piece of its path
 ends. ``bounded`` forces the bounded settle on, which only the self-recall
 rule takes. Where a path uses ``ingest``, an engine fed
 the same pairs by ``update`` also runs, for the internals the reference does
-not hold: the residents' rows and score bounds. The ``handoff`` path starts
+not hold: the residents' rows and score bounds. The ``handoff`` paths start
 from a chunked prefill's engine (chunk η/2) and the reference from the tiers
-it hands over, then decodes on.
+it hands over, compare an answer at once, then decode on: ``handoff`` with
+``update`` first, ``handoff-ingest`` with ``ingest`` first.
 
 The collision replay is checked against the reference's residency, and
 prefill's chunk boundary against ``keep_highest``.
@@ -66,6 +67,7 @@ def pieces(path, n, cut, prefix):
             ("prefill", 0, h), ("update", h, a), ("decode_step", a, (a + n) // 2),
             ("ingest", (a + n) // 2, n),
         ],
+        "handoff-ingest": [("prefill", 0, h), ("ingest", h, a), ("decode_step", a, n)],
     }[path]
 
 
@@ -116,28 +118,27 @@ def run(path, bounded, eta, lam, d, f, rule, pool, n, cut, prefix, read, seed):
                     eng.absorbed_score_sum,
                 )
                 assert eng.last_event is None
-                check()
-                continue
-            lo, hi = span
-            if kind == "ingest":
-                eng.ingest(ks[lo:hi], vs[lo:hi], qs[lo:hi])
-            for t in range(lo, hi):
-                if kind == "decode_step":
-                    assert bits(eng.decode_step(qs[t], ks[t], vs[t])) == bits(
-                        ref.decode_step(qs[t], ks[t], vs[t])
-                    )
-                else:
-                    ref.update(ks[t], vs[t])
-                    ref.accumulate_window_scores(qs[t])
-                    if kind == "update":
-                        eng.update(ks[t], vs[t])
-                        eng.accumulate_window_scores(qs[t])
-                if twin is not None:
-                    twin.update(ks[t], vs[t])
-                    twin.accumulate_window_scores(qs[t])
-                stepped = True
-                if kind != "ingest":
-                    check(step=True)
+            else:
+                lo, hi = span
+                if kind == "ingest":
+                    eng.ingest(ks[lo:hi], vs[lo:hi], qs[lo:hi])
+                for t in range(lo, hi):
+                    if kind == "decode_step":
+                        assert bits(eng.decode_step(qs[t], ks[t], vs[t])) == bits(
+                            ref.decode_step(qs[t], ks[t], vs[t])
+                        )
+                    else:
+                        ref.update(ks[t], vs[t])
+                        ref.accumulate_window_scores(qs[t])
+                        if kind == "update":
+                            eng.update(ks[t], vs[t])
+                            eng.accumulate_window_scores(qs[t])
+                    if twin is not None:
+                        twin.update(ks[t], vs[t])
+                        twin.accumulate_window_scores(qs[t])
+                    stepped = True
+                    if kind != "ingest":
+                        check(step=True)
             check()
             if ref.t:
                 for q in (qs[0], qs[-1]):
@@ -191,10 +192,15 @@ RUNS = {
     ("prefix", True): 50,
     ("handoff", False): 100,
     ("handoff", True): 40,
+    ("handoff-ingest", False): 60,
+    ("handoff-ingest", True): 20,
 }
 # a hand-off whose ring has room beside a non-empty sparse tier, with
 # ``ingest`` the first call after it; only a hand-off reaches that state
 ROOM_BESIDE_RESIDENTS = case(eta=4, lam=3, prefix=5, n=6, cut=0.0, seed=9)
+# the same state, then one ``ingest`` that fills the ring's room, fills the
+# sparse cache's and goes on evicting into a full one
+ROOM_THEN_EVICTIONS = case(eta=4, lam=3, prefix=5, n=14, cut=1.0, seed=10)
 EXAMPLES = {
     # a ring that has wrapped, then a stream that fills the sparse cache
     ("prefix", False): [
@@ -214,13 +220,15 @@ EXAMPLES = {
         case(eta=4, lam=8, prefix=18, n=50, cut=0.0, seed=7),
         case(eta=4, lam=8, pool=None, prefix=17, n=50, cut=0.0, seed=8),
     ],
+    ("handoff-ingest", False): [ROOM_THEN_EVICTIONS],
+    ("handoff-ingest", True): [case(eta=4, lam=8, pool=None, prefix=17, n=50, cut=1.0, seed=11)],
 }
 
 
 @pytest.mark.parametrize("path, bounded", list(RUNS))
 def test_every_path_matches_the_reference(path, bounded):
     @settings(max_examples=RUNS[path, bounded], deadline=None)
-    @given(drawn=cases(bounded, path == "handoff"))
+    @given(drawn=cases(bounded, path.startswith("handoff")))
     def check(drawn):
         run(path, bounded, **drawn)
 
@@ -241,6 +249,27 @@ def test_the_room_example_ingests_into_a_ring_with_room_beside_residents():
     eng = prefill(qs[:h], ks[:h], vs[:h], config, attn, init_feature_map(SeededRng(seed), attn))[1].engine
     assert 0 < eng.window_size < eng.window_capacity == eta
     assert eng.sparse_size > 0
+
+
+def test_the_room_then_evictions_example_fills_the_room_and_evicts_in_one_ingest():
+    drawn = ROOM_THEN_EVICTIONS
+    d, eta, lam, seed, n = drawn["d"], drawn["eta"], drawn["lam"], drawn["seed"], drawn["n"]
+    plan = pieces("handoff-ingest", n, drawn["cut"], drawn["prefix"])
+    h = plan[0][2]
+    assert [piece for piece in plan[1:] if piece[1] < piece[2]] == [("ingest", h, n)]
+    attn = AttentionConfig(d, drawn["f"])
+    qs, ks, vs = stream(seed, d, drawn["pool"], n)
+    config = ChunkConfig(eta // 2, lam)
+    eng = prefill(qs[:h], ks[:h], vs[:h], config, attn, init_feature_map(SeededRng(seed), attn))[1].engine
+    assert 0 < eng.window_size < eng.window_capacity == eta
+    assert 0 < eng.sparse_size < eng.sparse_capacity == lam
+    absorbed = eng.linear.count
+    # more rows than the ring's and the sparse cache's room together, so the
+    # one call fills both and then settles into a full sparse cache
+    assert n - h > (eta - eng.window_size) + (lam - eng.sparse_size)
+    eng.ingest(ks[h:], vs[h:])
+    assert (eng.window_size, eng.sparse_size) == (eta, lam)
+    assert eng.linear.count > absorbed
 
 
 # -- the collision replay ------------------------------------------------------

@@ -1,9 +1,12 @@
 """The shared-denominator tier mix against the inline body it replaced.
 
 ``LolaCache.attend`` used to compute the three-tier ratio inline; it now
-calls ``cache._mix_tiers``. ``reference_attend`` below is that body
-verbatim, so every output must match it bit for bit, and a denominator that
-is not positive must still raise. A prefill hands over a ``LolaCache``, and
+calls ``cache._mix_tiers``. ``reference_attend`` below is that body, over
+one block of whole pair rows, [ring slots 0..nw | residents], as the engine
+mixes them, so every output must match it bit for bit, and a denominator
+that is not positive must still raise. Each output also stays within 1e-12
+relative of the earlier two-tier mix (``two_tier_attend``), which took
+each step once per tier. A prefill hands over a ``LolaCache``, and
 ``attend_after_prefill`` is its ``attend``: it is checked against the same
 inline mix over the handed-over engine's own rows.
 """
@@ -15,8 +18,10 @@ from hypothesis import strategies as st
 
 from lola import AttentionConfig, LolaCache, SeededRng, init_feature_map, prefill
 from lola.attention import _feature_row
+from lola.cache import _pair_views
 from lola.chunkwise import ChunkConfig, attend_after_prefill
 from lola.numerics import as_vector
+from reference_engine import assert_near, two_tier_attend
 
 
 def reference_attend(self, query):
@@ -26,14 +31,14 @@ def reference_attend(self, query):
     phi_q = _feature_row(self.params, q)
     scale = self.config.scale
     nw, ns = self._wlen, self._slen
-    logit_w = (self._wk[:nw] @ q) * scale
-    logit_s = (self._sk[:ns] @ q) * scale
-    shift = float(max(logit_w.max(initial=0.0), logit_s.max(initial=0.0)))
-    ew = np.exp(logit_w - shift)
-    es = np.exp(logit_s - shift)
+    rows = np.concatenate((self._wrows[:nw], self._srows[:ns]))
+    values, _, keys = _pair_views(rows, self.config.head_dim, self.config.feature_dim)
+    logit = (keys @ q) * scale
+    shift = float(logit.max(initial=0.0))
+    e = np.exp(logit - shift)
     damp = np.exp(-shift)
-    num = ew @ self._wv[:nw] + es @ self._sv[:ns] + damp * (phi_q @ self.linear.hidden)
-    den = float(ew.sum() + es.sum()) + damp * float(phi_q @ self.linear.normalizer)
+    num = e @ values + damp * (phi_q @ self.linear.hidden)
+    den = float(e.sum()) + damp * float(phi_q @ self.linear.normalizer)
     if not den > 0.0:
         raise ValueError(f"shared denominator {den:g} is not positive")
     return num / den
@@ -80,7 +85,8 @@ def test_attend_matches_the_inline_mix_bit_for_bit(d, eta, lam, n, key_scale, se
     eng = LolaCache(cfg, params, eta, lam)
     eng.ingest(ks, vs)
     for q in qs:
-        same_outcome(eng.attend, lambda q: reference_attend(eng, q), q)
+        if same_outcome(eng.attend, lambda q: reference_attend(eng, q), q):
+            assert_near(eng.attend(q), two_tier_attend(eng, q))
 
 
 @settings(max_examples=150, deadline=None)
@@ -95,15 +101,17 @@ def test_attend_matches_the_inline_mix_bit_for_bit(d, eta, lam, n, key_scale, se
 @example(d=4, chunk=7, lam=0, n=30, key_scale=1.0, seed=0)  # a window with room
 @example(d=4, chunk=3, lam=0, n=30, key_scale=1.0, seed=1)  # a full window
 @example(d=4, chunk=1, lam=2, n=3, key_scale=1.0, seed=2)  # no sparse resident
+@example(d=1, chunk=3, lam=2, n=20, key_scale=1.0, seed=3)  # a window with room beside residents
 def test_attend_after_prefill_matches_the_inline_mix_bit_for_bit(d, chunk, lam, n, key_scale, seed):
     cfg, params, ks, vs, qs = stream(d, n, key_scale, seed)
     _, state = prefill(ks, ks, vs, ChunkConfig(chunk, lam), cfg, params)
     for q in qs:
-        same_outcome(
+        if same_outcome(
             lambda q: attend_after_prefill(state, q, cfg, params),
             lambda q: reference_attend(state.engine, q),
             q,
-        )
+        ):
+            assert_near(attend_after_prefill(state, q, cfg, params), two_tier_attend(state.engine, q))
 
 
 @pytest.mark.parametrize("eta, lam", [(0, 0), (3, 0), (0, 3), (3, 3)])
