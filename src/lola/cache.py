@@ -23,7 +23,12 @@ tiers end bit-identical to a loop of ``update`` calls (plus
 A static rule reads the window at every step, so it takes the per-pair step.
 A dynamic rule does not, so past the first η rows each eviction is staged
 straight from the input, evictions into a sparse cache with room are copied
-as one block, and only the last η rows enter the window ring.
+as one block, all those into a full one go to ``_settle`` as one run, and
+only the last η rows enter the window ring. ``update`` hands ``_settle`` a
+run of one, so every eviction takes the same body. Below the bounded shapes
+that body scores into buffers the engine allocates once (numerators,
+denominators and scores of λ+1 rows), so ``last_event`` copies the scores
+it reports.
 
 A pair is one float64 row of [value | φ(key) | key | score | index]; the
 arrival index is an int64 column over the same memory. Both full-rank tiers
@@ -47,8 +52,10 @@ Selection details, fixed for determinism:
     self-recall rule keeps a lower and an upper bound on each resident's
     score and scores exactly only the evicted pair and the residents whose
     lower bound does not exceed the least upper bound. No other row can be
-    the minimum, and every row it scores gets the bits the one call would
-    give it, so both paths absorb the same pair with the same score;
+    the minimum. A row it scores gets the bits the one call would give it
+    only at the head and feature widths where a product's row bits do not
+    depend on the other rows (see ``_recall_rows``; ROADMAP item 3): there
+    both paths absorb the same pair with the same score;
   * at most one pair is absorbed per eviction, the lowest-scoring one;
   * equal scores keep the older pair cached. On rows in arrival order,
     ``_settle`` absorbs the last minimum (reversed ``argmin``) and prefill's
@@ -162,34 +169,51 @@ SCORING_STRATEGIES: dict[str, type[ScoringStrategy]] = {
 }
 
 
-def _self_recall_scores(phi: np.ndarray, values: np.ndarray, state: LinearState) -> np.ndarray:
+def _self_recall_scores(
+    phi: np.ndarray, values: np.ndarray, state: LinearState, out: tuple | None = None
+) -> np.ndarray:
     """Each row's self-recall error against ``state``: the norm of
     ``(phi @ hidden) / (phi @ normalizer) - values``. An empty state predicts
     nothing, so a row's score is then ``|value|`` by convention (maximal
-    disagreement), not an exception."""
-    return _recall_rows(phi, values, state, phi @ state.normalizer)
+    disagreement), not an exception. ``out``, if given, is the buffers
+    (numerators, denominators, scores) of exactly these rows, which the
+    operations write instead of new arrays, with the same bits; the scores
+    buffer is returned."""
+    if out is None:
+        return _recall_rows(phi, values, state, phi @ state.normalizer)
+    num, den, scores = out
+    return _recall_rows(phi, values, state, np.matmul(phi, state.normalizer, den), num, scores)
 
 
 def _recall_rows(
-    phi: np.ndarray, values: np.ndarray, state: LinearState, den: np.ndarray
+    phi: np.ndarray,
+    values: np.ndarray,
+    state: LinearState,
+    den: np.ndarray,
+    num: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """``_self_recall_scores`` of rows whose denominators ``phi @ normalizer``
-    are given.
+    are given, written into ``num`` and ``out`` where given. Outputs are
+    passed by position: a keyword costs each call a parse.
 
-    A row's bits do not depend on which other rows are passed, as long as
-    there are at least two: the numerators come from one GEMM, while a
-    single-row product goes to a matrix-vector kernel with other bits.
+    The numerators come from one matrix product, so a row's bits can depend
+    on the other rows passed. On OpenBLAS they were measured not to at F = 2,
+    4 or 8 at every head width tried, at F=32 with 16, 20, 24 or 32 columns
+    and at F=128 with 64, 72 or 80; they did depend on them with 17 or 18
+    columns at F = 32-36 and with 1, 2, 3 or 9 columns at F=32 (ROADMAP item
+    3). A single row goes to a matrix-vector kernel with other bits.
     """
     if state.count == 0:
-        r = values * values
+        r = np.multiply(values, values, num)
     else:
-        r = phi @ state.hidden
+        r = np.matmul(phi, state.hidden, num)
         r /= den[:, None]
         r -= values
         r *= r
     # the operations of ``np.linalg.norm(r, axis=1)`` without its wrapper
-    out = np.add.reduce(r, axis=1)
-    return np.sqrt(out, out=out)
+    out = np.add.reduce(r, 1, None, out)
+    return np.sqrt(out, out)
 
 
 def _mix_tiers(q, phi_q, scale, keys, values, state: LinearState) -> np.ndarray:
@@ -341,6 +365,11 @@ class LolaCache:
         self._shi = np.full(lam + 1, np.inf)
         self._svnorm = np.zeros(lam + 1)
         self._rmax = 0.0
+        # otherwise every eviction into a full cache scores its λ+1 rows into
+        # these: numerators, denominators and scores
+        self._bufs = None
+        if not self._bounded:
+            self._bufs = (np.empty((lam + 1, d)), np.empty(lam + 1), np.empty(lam + 1))
 
     # -- views ------------------------------------------------------------
 
@@ -443,11 +472,9 @@ class LolaCache:
         if room:
             self._srows[self._slen : self._slen + room, :width] = pairs[:room]
             self._take(room, base + eta + room)
-        # the rest evict into a full cache, each staged in its last row
-        staged = self._srows[-1, :width]
-        for step, row in enumerate(pairs[room : n - eta], start=base + eta + room + 1):
-            staged[...] = row
-            self._settle(step)
+        if n - eta > room:
+            # the rest evict into a full cache
+            self._settle(base + eta + room + 1, pairs[room : n - eta])
         if eta:
             slots = np.arange(first + n - eta, first + n) % eta
             self._wrows[slots, :width] = pairs[n - eta :]
@@ -503,29 +530,55 @@ class LolaCache:
                 for col in (self._slo, self._shi, self._svnorm):
                     col[drop:ns] = col[drop + 1 : ns + 1]
 
-    def _settle(self, step_index: int) -> None:
-        """Rank the staged pair with the residents in one scoring call; on
-        overflow absorb the lowest score and close the gap it leaves. With
-        room, nothing is absorbed and nothing needs scoring."""
+    def _settle(self, step_index: int, run: np.ndarray | None = None) -> None:
+        """Evictions from step ``step_index`` on: of the pair staged in row
+        ``_slen``, or, into a full sparse cache, of each row of ``run`` in
+        turn, staged in its last row. With room the pair joins the residents
+        and nothing needs scoring. Into a full cache each eviction ranks the
+        staged pair with the residents in one scoring call, absorbs the lowest
+        score and closes the gap it leaves; the step keeps the latest one."""
         ns = self._slen
         if ns < self.sparse_capacity:
             self._take(1, step_index)
             return
-        if self._bounded:
-            self._settle_bounded(step_index)
-            return
-        # ns is λ here: the staged pair and the residents are all λ+1 rows
-        if self.scoring.dynamic:
-            scores = _self_recall_scores(self._sphi, self._sv, self.linear)
+        if run is None:
+            if self._bounded:
+                self._settle_bounded(step_index)
+                return
+            rows, staged = (None,), None
         else:
-            scores = self._sscore.copy()
+            rows, staged = run, self._srows[ns, : run.shape[1]]
+            if self._bounded:
+                for step, row in enumerate(run, start=step_index):
+                    staged[...] = row
+                    self._settle_bounded(step)
+                return
+        # ns is λ here: the staged pair and the residents are all λ+1 rows,
+        # scored into the engine's buffers
+        phi, vals, sidx, lin, bufs = self._sphi, self._sv, self._sidx, self.linear, self._bufs
+        scores = bufs[2]
         # rows ascend by arrival, so the last minimum is the newer of a tie;
         # a stable sort, as at the chunk boundary, costs ~3.5x this argmin
-        drop = ns - int(scores[::-1].argmin())
-        self.linear.update(self._sphi[drop], self._sv[drop])
-        self.absorbed_score_sum += scores.item(drop)
-        self._step = (step_index, scores, drop, self._sidx.item(drop))
-        self._close(drop)
+        backward = scores[::-1]
+        dynamic = self.scoring.dynamic
+        flat, w = self._sflat, self._srows.shape[1]
+        total = self.absorbed_score_sum
+        for row in rows:
+            if row is not None:
+                staged[...] = row
+            if dynamic:
+                _self_recall_scores(phi, vals, lin, bufs)
+            else:
+                scores[...] = self._sscore
+            drop = ns - int(backward.argmin())
+            lin.update(phi[drop], vals[drop])
+            total += scores.item(drop)
+            absorbed = sidx.item(drop)
+            if drop < ns:
+                # ``_close``'s move, inline: this path keeps no bounds
+                flat[drop * w : ns * w] = flat[(drop + 1) * w : (ns + 1) * w]
+        self.absorbed_score_sum = total
+        self._step = (step_index + len(rows) - 1, scores, drop, absorbed)
 
     def _settle_bounded(self, step_index: int) -> None:
         """``_settle`` under the self-recall rule, scoring exactly only the
@@ -599,6 +652,9 @@ class LolaCache:
         kept = self._sidx[: self._slen].copy()
         if type(scores) is tuple:
             scores = self._rescore(drop, *scores)
+        elif scores is not None:
+            # the engine's score buffer, which the next eviction reuses
+            scores = scores.copy()
         if scores is None:
             # nothing was absorbed since, so scoring the same rows now gives
             # the bits an eviction-time call would have

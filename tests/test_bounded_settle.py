@@ -94,9 +94,9 @@ def test_a_lone_candidate_is_padded_to_two_rows(monkeypatch):
     qs = gen.normal(size=(n, d))
     calls = []
 
-    def spy(phi, values, state, den):
+    def spy(phi, values, state, den, *out):
         calls.append(phi.copy())
-        return _recall_rows(phi, values, state, den)
+        return _recall_rows(phi, values, state, den, *out)
 
     new = bounded_engine(LolaCache, cfg, params, eta, lam)
     ref = ReferenceEngine(cfg, params, eta, lam)

@@ -21,9 +21,9 @@ def test_unread_ingest_scores_only_full_evictions(monkeypatch, eta, lam, n):
     ks, vs = SeededRng(6).generator().normal(size=(2, n, 4))
     rows = []
 
-    def spy(phi, values, state):
+    def spy(phi, values, state, out=None):
         rows.append(phi.shape[0])
-        return _self_recall_scores(phi, values, state)
+        return _self_recall_scores(phi, values, state, out)
 
     monkeypatch.setattr(cache_mod, "_self_recall_scores", spy)
     eng.ingest(ks, vs)
@@ -40,9 +40,9 @@ def test_event_of_an_eviction_with_room_is_scored_on_first_read(monkeypatch):
     ks, vs = SeededRng(8).generator().normal(size=(2, eta + 2, 4))
     rows = []
 
-    def spy(phi, values, state):
+    def spy(phi, values, state, out=None):
         rows.append(phi.shape[0])
-        return _self_recall_scores(phi, values, state)
+        return _self_recall_scores(phi, values, state, out)
 
     monkeypatch.setattr(cache_mod, "_self_recall_scores", spy)
     eng.ingest(ks, vs)

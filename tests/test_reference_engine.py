@@ -201,7 +201,11 @@ ROOM_BESIDE_RESIDENTS = case(eta=4, lam=3, prefix=5, n=6, cut=0.0, seed=9)
 # the same state, then one ``ingest`` that fills the ring's room, fills the
 # sparse cache's and goes on evicting into a full one
 ROOM_THEN_EVICTIONS = case(eta=4, lam=3, prefix=5, n=14, cut=1.0, seed=10)
+# a 41-row scoring call at d=16 on a stream of 3 repeated pairs, so that
+# each full eviction breaks ties among 41 rows
+LONG_BLOCK_TIES = case(eta=4, lam=40, d=16, f=32, pool=3, n=120, read=True, seed=12)
 EXAMPLES = {
+    ("ingest", False): [LONG_BLOCK_TIES],
     # a ring that has wrapped, then a stream that fills the sparse cache
     ("prefix", False): [
         case(eta=3, lam=4, pool=2, prefix=5, n=23, seed=0),
@@ -270,6 +274,23 @@ def test_the_room_then_evictions_example_fills_the_room_and_evicts_in_one_ingest
     eng.ingest(ks[h:], vs[h:])
     assert (eng.window_size, eng.sparse_size) == (eta, lam)
     assert eng.linear.count > absorbed
+
+
+def test_the_long_block_example_breaks_ties_among_41_rows():
+    drawn = LONG_BLOCK_TIES
+    d, eta, lam, seed, n = drawn["d"], drawn["eta"], drawn["lam"], drawn["seed"], drawn["n"]
+    attn = AttentionConfig(d, drawn["f"])
+    qs, ks, vs = stream(seed, d, drawn["pool"], n)
+    eng = LolaCache(attn, init_feature_map(SeededRng(seed), attn), eta, lam)
+    tied = 0
+    for k, v in zip(ks, vs):
+        eng.update(k, v)
+        scores = eng.last_event.eligible_scores
+        if eng.last_event.absorbed_indices.size:
+            assert scores.size == lam + 1
+            tied += int((scores == scores.min()).sum() > 1)
+    assert not eng._bounded and eng.linear.count == n - eta - lam
+    assert tied > 0
 
 
 # -- the collision replay ------------------------------------------------------

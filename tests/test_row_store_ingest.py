@@ -57,7 +57,7 @@ def test_evictions_into_room_are_one_block(monkeypatch):
     eng = LolaCache(cfg, init_feature_map(SeededRng(5), cfg), eta, lam)
     qs, ks, vs = stream(5, 4, None, eta + lam)
     calls = []
-    monkeypatch.setattr(cache_mod.LolaCache, "_settle", lambda self, i: calls.append(i))
+    monkeypatch.setattr(cache_mod.LolaCache, "_settle", lambda self, i, run=None: calls.append(i))
     eng.ingest(ks, vs)
     assert calls == []
     assert eng.window_size == eta and eng.sparse_size == lam and eng.linear.count == 0

@@ -43,9 +43,9 @@ def test_full_eviction_makes_one_scoring_call_of_lambda_plus_one_rows(monkeypatc
 
     rows = []
 
-    def spy(phi, values, state):
+    def spy(phi, values, state, out=None):
         rows.append(phi.shape[0])
-        return _self_recall_scores(phi, values, state)
+        return _self_recall_scores(phi, values, state, out)
 
     monkeypatch.setattr(cache_mod, "_self_recall_scores", spy)
     eng.update(gen.normal(size=4), gen.normal(size=4))
